@@ -15,6 +15,9 @@ from desbal import (
     profile_similarity,
     region_of_competence,
     run_selector,
+    select_desknn,
+    select_fire,
+    select_knu,
     train_meta_classifier,
 )
 from desbal.benchmarks import load_benchmark
@@ -57,6 +60,16 @@ for name in SELECTOR_NAMES:
     result = run_selector(name, ctx, query, cfg)
     ok = "yes" if result.predicted_class == truth else "no"
     print(f"{name:<11}{len(result.selected):>6}  {result.predicted_class:>5}  {ok}")
+
+# the schemes' own sizes and thresholds are keyword arguments of functions
+# of the query's region view
+view = ctx.view(query)
+for n, j in ((50, 30), (20, 5)):
+    result = select_desknn(view, n=n, j=j)
+    print(f"DES-KNN N={n} J={j}: |EoC| {len(result.selected)}, "
+          f"label {result.predicted_class}")
+pruned = select_fire(select_knu, view)
+print(f"FIRE around KNU: |EoC| {len(pruned.selected)}, label {pruned.predicted_class}")
 
 print("\nDCS schemes (RANK, LCA, MCB) pick one specialist; DES schemes keep a")
 print("sub-ensemble; the FIRE wrapper first drops classifiers that never cross")

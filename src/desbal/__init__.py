@@ -30,9 +30,8 @@ from .resampling import (
     smote,
 )
 from .selection import (
-    DesKnnConfig,
-    McbConfig,
     RegionOfCompetence,
+    RegionView,
     SELECTOR_NAMES,
     SelectionContext,
     SelectionResult,
@@ -51,7 +50,7 @@ from .selection import (
     select_mcb,
     select_metades,
     select_rank,
-    static_majority_vote,
+    select_static,
     train_meta_classifier,
 )
 from .stats import RankTable, average_ranks, finner_stepdown, sign_test

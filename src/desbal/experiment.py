@@ -3,6 +3,7 @@ combinations, crash-safe result persistence, and report generation."""
 
 import hashlib
 import logging
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -172,6 +173,15 @@ class RunSummary:
     failed_datasets: list = field(default_factory=list)
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line, left by a write cut short, off the file."""
+    content = path.read_bytes() if path.exists() else b""
+    end = content.rfind(b"\n") + 1
+    if end < len(content):
+        logger.warning("%s: dropping the torn last line %r", path, content[end:])
+        os.truncate(path, end)
+
+
 def _existing_keys(path: Path) -> set:
     keys = set()
     if not path.exists():
@@ -235,9 +245,10 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
             f"config_hash = {digest}\ncode_version = {__version__}\n"
             f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
         )
+    _drop_torn_tail(results_path)
     done = _existing_keys(results_path)
     summary = RunSummary(results_path=results_path, records_skipped=len(done))
-    new_file = not results_path.exists()
+    new_file = not results_path.exists() or results_path.stat().st_size == 0
     variants = tuple(normalize_variant(v) for v in cfg.variants)
     selectors = tuple(normalize_selector(s) for s in cfg.selectors)
 
@@ -396,6 +407,7 @@ def make_report(input_dir, metric: str) -> str:
     datasets = tuple(sorted({r[0] for r in records}))
     if not datasets:
         raise IncompleteGridError("no records found")
+    present = {tuple(r[:6]) for r in records}
     missing = [
         (d, v, s, str(rep), fold, metric)
         for d in datasets
@@ -403,8 +415,7 @@ def make_report(input_dir, metric: str) -> str:
         for s in selectors
         for rep in range(1, 6)
         for fold in ("A", "B")
-        if (d, v, s, str(rep), fold, metric)
-        not in {tuple(r[:6]) for r in records}
+        if (d, v, s, str(rep), fold, metric) not in present
     ]
     if missing:
         head = "\n".join("  " + " / ".join(cell) for cell in missing[:20])

@@ -41,9 +41,9 @@ class Pool:
         return self.classifiers[0].arity
 
     def predict_all(self, X) -> np.ndarray:
-        """Label matrix of shape (n_classifiers, n_samples)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([np.atleast_1d(tree.predict(X)) for tree in self.classifiers])
+        """Label matrix of shape (n_classifiers, n_samples): the argmax of
+        `support_all`, so each tree is walked once."""
+        return self.support_all(X).argmax(axis=2)
 
     def support_all(self, X) -> np.ndarray:
         """Support tensor of shape (n_classifiers, n_samples, n_classes)."""

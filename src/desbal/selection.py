@@ -1,15 +1,17 @@
 """Competence regions and the dynamic classifier/ensemble selection schemes.
 
-Selectors share a `SelectionContext` (pool behaviour precomputed over the
-DSEL) and a per-query `Query` (region of competence plus the pool's outputs
-for the query point). Determinism rules used throughout: competence ties
-break to the lowest classifier index, vote ties to the lowest class id,
-distance ties to the lowest DSEL index.
+A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
+Each test point becomes a `Query` (region of competence plus the pool's
+outputs for the point), and `SelectionContext.view` gathers the pool's
+behaviour on the query's neighbours into a `RegionView`, the input of every
+scheme that judges competence on the region alone. Determinism rules used
+throughout: competence ties break to the lowest classifier index, vote ties
+to the lowest class id, distance ties to the lowest DSEL index.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -19,18 +21,6 @@ from .rng import make_rng
 
 logger = logging.getLogger(__name__)
 
-SELECTOR_NAMES = (
-    "STATIC", "RANK", "LCA", "MCB", "KNE", "KNU", "DES-KNN", "DESP",
-    "DES-RRC", "META-DES", "F-LCA", "F-MCB", "F-KNE", "F-KNU", "F-DES-KNN",
-)
-
-FIRE_BASES = {
-    "F-LCA": "LCA", "F-MCB": "MCB", "F-KNE": "KNE",
-    "F-KNU": "KNU", "F-DES-KNN": "DES-KNN",
-}
-
-_CANONICAL = {n.lower(): n for n in SELECTOR_NAMES}
-
 
 def normalize_selector(name: str) -> str:
     try:
@@ -39,6 +29,16 @@ def normalize_selector(name: str) -> str:
         raise ValueError(
             f"unknown selector {name!r}; choose from {SELECTOR_NAMES}"
         ) from None
+
+
+@dataclass(frozen=True)
+class SelectorConfig:
+    """Run-level settings of the selection schemes: region size, META-DES
+    profile neighbours and the DES-RRC seed."""
+
+    k: int = 7
+    meta_kp: int = 5
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +57,23 @@ class RegionOfCompetence:
         return len(self.indices)
 
 
+def _nearest(dists, k: int) -> np.ndarray:
+    """Columns of the k smallest distances of each row, closest first.
+
+    Distance ties go to the lower column; a k beyond the number of columns
+    takes them all, with a warning.
+    """
+    n = dists.shape[-1]
+    if n < k:
+        logger.warning("DSEL holds %d < k=%d samples; using the whole set", n, k)
+    return np.argsort(dists, axis=-1, kind="stable")[..., :k]
+
+
 def region_of_competence(dsel, x_q, k: int = 7) -> RegionOfCompetence:
     """The k nearest DSEL rows by Euclidean distance (ties to lower index)."""
     features = dsel.features if isinstance(dsel, DselSet) else np.asarray(dsel, float)
-    x_q = np.asarray(x_q, dtype=float)
-    dists = cdist(x_q[None, :], features)[0]
-    if features.shape[0] < k:
-        logger.warning(
-            "DSEL holds %d < k=%d samples; using the whole set", features.shape[0], k
-        )
-        k = features.shape[0]
-    order = np.argsort(dists, kind="stable")[:k]
+    dists = cdist(np.asarray(x_q, dtype=float)[None, :], features)[0]
+    order = _nearest(dists, k)
     return RegionOfCompetence(indices=order, distances=dists[order])
 
 
@@ -80,12 +86,30 @@ class Query:
     predictions: np.ndarray  # (M,) class ids
     supports: np.ndarray  # (M, L)
 
-    def restrict(self, classifier_indices) -> "Query":
-        return replace(
-            self,
-            predictions=self.predictions[classifier_indices],
-            supports=self.supports[classifier_indices],
-        )
+
+@dataclass(frozen=True)
+class RegionView:
+    """The pool's behaviour on one query's K nearest DSEL neighbours.
+
+    `hits[i, j]` tells whether classifier i labels neighbour j correctly and
+    `profiles[i, j]` is that label; `labels` are the neighbours' true classes
+    and `predictions` the classifiers' labels for the query itself.
+    """
+
+    hits: np.ndarray  # (M, K) bool
+    profiles: np.ndarray  # (M, K) class ids
+    labels: np.ndarray  # (K,) class ids
+    predictions: np.ndarray  # (M,) class ids
+    n_classes: int
+
+    @property
+    def pool_size(self) -> int:
+        return self.hits.shape[0]
+
+    def rows(self, keep) -> "RegionView":
+        """The same region as seen by the classifiers `keep` alone."""
+        return replace(self, hits=self.hits[keep], profiles=self.profiles[keep],
+                       predictions=self.predictions[keep])
 
 
 class SelectionContext:
@@ -95,41 +119,26 @@ class SelectionContext:
         self.pool = pool
         self.dsel = dsel
         self.n_classes = pool.n_classes
-        self.predictions = pool.predict_all(dsel.features)  # (M, n)
+        self.supports = pool.support_all(dsel.features)  # (M, n, L)
+        self.predictions = self.supports.argmax(axis=2)  # (M, n)
         self.hits = self.predictions == dsel.labels[None, :]
         self.meta = None
-        self._rrc_cache = {}
+        self._rrc = (None, None)  # (draws, seed) of the last RRC table, the table
 
     @property
     def pool_size(self) -> int:
         return self.predictions.shape[0]
 
-    @cached_property
-    def supports(self) -> np.ndarray:
-        return self.pool.support_all(self.dsel.features)  # (M, n, L)
-
     def make_query(self, x_q, k: int = 7) -> Query:
-        x_q = np.asarray(x_q, dtype=float)
-        return Query(
-            x=x_q,
-            roc=region_of_competence(self.dsel, x_q, k),
-            predictions=self.pool.predict_all(x_q[None, :])[:, 0],
-            supports=self.pool.support_all(x_q[None, :])[:, 0, :],
-        )
+        return self.make_queries(np.asarray(x_q, dtype=float)[None, :], k)[0]
 
     def make_queries(self, X, k: int = 7) -> list:
-        """Queries for a whole test matrix with batched pool evaluation."""
+        """Queries for a whole test matrix with one pass of the pool over it."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        k_eff = min(k, self.dsel.n_samples)
-        if k_eff < k:
-            logger.warning(
-                "DSEL holds %d < k=%d samples; using the whole set",
-                self.dsel.n_samples, k,
-            )
         dists = cdist(X, self.dsel.features)
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k_eff]
-        predictions = self.pool.predict_all(X)
+        order = _nearest(dists, k)
         supports = self.pool.support_all(X)
+        predictions = supports.argmax(axis=2)
         return [
             Query(
                 x=X[q],
@@ -142,29 +151,30 @@ class SelectionContext:
             for q in range(X.shape[0])
         ]
 
+    def view(self, query: Query) -> RegionView:
+        """The pool's behaviour on the query's region of competence."""
+        idx = query.roc.indices
+        return RegionView(
+            hits=self.hits[:, idx],
+            profiles=self.predictions[:, idx],
+            labels=self.dsel.labels[idx],
+            predictions=query.predictions,
+            n_classes=self.n_classes,
+        )
+
     def rrc_csrc(self, draws: int = 1000, seed: int = 0) -> np.ndarray:
         """Centered correct-classification probability of the randomized
-        reference model for every (classifier, DSEL sample) pair."""
+        reference model for every (classifier, DSEL sample) pair.
+
+        Only the table of the last (draws, seed) is kept: a run uses one seed
+        per context, and a table per seed would grow with every new seed.
+        """
         key = (draws, seed)
-        if key not in self._rrc_cache:
-            self._rrc_cache[key] = _rrc_csrc_matrix(
+        if self._rrc[0] != key:
+            self._rrc = (key, _rrc_csrc_matrix(
                 self.supports, self.dsel.labels, self.n_classes, draws, seed
-            )
-        return self._rrc_cache[key]
-
-
-class _RestrictedContext:
-    """View of a context limited to a surviving subset of the pool."""
-
-    def __init__(self, parent: SelectionContext, survivors: np.ndarray):
-        self.dsel = parent.dsel
-        self.n_classes = parent.n_classes
-        self.predictions = parent.predictions[survivors]
-        self.hits = parent.hits[survivors]
-
-    @property
-    def pool_size(self) -> int:
-        return self.predictions.shape[0]
+            ))
+        return self._rrc[1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +204,27 @@ def majority_vote(predictions, n_classes: int) -> int:
     return int(np.argmax(np.bincount(predictions, minlength=n_classes)))
 
 
-def _whole_pool(ctx, query) -> SelectionResult:
+def _vote(selected, predictions, n_classes: int) -> SelectionResult:
+    """Plurality vote of the selected classifiers; an empty selection falls
+    back to the whole pool."""
+    if selected.size == 0:
+        selected = np.arange(predictions.shape[0])
     return SelectionResult(
-        selected=np.arange(ctx.pool_size),
-        predicted_class=majority_vote(query.predictions, ctx.n_classes),
+        selected=selected,
+        predicted_class=majority_vote(predictions[selected], n_classes),
     )
 
 
-def _singleton(index: int, query: Query) -> SelectionResult:
+def _singleton(index: int, predictions) -> SelectionResult:
     return SelectionResult(
         selected=np.array([index]),
-        predicted_class=int(query.predictions[index]),
+        predicted_class=int(predictions[index]),
     )
+
+
+def select_static(view: RegionView) -> SelectionResult:
+    """Plurality vote of the whole pool; ties break to the lowest class id."""
+    return _vote(np.arange(view.pool_size), view.predictions, view.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -227,40 +246,30 @@ def profile_similarity(u_i, u_j) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _consecutive_hits(ctx, roc) -> np.ndarray:
+def _consecutive_hits(hits) -> np.ndarray:
     """Length of each classifier's initial run of correct neighbours."""
-    hits = ctx.hits[:, roc.indices]
     padded = np.concatenate([hits, np.zeros((hits.shape[0], 1), dtype=bool)], axis=1)
     return np.argmax(~padded, axis=1)
 
 
-def select_rank(ctx, query: Query) -> SelectionResult:
+def select_rank(view: RegionView) -> SelectionResult:
     """Modified classifier rank: longest streak of correct nearest neighbours."""
-    runs = _consecutive_hits(ctx, query.roc)
-    return _singleton(int(np.argmax(runs)), query)
+    runs = _consecutive_hits(view.hits)
+    return _singleton(int(np.argmax(runs)), view.predictions)
 
 
-def select_lca(ctx, query: Query) -> SelectionResult:
+def select_lca(view: RegionView) -> SelectionResult:
     """Local class accuracy over the neighbours sharing the predicted label."""
-    labels_roc = ctx.dsel.labels[query.roc.indices]
-    hits_roc = ctx.hits[:, query.roc.indices]
-    competence = np.zeros(ctx.pool_size)
-    for i in range(ctx.pool_size):
-        same = labels_roc == query.predictions[i]
-        if same.any():
-            competence[i] = hits_roc[i, same].mean()
-    return _singleton(int(np.argmax(competence)), query)
+    same = view.labels[None, :] == view.predictions[:, None]  # (M, K)
+    n_same = same.sum(axis=1)
+    competence = np.divide(
+        (view.hits & same).sum(axis=1), n_same,
+        out=np.zeros(view.pool_size), where=n_same > 0,
+    )
+    return _singleton(int(np.argmax(competence)), view.predictions)
 
 
-@dataclass(frozen=True)
-class McbConfig:
-    """Similarity and competence-difference thresholds of MCB."""
-
-    t_s: float = 0.7
-    t_c: float = 0.1
-
-
-def select_mcb(ctx, query: Query, config: McbConfig = McbConfig()) -> SelectionResult:
+def select_mcb(view: RegionView, t_s: float = 0.7, t_c: float = 0.1) -> SelectionResult:
     """Multiple classifier behaviour.
 
     Neighbours whose output profiles resemble the query's (similarity above
@@ -268,16 +277,13 @@ def select_mcb(ctx, query: Query, config: McbConfig = McbConfig()) -> SelectionR
     region size, is the competence. A single classifier wins only when it
     beats the runner-up by more than t_c, otherwise the whole pool votes.
     """
-    profiles = ctx.predictions[:, query.roc.indices]  # (M, K) columns are u_j
-    sims = (profiles == query.predictions[:, None]).mean(axis=0)
-    kept = sims > config.t_s
-    hits_roc = ctx.hits[:, query.roc.indices]
-    competence = hits_roc[:, kept].sum(axis=1) / len(query.roc)
+    sims = (view.profiles == view.predictions[:, None]).mean(axis=0)
+    competence = view.hits[:, sims > t_s].sum(axis=1) / view.hits.shape[1]
     best = int(np.argmax(competence))
     others = np.delete(competence, best)
-    if others.size == 0 or competence[best] - others.max() > config.t_c:
-        return _singleton(best, query)
-    return _whole_pool(ctx, query)
+    if others.size == 0 or competence[best] - others.max() > t_c:
+        return _singleton(best, view.predictions)
+    return select_static(view)
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +291,28 @@ def select_mcb(ctx, query: Query, config: McbConfig = McbConfig()) -> SelectionR
 # ---------------------------------------------------------------------------
 
 
-def select_kne(ctx, query: Query) -> SelectionResult:
+def select_kne(view: RegionView) -> SelectionResult:
     """KNORA-Eliminate: local oracles over the largest feasible region.
 
     Equivalent to shrinking the region one neighbour at a time: the longest
     streak of correct closest neighbours any classifier achieves is the final
     region size, and every classifier reaching it is selected. With no streak
-    at all the whole pool votes.
+    at all every classifier ties at zero, so the whole pool votes.
     """
-    runs = _consecutive_hits(ctx, query.roc)
-    best = runs.max() if runs.size else 0
-    if best == 0:
-        return _whole_pool(ctx, query)
-    selected = np.flatnonzero(runs == best)
-    return SelectionResult(
-        selected=selected,
-        predicted_class=majority_vote(query.predictions[selected], ctx.n_classes),
-    )
+    runs = _consecutive_hits(view.hits)
+    return _vote(np.flatnonzero(runs == runs.max()), view.predictions, view.n_classes)
 
 
-def select_knu(ctx, query: Query) -> SelectionResult:
+def select_knu(view: RegionView) -> SelectionResult:
     """KNORA-Union: one vote per correctly recognized neighbour."""
-    votes = ctx.hits[:, query.roc.indices].sum(axis=1)
+    votes = view.hits.sum(axis=1)
     selected = np.flatnonzero(votes > 0)
     if selected.size == 0:
-        return _whole_pool(ctx, query)
+        return select_static(view)
     weights = votes[selected]
-    tally = np.zeros(ctx.n_classes)
-    np.add.at(tally, query.predictions[selected], weights)
+    tally = np.bincount(
+        view.predictions[selected], weights=weights, minlength=view.n_classes
+    )
     return SelectionResult(
         selected=selected,
         predicted_class=int(np.argmax(tally)),
@@ -320,65 +320,33 @@ def select_knu(ctx, query: Query) -> SelectionResult:
     )
 
 
-def double_fault(hits_i, hits_j) -> float:
-    """Fraction of region samples misclassified by both classifiers."""
-    hits_i = np.asarray(hits_i, dtype=bool)
-    hits_j = np.asarray(hits_j, dtype=bool)
-    return float(np.mean(~hits_i & ~hits_j))
+def select_desknn(view: RegionView, n: int | None = None,
+                  j: int | None = None) -> SelectionResult:
+    """Accuracy pre-selection of N classifiers, then the J most diverse.
 
-
-@dataclass(frozen=True)
-class DesKnnConfig:
-    """Accuracy pre-selection size N and final diversity size J.
-
-    Unset values resolve against the effective pool: N = ceil(0.5 * M),
-    J = ceil(0.3 * M), both clamped to valid ranges.
+    Unset sizes resolve against the effective pool: N = ceil(0.5 * M),
+    J = ceil(0.3 * M), both clamped to valid ranges. Diversity is ranked on
+    integer both-wrong (double-fault) counts (the shared 1/K factor cannot
+    change the order) so exact ties stay exact.
     """
-
-    n: int | None = None
-    j: int | None = None
-
-    def resolve(self, pool_size: int):
-        n = int(np.ceil(0.5 * pool_size)) if self.n is None else self.n
-        j = int(np.ceil(0.3 * pool_size)) if self.j is None else self.j
-        n = max(1, min(n, pool_size))
-        j = max(1, min(j, n))
-        return n, j
-
-
-def select_desknn(ctx, query: Query, config: DesKnnConfig = DesKnnConfig()) -> SelectionResult:
-    """Accuracy pre-selection followed by double-fault diversity ranking.
-
-    Diversity is ranked on integer both-wrong counts (the shared 1/K factor
-    cannot change the order) so exact ties stay exact.
-    """
-    n, j = config.resolve(ctx.pool_size)
-    hits_roc = ctx.hits[:, query.roc.indices]
+    M = view.pool_size
+    n = max(1, min(int(np.ceil(0.5 * M)) if n is None else n, M))
+    j = max(1, min(int(np.ceil(0.3 * M)) if j is None else j, n))
     # hit counts order identically to accuracies and tie exactly
-    by_accuracy = np.lexsort((np.arange(ctx.pool_size), -hits_roc.sum(axis=1)))
+    by_accuracy = np.lexsort((np.arange(M), -view.hits.sum(axis=1)))
     candidates = by_accuracy[:n]
-    wrong = (~hits_roc[candidates]).astype(int)
+    wrong = (~view.hits[candidates]).astype(int)
     pair_faults = wrong @ wrong.T
     div_sum = pair_faults.sum(axis=1) - np.diag(pair_faults)
     by_diversity = np.lexsort((candidates, div_sum))  # ascending = most diverse
     selected = np.sort(candidates[by_diversity[:j]])
-    return SelectionResult(
-        selected=selected,
-        predicted_class=majority_vote(query.predictions[selected], ctx.n_classes),
-    )
+    return _vote(selected, view.predictions, view.n_classes)
 
 
-def select_desp(ctx, query: Query) -> SelectionResult:
+def select_desp(view: RegionView) -> SelectionResult:
     """Keep classifiers whose local accuracy beats a random guesser (1/L)."""
-    accuracy = ctx.hits[:, query.roc.indices].mean(axis=1)
-    competence = accuracy - 1.0 / ctx.n_classes
-    selected = np.flatnonzero(competence > 0)
-    if selected.size == 0:
-        return _whole_pool(ctx, query)
-    return SelectionResult(
-        selected=selected,
-        predicted_class=majority_vote(query.predictions[selected], ctx.n_classes),
-    )
+    competence = view.hits.mean(axis=1) - 1.0 / view.n_classes
+    return _vote(np.flatnonzero(competence > 0), view.predictions, view.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -386,29 +354,13 @@ def select_desp(ctx, query: Query) -> SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-def rrc_correct_probability(support, true_class: int, draws: int = 1000, rng=None) -> float:
-    """Monte-Carlo probability that a randomized reference model centred on
-    `support` ranks the true class first.
-
-    The randomized model is a Dirichlet draw with concentration L * support
-    (plus a small floor so zero supports stay admissible); the argmax of the
-    gamma variates decides the winner, so no normalization is needed.
-    """
-    support = np.asarray(support, dtype=float)
-    L = support.shape[0]
-    alpha = L * support + 1e-3
-    if rng is None:
-        rng = np.random.default_rng(0)
-    gammas = rng.gamma(shape=alpha, size=(draws, L))
-    return float(np.mean(np.argmax(gammas, axis=1) == true_class))
-
-
 def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
     """Centred RRC win probabilities per (classifier, DSEL sample).
 
-    Distinct support vectors are few (one per leaf), so Monte-Carlo runs once
-    per unique support with its own derived generator; seeding by support
-    content keeps results independent of sample order.
+    The reference model of a support is a Dirichlet draw with concentration
+    L * support + 1e-3, won by its largest gamma variate. Distinct supports
+    are few (one per leaf), so Monte-Carlo runs once per unique support with
+    a generator seeded by its content, independent of sample order.
     """
     M, n, L = supports.shape
     flat = np.round(supports.reshape(-1, L), 12)
@@ -419,36 +371,28 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
         gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
         win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
     prob = win[inverse].reshape(M, n, L)
-    correct = np.take_along_axis(
-        prob, np.broadcast_to(labels[None, :, None], (M, n, 1)), axis=2
-    )[..., 0]
-    return correct - 1.0 / n_classes
+    return prob[:, np.arange(n), labels] - 1.0 / n_classes
 
 
-def select_desrrc(ctx, query: Query, draws: int = 1000, seed: int = 0,
-                  region_factor: int = 30) -> SelectionResult:
+def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),
+                  draws: int = 1000, region_factor: int = 30) -> SelectionResult:
     """Gaussian-weighted sum of centred RRC probabilities over the DSEL.
 
     The sum runs over the `region_factor * K` nearest DSEL samples; farther
     weights exp(-d^2) are negligible on standardized features. Classifiers
     with positive competence are selected, otherwise the whole pool votes.
+    The Monte-Carlo draws are seeded by `cfg.seed`.
     """
-    csrc = ctx.rrc_csrc(draws=draws, seed=seed)
+    csrc = ctx.rrc_csrc(draws=draws, seed=cfg.seed)
     dists = cdist(query.x[None, :], ctx.dsel.features)[0]
     limit = region_factor * max(len(query.roc), 1)
     if limit < dists.shape[0]:
-        nearest = np.argsort(dists, kind="stable")[:limit]
-    else:
+        nearest = _nearest(dists, limit)
+    else:  # DSEL order, which fixes the summation order of the product below
         nearest = np.arange(dists.shape[0])
     weights = np.exp(-dists[nearest] ** 2)
     competence = csrc[:, nearest] @ weights
-    selected = np.flatnonzero(competence > 0)
-    if selected.size == 0:
-        return _whole_pool(ctx, query)
-    return SelectionResult(
-        selected=selected,
-        predicted_class=majority_vote(query.predictions[selected], ctx.n_classes),
-    )
+    return _vote(np.flatnonzero(competence > 0), query.predictions, ctx.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +410,7 @@ def _meta_features_all(ctx, query: Query, kp: int, exclude: int | None = None) -
     """
     idx = query.roc.indices
     hits_roc = ctx.hits[:, idx].astype(float)
-    true_support = np.take_along_axis(
-        ctx.supports[:, idx, :],
-        np.broadcast_to(
-            ctx.dsel.labels[idx][None, :, None], (ctx.pool_size, idx.size, 1)
-        ),
-        axis=2,
-    )[..., 0]
+    true_support = ctx.supports[:, idx, ctx.dsel.labels[idx]]
     accuracy = hits_roc.mean(axis=1, keepdims=True)
     sims = (ctx.predictions == query.predictions[:, None]).mean(axis=0)
     if exclude is not None:
@@ -482,11 +420,6 @@ def _meta_features_all(ctx, query: Query, kp: int, exclude: int | None = None) -
     hits_profiles = ctx.hits[:, profile_idx].astype(float)
     max_support = query.supports.max(axis=1, keepdims=True)
     return np.hstack([hits_roc, true_support, accuracy, hits_profiles, max_support])
-
-
-def extract_meta_features(ctx, classifier_index: int, query: Query, kp: int = 5) -> np.ndarray:
-    """Meta-feature vector of one classifier for one query point."""
-    return _meta_features_all(ctx, query, kp)[classifier_index]
 
 
 class MetaClassifier:
@@ -541,8 +474,8 @@ class MetaClassifier:
         return probs[:, 1] / probs.sum(axis=1)
 
 
-def train_meta_classifier(ctx: SelectionContext, train, k: int = 7, kp: int = 5,
-                          seed: int = 0) -> MetaClassifier:
+def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
+                          kp: int = 5) -> MetaClassifier:
     """Fit the competence meta-model on every (training sample, classifier) pair.
 
     Training samples are located inside the DSEL by prefix alignment (the
@@ -553,59 +486,54 @@ def train_meta_classifier(ctx: SelectionContext, train, k: int = 7, kp: int = 5,
     aligned = ctx.dsel.n_samples >= n_train and np.array_equal(
         ctx.dsel.features[:n_train], train.features
     )
-    if not aligned:
-        logger.warning("training set is not a prefix of DSEL; no self-exclusion")
     dists = cdist(train.features, ctx.dsel.features)
-    rows, labels = [], []
-    for t in range(n_train):
-        exclude = t if aligned else None
-        d = dists[t]
-        if exclude is not None:
-            d = d.copy()
-            d[exclude] = np.inf
-        k_eff = min(k, ctx.dsel.n_samples - (1 if exclude is not None else 0))
-        order = np.argsort(d, kind="stable")[:k_eff]
-        roc = RegionOfCompetence(indices=order, distances=d[order])
-        query = Query(
-            x=train.features[t],
-            roc=roc,
-            predictions=ctx.predictions[:, t] if aligned
-            else ctx.pool.predict_all(train.features[t][None, :])[:, 0],
-            supports=ctx.supports[:, t, :] if aligned
-            else ctx.pool.support_all(train.features[t][None, :])[:, 0, :],
+    if aligned:
+        supports = ctx.supports[:, :n_train]
+        predictions = ctx.predictions[:, :n_train]
+        hits = ctx.hits[:, :n_train]
+        dists[np.arange(n_train), np.arange(n_train)] = np.inf
+    else:
+        logger.warning("training set is not a prefix of DSEL; no self-exclusion")
+        supports = ctx.pool.support_all(train.features)
+        predictions = supports.argmax(axis=2)
+        hits = predictions == train.labels[None, :]
+    order = _nearest(dists, min(k, ctx.dsel.n_samples - aligned))
+    rows = [
+        _meta_features_all(
+            ctx,
+            Query(
+                x=train.features[t],
+                roc=RegionOfCompetence(indices=order[t], distances=dists[t, order[t]]),
+                predictions=predictions[:, t],
+                supports=supports[:, t, :],
+            ),
+            kp,
+            exclude=t if aligned else None,
         )
-        rows.append(_meta_features_all(ctx, query, kp, exclude=exclude))
-        labels.append(
-            ctx.hits[:, t] if aligned
-            else ctx.pool.predict_all(train.features[t][None, :])[:, 0] == train.labels[t]
-        )
-    meta = MetaClassifier.fit(np.vstack(rows), np.concatenate(labels).astype(int))
-    return meta
+        for t in range(n_train)
+    ]
+    return MetaClassifier.fit(np.vstack(rows), hits.T.ravel().astype(int))
 
 
-def select_metades(ctx, query: Query, threshold: float = 0.5, kp: int = 5) -> SelectionResult:
-    """Select classifiers the meta-model deems competent for this query."""
+def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),
+                   threshold: float = 0.5) -> SelectionResult:
+    """Select classifiers the meta-model deems competent for this query,
+    with `cfg.meta_kp` output-profile neighbours in the meta-features."""
     if ctx.meta is None:
         raise RuntimeError(
             "META-DES needs a trained meta-classifier; call train_meta_classifier "
             "and assign it to ctx.meta"
         )
-    competence = ctx.meta.posterior_competent(_meta_features_all(ctx, query, kp))
-    selected = np.flatnonzero(competence > threshold)
-    if selected.size == 0:
-        return _whole_pool(ctx, query)
-    return SelectionResult(
-        selected=selected,
-        predicted_class=majority_vote(query.predictions[selected], ctx.n_classes),
-    )
+    competence = ctx.meta.posterior_competent(_meta_features_all(ctx, query, cfg.meta_kp))
+    return _vote(np.flatnonzero(competence > threshold), query.predictions, ctx.n_classes)
 
 
 # ---------------------------------------------------------------------------
-# FIRE wrapper and static baseline
+# FIRE wrapper
 # ---------------------------------------------------------------------------
 
 
-def dfp_prune(ctx, roc: RegionOfCompetence) -> np.ndarray:
+def dfp_prune(view: RegionView) -> np.ndarray:
     """Dynamic frienemy pruning: keep classifiers that recognize the border.
 
     A classifier survives when its correctly labelled region samples span at
@@ -613,43 +541,24 @@ def dfp_prune(ctx, roc: RegionOfCompetence) -> np.ndarray:
     pair correctly). Single-class regions and empty survivor sets keep the
     whole pool.
     """
-    everyone = np.arange(ctx.pool_size)
-    labels_roc = ctx.dsel.labels[roc.indices]
-    if np.unique(labels_roc).size < 2:
+    everyone = np.arange(view.pool_size)
+    classes, member = np.unique(view.labels, return_inverse=True)
+    if classes.size < 2:
         return everyone
-    hits_roc = ctx.hits[:, roc.indices]
-    classes_hit = [
-        np.unique(labels_roc[hits_roc[i]]).size for i in range(ctx.pool_size)
-    ]
-    survivors = np.flatnonzero(np.asarray(classes_hit) >= 2)
+    # (M, C): does the classifier label some neighbour of class c correctly
+    hit_classes = view.hits @ (member[:, None] == np.arange(classes.size))
+    survivors = np.flatnonzero(hit_classes.sum(axis=1) >= 2)
     return survivors if survivors.size else everyone
 
 
-_BASE_SELECTORS = {}  # name -> callable(ctx, query, cfg); filled below
-
-
-def select_fire(base: str, ctx: SelectionContext, query: Query, cfg=None) -> SelectionResult:
-    """Run a base scheme on the DFP-pruned pool; indices map back to the pool."""
-    base = normalize_selector(base)
-    if base not in FIRE_BASES.values():
-        raise ValueError(f"{base} cannot be wrapped by FIRE")
-    survivors = dfp_prune(ctx, query.roc)
-    cfg = cfg or SelectorConfig()
-    if survivors.size == ctx.pool_size:
-        return _BASE_SELECTORS[base](ctx, query, cfg)
-    restricted = _RestrictedContext(ctx, survivors)
-    local = _BASE_SELECTORS[base](restricted, query.restrict(survivors), cfg)
+def select_fire(base, view: RegionView) -> SelectionResult:
+    """Run the scheme `base(view)` on the DFP-pruned pool; the chosen indices
+    map back to the whole pool."""
+    survivors = dfp_prune(view)
+    if survivors.size == view.pool_size:
+        return base(view)
+    local = base(view.rows(survivors))
     return replace(local, selected=survivors[local.selected])
-
-
-def static_majority_vote(pool: Pool, x_q) -> int:
-    """Plurality vote of the whole pool; ties break to the lowest class id."""
-    predictions = pool.predict_all(np.asarray(x_q, dtype=float)[None, :])[:, 0]
-    return majority_vote(predictions, pool.n_classes)
-
-
-def select_static(ctx, query: Query) -> SelectionResult:
-    return _whole_pool(ctx, query)
 
 
 # ---------------------------------------------------------------------------
@@ -657,50 +566,34 @@ def select_static(ctx, query: Query) -> SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelectorConfig:
-    """Every tunable of the selection schemes, with the paper-desk defaults."""
+def _on_region(scheme):
+    """`scheme(view)` as a table entry `fn(ctx, query, cfg)`."""
+    def run(ctx, query, cfg):
+        return scheme(ctx.view(query))
+    return run
 
-    k: int = 7
-    mcb: McbConfig = field(default_factory=McbConfig)
-    desknn: DesKnnConfig = field(default_factory=DesKnnConfig)
-    metades_threshold: float = 0.5
-    meta_kp: int = 5
-    rrc_draws: int = 1000
-    rrc_region_factor: int = 30
-    seed: int = 0
-
-
-_BASE_SELECTORS.update(
-    {
-        "LCA": lambda ctx, q, cfg: select_lca(ctx, q),
-        "MCB": lambda ctx, q, cfg: select_mcb(ctx, q, cfg.mcb),
-        "KNE": lambda ctx, q, cfg: select_kne(ctx, q),
-        "KNU": lambda ctx, q, cfg: select_knu(ctx, q),
-        "DES-KNN": lambda ctx, q, cfg: select_desknn(ctx, q, cfg.desknn),
-    }
-)
 
 SELECTORS = {
-    "STATIC": lambda ctx, q, cfg: select_static(ctx, q),
-    "RANK": lambda ctx, q, cfg: select_rank(ctx, q),
-    "LCA": _BASE_SELECTORS["LCA"],
-    "MCB": _BASE_SELECTORS["MCB"],
-    "KNE": _BASE_SELECTORS["KNE"],
-    "KNU": _BASE_SELECTORS["KNU"],
-    "DES-KNN": _BASE_SELECTORS["DES-KNN"],
-    "DESP": lambda ctx, q, cfg: select_desp(ctx, q),
-    "DES-RRC": lambda ctx, q, cfg: select_desrrc(
-        ctx, q, draws=cfg.rrc_draws, seed=cfg.seed, region_factor=cfg.rrc_region_factor
-    ),
-    "META-DES": lambda ctx, q, cfg: select_metades(
-        ctx, q, threshold=cfg.metades_threshold, kp=cfg.meta_kp
-    ),
-    **{
-        name: (lambda base: lambda ctx, q, cfg: select_fire(base, ctx, q, cfg))(base)
-        for name, base in FIRE_BASES.items()
-    },
+    "STATIC": _on_region(select_static),
+    "RANK": _on_region(select_rank),
+    "LCA": _on_region(select_lca),
+    "MCB": _on_region(select_mcb),
+    "KNE": _on_region(select_kne),
+    "KNU": _on_region(select_knu),
+    "DES-KNN": _on_region(select_desknn),
+    "DESP": _on_region(select_desp),
+    "DES-RRC": select_desrrc,
+    "META-DES": select_metades,
+    "F-LCA": _on_region(partial(select_fire, select_lca)),
+    "F-MCB": _on_region(partial(select_fire, select_mcb)),
+    "F-KNE": _on_region(partial(select_fire, select_kne)),
+    "F-KNU": _on_region(partial(select_fire, select_knu)),
+    "F-DES-KNN": _on_region(partial(select_fire, select_desknn)),
 }
+
+SELECTOR_NAMES = tuple(SELECTORS)
+
+_CANONICAL = {n.lower(): n for n in SELECTOR_NAMES}
 
 
 def run_selector(name: str, ctx: SelectionContext, query: Query,

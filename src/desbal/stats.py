@@ -54,17 +54,7 @@ def finner_stepdown(p_values, alpha: float = 0.05) -> np.ndarray:
     Sorted p-values are adjusted to 1 - (1 - p_(j))^(h/j) with h hypotheses,
     monotonized by a running maximum, and rejected while adjusted <= alpha.
     """
-    p_values = np.asarray(p_values, dtype=float)
-    if p_values.size == 0:
-        raise ValueError("empty input")
-    h = p_values.size
-    order = np.argsort(p_values, kind="stable")
-    ranks = np.arange(1, h + 1)
-    adjusted = 1.0 - (1.0 - p_values[order]) ** (h / ranks)
-    adjusted = np.minimum(np.maximum.accumulate(adjusted), 1.0)
-    flags = np.zeros(h, dtype=bool)
-    flags[order] = adjusted <= alpha
-    return flags
+    return finner_adjusted_pvalues(p_values) <= alpha
 
 
 def finner_adjusted_pvalues(p_values) -> np.ndarray:

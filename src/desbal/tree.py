@@ -145,13 +145,12 @@ def _best_split(X, y_onehot, counts, n_total):
     return best_feature, best_threshold, best_gain
 
 
-def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None, rng=None) -> DecisionTree:
+def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> DecisionTree:
     """Grow an unpruned CART tree by greedy Gini splits.
 
     A node becomes a leaf when it is pure, holds fewer than 2 samples, or no
     split reaches `min_impurity_decrease` (gain weighted by the node's share
-    of the training samples). `rng` is accepted for signature parity with the
-    other training stages; induction itself is deterministic.
+    of the training samples). Induction is deterministic.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)

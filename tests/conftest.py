@@ -12,8 +12,8 @@ def random_instance(rng):
     """One small random selection problem: stump pool, random DSEL, one query.
 
     Pool <= 10 depth-1 trees, 2-4 classes, K <= 7. Returns the prepared
-    context and query plus the raw ingredients the reference implementations
-    work from.
+    context, query and region view plus the raw ingredients the reference
+    implementations work from.
     """
     n_dsel = int(rng.integers(10, 41))
     d = int(rng.integers(2, 5))
@@ -44,6 +44,7 @@ def random_instance(rng):
     return {
         "ctx": ctx,
         "query": query,
+        "view": ctx.view(query),
         "k": min(k, n_dsel),
         "n_classes": n_classes,
         "pool_size": pool_size,

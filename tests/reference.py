@@ -3,7 +3,9 @@
 These follow the published algorithm descriptions line by line with plain
 Python loops and no shared code with the library (beyond the documented tie
 rules: lowest classifier index, lowest class id, lowest DSEL index). They are
-the oracles the library's vectorized selectors are checked against.
+the oracles the library's vectorized selectors are checked against. The
+double-fault measure, the single-support RRC probability and the trapezoidal
+ROC AUC are kept here as oracles too.
 """
 
 import numpy as np
@@ -147,3 +149,44 @@ def fire_knu_ref(hits, roc, preds_q, dsel_labels, n_classes):
     sub_preds = [preds_q[i] for i in survivors]
     sel_local, weights, pred = knu_ref(sub_hits, roc, sub_preds, n_classes)
     return [survivors[i] for i in sel_local], weights, pred
+
+
+def double_fault(hits_i, hits_j):
+    """Fraction of region samples misclassified by both classifiers."""
+    both_wrong = [not a and not b for a, b in zip(hits_i, hits_j)]
+    return sum(both_wrong) / len(both_wrong)
+
+
+def rrc_correct_probability(support, true_class, draws=1000, rng=None):
+    """Monte-Carlo probability that a randomized reference model centred on
+    `support` ranks the true class first.
+
+    The randomized model is a Dirichlet draw with concentration L * support
+    (plus a small floor so zero supports stay admissible); the argmax of the
+    gamma variates decides the winner, so no normalization is needed.
+    """
+    support = np.asarray(support, dtype=float)
+    L = support.shape[0]
+    if rng is None:
+        rng = np.random.default_rng(0)
+    gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
+    return float(np.mean(np.argmax(gammas, axis=1) == true_class))
+
+
+def auc_trapezoid_ref(labels, scores):
+    """Binary ROC AUC as the trapezoidal area under the empirical ROC curve.
+
+    One ROC point per distinct score threshold t (a score >= t counts as a
+    positive call), from (0, 0) to (1, 1), joined by straight lines.
+    """
+    positives = sum(1 for y in labels if y == 1)
+    negatives = len(labels) - positives
+    points = [(0.0, 0.0)]
+    for t in sorted(set(float(s) for s in scores), reverse=True):
+        tp = sum(1 for y, s in zip(labels, scores) if s >= t and y == 1)
+        fp = sum(1 for y, s in zip(labels, scores) if s >= t and y != 1)
+        points.append((fp / negatives, tp / positives))
+    return sum(
+        (x1 - x0) * (y0 + y1) / 2.0
+        for (x0, y0), (x1, y1) in zip(points, points[1:])
+    )

@@ -21,9 +21,8 @@ from desbal.metrics import auc_multiclass, f_measure_weighted, g_mean
 from desbal.pool import DselSet, Pool
 from desbal.resampling import apply_multiclass, logistic_weight, ramo_weights, random_balance, smote_exact
 from desbal.selection import (
-    DesKnnConfig,
-    McbConfig,
     SelectionContext,
+    SelectorConfig,
     dfp_prune,
     select_desknn,
     select_desp,
@@ -51,7 +50,7 @@ def test_criterion_01_kne_oracle(oracle_instances):
     mismatches = 0
     for inst in oracle_instances:
         ctx, query = inst["ctx"], inst["query"]
-        got = select_kne(ctx, query)
+        got = select_kne(inst["view"])
         want_sel, want_pred = ref.kne_ref(
             ctx.hits, query.roc.indices.tolist(), query.predictions, ctx.n_classes
         )
@@ -67,28 +66,28 @@ def test_criterion_01_kne_oracle(oracle_instances):
 def test_criterion_02_selector_oracles(oracle_instances):
     failures = []
     for n, inst in enumerate(oracle_instances):
-        ctx, query = inst["ctx"], inst["query"]
+        ctx, query, view = inst["ctx"], inst["query"], inst["view"]
         hits, preds_q = ctx.hits, query.predictions
         roc = query.roc.indices.tolist()
         L = ctx.n_classes
 
-        got = select_rank(ctx, query)
+        got = select_rank(view)
         want = ref.rank_ref(hits, roc, preds_q)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "RANK"))
 
-        got = select_lca(ctx, query)
+        got = select_lca(view)
         want = ref.lca_ref(hits, roc, ctx.dsel.labels, preds_q)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "LCA"))
 
         t_s, t_c = inst["mcb_ts"], inst["mcb_tc"]
-        got = select_mcb(ctx, query, McbConfig(t_s=t_s, t_c=t_c))
+        got = select_mcb(view, t_s=t_s, t_c=t_c)
         want = ref.mcb_ref(hits, roc, ctx.predictions, preds_q, t_s, t_c, L)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "MCB"))
 
-        got = select_knu(ctx, query)
+        got = select_knu(view)
         want_sel, want_w, want_pred = ref.knu_ref(hits, roc, preds_q, L)
         got_w = None if got.vote_weights is None else got.vote_weights.tolist()
         if (got.selected.tolist(), got_w, got.predicted_class) != (
@@ -96,18 +95,18 @@ def test_criterion_02_selector_oracles(oracle_instances):
         ):
             failures.append((n, "KNU"))
 
-        got = select_desp(ctx, query)
+        got = select_desp(view)
         want = ref.desp_ref(hits, roc, preds_q, L)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "DESP"))
 
         nn, jj = inst["desknn_n"], inst["desknn_j"]
-        got = select_desknn(ctx, query, DesKnnConfig(n=nn, j=jj))
+        got = select_desknn(view, n=nn, j=jj)
         want = ref.desknn_ref(hits, roc, preds_q, nn, jj, L)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "DES-KNN"))
 
-        if dfp_prune(ctx, query.roc).tolist() != ref.dfp_ref(hits, roc, ctx.dsel.labels):
+        if dfp_prune(view).tolist() != ref.dfp_ref(hits, roc, ctx.dsel.labels):
             failures.append((n, "DFP"))
     _verdict(2, "selector oracle equivalence", not failures)
 
@@ -175,7 +174,10 @@ def test_criterion_04_weight_and_competence_arithmetic():
 
 
 def test_criterion_05_metric_oracles():
-    sklearn_metrics = pytest.importorskip("sklearn.metrics")
+    try:  # an extra cross-check of the trapezoid oracle where available
+        from sklearn.metrics import roc_auc_score
+    except ImportError:
+        roc_auc_score = None
     rng = np.random.default_rng(51)
     failures = []
     for _ in range(100):
@@ -185,9 +187,13 @@ def test_criterion_05_metric_oracles():
         raw = rng.uniform(0.01, 1.0, size=(n, 2))
         scores = raw / raw.sum(axis=1, keepdims=True)
         mine = auc_multiclass(scores, labels)
-        trapezoid = sklearn_metrics.roc_auc_score(labels, scores[:, 1])
+        trapezoid = ref.auc_trapezoid_ref(labels, scores[:, 1])
         if abs(mine - trapezoid) > 1e-9:
             failures.append("auc")
+        if roc_auc_score is not None and abs(
+            trapezoid - roc_auc_score(labels, scores[:, 1])
+        ) > 1e-9:
+            failures.append("auc-sklearn")
     for _ in range(100):
         n = int(rng.integers(10, 60))
         labels = rng.integers(0, 3, size=n)
@@ -353,7 +359,7 @@ def test_criterion_09_fire_composition(oracle_instances):
     failures = 0
     for inst in oracle_instances:
         ctx, query = inst["ctx"], inst["query"]
-        got = select_fire("KNU", ctx, query)
+        got = select_fire(select_knu, inst["view"])
         want_sel, want_w, want_pred = ref.fire_knu_ref(
             ctx.hits, query.roc.indices.tolist(), query.predictions,
             ctx.dsel.labels, ctx.n_classes,
@@ -415,7 +421,7 @@ def test_criterion_10_rrc_sanity():
         csrc = ctx.rrc_csrc(draws=draws, seed=9000 + trial)
         deltas.append(float(csrc[1] @ w))
         query = ctx.make_query(x_q, k=7)
-        result = select_desrrc(ctx, query, draws=draws, seed=9000 + trial)
+        result = select_desrrc(ctx, query, SelectorConfig(seed=9000 + trial), draws=draws)
         if 0 not in result.selected.tolist():
             perfect_always_selected = False
     deltas = np.array(deltas)

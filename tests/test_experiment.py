@@ -129,6 +129,21 @@ class TestRun:
         final = {tuple(l.split("\t")[:6]) for l in open(path).read().splitlines()[1:]}
         assert {tuple(l.split("\t")[:6]) for l in dropped} <= final
 
+    def test_resume_recomputes_torn_last_line(self, csv_dataset, tmp_path):
+        cfg = _config(csv_dataset, tmp_path / "torn")
+        run_experiment(cfg)
+        path = tmp_path / "torn" / "results.tsv"
+        content = path.read_text()
+        last = content.splitlines()[-1]
+        # a write cut short: all 8 columns present, wall time and newline cut
+        path.write_text(content[: len(content) - len(last) - 1] + last[:-3])
+        assert len(path.read_text().splitlines()[-1].split("\t")) == 8
+        summary = run_experiment(cfg)
+        assert summary.records_written == 1
+        assert path.read_text().splitlines()[-1].split("\t")[:7] == last.split("\t")[:7]
+        for metric in ("auc", "fmeasure", "gmean"):
+            make_report(tmp_path / "torn", metric)
+
     def test_failed_dataset_isolated(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "iso")
         from dataclasses import replace
