@@ -12,8 +12,6 @@ from desbal import (
     SelectorConfig,
     build_dsel,
     generate_pool,
-    profile_similarity,
-    region_of_competence,
     run_selector,
     select_desknn,
     select_fire,
@@ -40,19 +38,20 @@ query_idx = int(np.flatnonzero(test_s.labels == minority_class)[0])
 x_q = test_s.features[query_idx]
 truth = test_s.labels[query_idx]
 
-roc = region_of_competence(dsel, x_q, k=7)
-print(f"query: a class-{truth} test point")
-print(f"region of competence: DSEL rows {roc.indices.tolist()}")
-print(f"  distances {np.round(roc.distances, 3).tolist()}")
-print(f"  neighbour labels {dsel.labels[roc.indices].tolist()}")
-
+# the query keeps its distance to every DSEL row; its region of competence
+# is the k nearest of them
 query = ctx.make_query(x_q, k=7)
+print(f"query: a class-{truth} test point")
+print(f"region of competence: DSEL rows {query.indices.tolist()}")
+print(f"  distances {np.round(query.distances[query.indices], 3).tolist()}")
+print(f"  neighbour labels {dsel.labels[query.indices].tolist()}")
+
 u_q = query.predictions
 print(f"\noutput profile of the query (first 12 of {len(u_q)} classifiers): "
       f"{u_q[:12].tolist()}")
-first_neighbour_profile = ctx.predictions[:, roc.indices[0]]
+first_neighbour_profile = ctx.predictions[:, query.indices[0]]
 print(f"similarity to its nearest neighbour's profile: "
-      f"{profile_similarity(u_q, first_neighbour_profile):.2f}")
+      f"{np.mean(u_q == first_neighbour_profile):.2f}")
 
 cfg = SelectorConfig(k=7, seed=99)
 print(f"\n{'scheme':<11}{'|EoC|':>6}  {'label':>5}  ok")

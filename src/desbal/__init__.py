@@ -30,15 +30,12 @@ from .resampling import (
     smote,
 )
 from .selection import (
-    RegionOfCompetence,
     RegionView,
     SELECTOR_NAMES,
     SelectionContext,
     SelectionResult,
     SelectorConfig,
     dfp_prune,
-    profile_similarity,
-    region_of_competence,
     run_selector,
     select_desknn,
     select_desp,

@@ -386,6 +386,10 @@ def standardize(train: Dataset, others=()):
 # ---------------------------------------------------------------------------
 
 
+REPLICATIONS = 5
+FOLDS = ("A", "B")  # names of the two halves of each replication
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Five stratified shuffles, each split into two disjoint covering folds."""
@@ -395,10 +399,11 @@ class SplitPlan:
     singleton_classes: tuple = ()
 
     def folds(self):
-        """Yield (replication, test_fold_name, train_idx, test_idx) 10 times."""
+        """Yield (replication, test_fold_name, train_idx, test_idx) per fold."""
+        name_a, name_b = FOLDS
         for r, (fold_a, fold_b) in enumerate(self.replications):
-            yield r, "B", fold_a, fold_b  # trained on A, tested on B
-            yield r, "A", fold_b, fold_a
+            yield r, name_b, fold_a, fold_b  # trained on A, tested on B
+            yield r, name_a, fold_b, fold_a
 
 
 def stratified_5x2(dataset: Dataset, seed: int) -> SplitPlan:
@@ -420,7 +425,7 @@ def stratified_5x2(dataset: Dataset, seed: int) -> SplitPlan:
             singletons,
         )
     replications = []
-    for r in range(5):
+    for r in range(REPLICATIONS):
         rng = make_rng(seed, "5x2", r)
         fold_a, fold_b = [], []
         for c in range(dataset.n_classes):

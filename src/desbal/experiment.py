@@ -12,7 +12,10 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import load_benchmark
-from .data import Dataset, encode_nominals, parse_csv, parse_keel, standardize, stratified_5x2
+from .data import (
+    FOLDS, REPLICATIONS, Dataset, encode_nominals, parse_csv, parse_keel, standardize,
+    stratified_5x2,
+)
 from .metrics import METRIC_NAMES, auc_multiclass, f_measure_weighted, g_mean
 from .pool import build_dsel, generate_pool
 from .resampling import VARIANTS, normalize_variant
@@ -235,8 +238,8 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     manifest_path = out_dir / MANIFEST_FILE
     digest = config_hash(cfg)
     if manifest_path.exists():
-        previous = manifest_path.read_text()
-        if f"config_hash = {digest}" not in previous:
+        recorded = manifest_path.read_text().partition("\n")[0]
+        if recorded != f"config_hash = {digest}":
             raise ConfigError(
                 f"output directory {out_dir} belongs to a different configuration"
             )
@@ -304,9 +307,9 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                     )
                     if "META-DES" in needed:
                         ctx.meta = train_meta_classifier(
-                            ctx, train_s, k=cfg.k, kp=scfg.meta_kp
+                            ctx, train_s, k=scfg.k, kp=scfg.meta_kp
                         )
-                    queries = ctx.make_queries(test_s.features, cfg.k)
+                    queries = ctx.make_queries(test_s.features, scfg.k)
                     for selector in needed:
                         start = time.perf_counter()
                         labels, scores = _evaluate_selector(
@@ -413,8 +416,8 @@ def make_report(input_dir, metric: str) -> str:
         for d in datasets
         for v in variants
         for s in selectors
-        for rep in range(1, 6)
-        for fold in ("A", "B")
+        for rep in range(1, REPLICATIONS + 1)
+        for fold in FOLDS
         if (d, v, s, str(rep), fold, metric) not in present
     ]
     if missing:

@@ -1,12 +1,13 @@
 """Competence regions and the dynamic classifier/ensemble selection schemes.
 
 A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
-Each test point becomes a `Query` (region of competence plus the pool's
-outputs for the point), and `SelectionContext.view` gathers the pool's
-behaviour on the query's neighbours into a `RegionView`, the input of every
-scheme that judges competence on the region alone. Determinism rules used
-throughout: competence ties break to the lowest classifier index, vote ties
-to the lowest class id, distance ties to the lowest DSEL index.
+Each test point becomes a `Query` (its distances to the DSEL, its region of
+competence and the pool's outputs for it), and `SelectionContext.view`
+gathers the pool's behaviour on the query's neighbours into a `RegionView`,
+the input of every scheme that judges competence on the region alone.
+Determinism rules used throughout: competence ties break to the lowest
+classifier index, vote ties to the lowest class id, distance ties to the
+lowest DSEL index.
 """
 
 import logging
@@ -33,8 +34,12 @@ def normalize_selector(name: str) -> str:
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Run-level settings of the selection schemes: region size, META-DES
-    profile neighbours and the DES-RRC seed."""
+    """Run-level settings of the selection schemes.
+
+    `k` is the region size callers build queries and the META-DES training set
+    with; the schemes themselves read the region from the query. `meta_kp` is
+    the number of META-DES output-profile neighbours and `seed` seeds DES-RRC.
+    """
 
     k: int = 7
     meta_kp: int = 5
@@ -44,17 +49,6 @@ class SelectorConfig:
 # ---------------------------------------------------------------------------
 # Regions, queries, shared context
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegionOfCompetence:
-    """Indices and distances of the nearest DSEL samples, closest first."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def _nearest(dists, k: int) -> np.ndarray:
@@ -69,20 +63,14 @@ def _nearest(dists, k: int) -> np.ndarray:
     return np.argsort(dists, axis=-1, kind="stable")[..., :k]
 
 
-def region_of_competence(dsel, x_q, k: int = 7) -> RegionOfCompetence:
-    """The k nearest DSEL rows by Euclidean distance (ties to lower index)."""
-    features = dsel.features if isinstance(dsel, DselSet) else np.asarray(dsel, float)
-    dists = cdist(np.asarray(x_q, dtype=float)[None, :], features)[0]
-    order = _nearest(dists, k)
-    return RegionOfCompetence(indices=order, distances=dists[order])
-
-
 @dataclass(frozen=True)
 class Query:
-    """One test point: its region plus every classifier's output for it."""
+    """One test point: its region of competence (the K nearest DSEL rows by
+    Euclidean distance, closest first), its distance to every DSEL row, and
+    every classifier's output for it."""
 
-    x: np.ndarray
-    roc: RegionOfCompetence
+    indices: np.ndarray  # (K,) DSEL rows
+    distances: np.ndarray  # (n,) Euclidean distance to each DSEL row
     predictions: np.ndarray  # (M,) class ids
     supports: np.ndarray  # (M, L)
 
@@ -140,20 +128,14 @@ class SelectionContext:
         supports = self.pool.support_all(X)
         predictions = supports.argmax(axis=2)
         return [
-            Query(
-                x=X[q],
-                roc=RegionOfCompetence(
-                    indices=order[q], distances=dists[q, order[q]]
-                ),
-                predictions=predictions[:, q],
-                supports=supports[:, q, :],
-            )
+            Query(indices=order[q], distances=dists[q],
+                  predictions=predictions[:, q], supports=supports[:, q, :])
             for q in range(X.shape[0])
         ]
 
     def view(self, query: Query) -> RegionView:
         """The pool's behaviour on the query's region of competence."""
-        idx = query.roc.indices
+        idx = query.indices
         return RegionView(
             hits=self.hits[:, idx],
             profiles=self.predictions[:, idx],
@@ -232,13 +214,11 @@ def select_static(view: RegionView) -> SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-def profile_similarity(u_i, u_j) -> float:
-    """Fraction of positions where two output profiles agree."""
-    u_i = np.asarray(u_i)
-    u_j = np.asarray(u_j)
-    if u_i.shape != u_j.shape:
-        raise ValueError("output profiles must have equal length")
-    return float(np.mean(u_i == u_j))
+def _agreement(profiles, predictions) -> np.ndarray:
+    """Output-profile similarity: the fraction of classifiers whose label for
+    each sample equals their label for the query. `profiles` (M, n) against
+    `predictions` (..., M) gives (..., n)."""
+    return (profiles == predictions[..., None]).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +257,7 @@ def select_mcb(view: RegionView, t_s: float = 0.7, t_c: float = 0.1) -> Selectio
     region size, is the competence. A single classifier wins only when it
     beats the runner-up by more than t_c, otherwise the whole pool votes.
     """
-    sims = (view.profiles == view.predictions[:, None]).mean(axis=0)
+    sims = _agreement(view.profiles, view.predictions)
     competence = view.hits[:, sims > t_s].sum(axis=1) / view.hits.shape[1]
     best = int(np.argmax(competence))
     others = np.delete(competence, best)
@@ -384,8 +364,8 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Sel
     The Monte-Carlo draws are seeded by `cfg.seed`.
     """
     csrc = ctx.rrc_csrc(draws=draws, seed=cfg.seed)
-    dists = cdist(query.x[None, :], ctx.dsel.features)[0]
-    limit = region_factor * max(len(query.roc), 1)
+    dists = query.distances
+    limit = region_factor * max(len(query.indices), 1)
     if limit < dists.shape[0]:
         nearest = _nearest(dists, limit)
     else:  # DSEL order, which fixes the summation order of the product below
@@ -400,26 +380,30 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Sel
 # ---------------------------------------------------------------------------
 
 
-def _meta_features_all(ctx, query: Query, kp: int, exclude: int | None = None) -> np.ndarray:
-    """Meta-feature matrix (one row per classifier) for a query point.
+def _meta_features_all(ctx, indices, predictions, supports, kp: int,
+                       exclude=None) -> np.ndarray:
+    """Meta-features (Q, M, F) of every classifier for a batch of Q points.
 
-    Layout: hit/miss on each region neighbour, support assigned to each
-    neighbour's true class, local accuracy, hit/miss on the kp DSEL samples
-    with the most similar output profiles, and the maximum support for the
-    query itself.
+    Takes each point's region `indices` (Q, K), the pool's `predictions`
+    (Q, M) and `supports` (Q, M, L) for it, and optionally the DSEL row
+    `exclude` (Q,) of each point, which is kept out of its profile
+    neighbours. Layout per classifier: hit/miss on each region neighbour,
+    support assigned to each neighbour's true class, local accuracy, hit/miss
+    on the kp DSEL samples with the most similar output profiles, and the
+    maximum support for the point itself.
     """
-    idx = query.roc.indices
-    hits_roc = ctx.hits[:, idx].astype(float)
-    true_support = ctx.supports[:, idx, ctx.dsel.labels[idx]]
-    accuracy = hits_roc.mean(axis=1, keepdims=True)
-    sims = (ctx.predictions == query.predictions[:, None]).mean(axis=0)
+    hits_roc = ctx.hits[:, indices].transpose(1, 0, 2).astype(float)
+    true_support = ctx.supports[:, indices, ctx.dsel.labels[indices]].transpose(1, 0, 2)
+    accuracy = hits_roc.mean(axis=2, keepdims=True)
+    sims = _agreement(ctx.predictions, predictions)  # (Q, n)
     if exclude is not None:
-        sims = sims.copy()
-        sims[exclude] = -1.0
-    profile_idx = np.argsort(-sims, kind="stable")[:kp]
-    hits_profiles = ctx.hits[:, profile_idx].astype(float)
-    max_support = query.supports.max(axis=1, keepdims=True)
-    return np.hstack([hits_roc, true_support, accuracy, hits_profiles, max_support])
+        sims[np.arange(len(exclude)), exclude] = -1.0
+    profile_idx = np.argsort(-sims, axis=1, kind="stable")[:, :kp]
+    hits_profiles = ctx.hits[:, profile_idx].transpose(1, 0, 2).astype(float)
+    max_support = supports.max(axis=2, keepdims=True)
+    return np.concatenate(
+        [hits_roc, true_support, accuracy, hits_profiles, max_support], axis=2
+    )
 
 
 class MetaClassifier:
@@ -487,32 +471,25 @@ def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
         ctx.dsel.features[:n_train], train.features
     )
     dists = cdist(train.features, ctx.dsel.features)
+    own = np.arange(n_train)
     if aligned:
         supports = ctx.supports[:, :n_train]
         predictions = ctx.predictions[:, :n_train]
         hits = ctx.hits[:, :n_train]
-        dists[np.arange(n_train), np.arange(n_train)] = np.inf
+        dists[own, own] = np.inf
     else:
         logger.warning("training set is not a prefix of DSEL; no self-exclusion")
         supports = ctx.pool.support_all(train.features)
         predictions = supports.argmax(axis=2)
         hits = predictions == train.labels[None, :]
     order = _nearest(dists, min(k, ctx.dsel.n_samples - aligned))
-    rows = [
-        _meta_features_all(
-            ctx,
-            Query(
-                x=train.features[t],
-                roc=RegionOfCompetence(indices=order[t], distances=dists[t, order[t]]),
-                predictions=predictions[:, t],
-                supports=supports[:, t, :],
-            ),
-            kp,
-            exclude=t if aligned else None,
-        )
-        for t in range(n_train)
-    ]
-    return MetaClassifier.fit(np.vstack(rows), hits.T.ravel().astype(int))
+    features = _meta_features_all(
+        ctx, order, predictions.T, supports.transpose(1, 0, 2), kp,
+        exclude=own if aligned else None,
+    )
+    return MetaClassifier.fit(
+        features.reshape(-1, features.shape[2]), hits.T.ravel().astype(int)
+    )
 
 
 def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),
@@ -524,7 +501,11 @@ def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Se
             "META-DES needs a trained meta-classifier; call train_meta_classifier "
             "and assign it to ctx.meta"
         )
-    competence = ctx.meta.posterior_competent(_meta_features_all(ctx, query, cfg.meta_kp))
+    features = _meta_features_all(
+        ctx, query.indices[None], query.predictions[None], query.supports[None],
+        cfg.meta_kp,
+    )[0]
+    competence = ctx.meta.posterior_competent(features)
     return _vote(np.flatnonzero(competence > threshold), query.predictions, ctx.n_classes)
 
 

@@ -43,6 +43,7 @@ def random_instance(rng):
     desknn_n = int(rng.integers(1, pool_size + 1))
     return {
         "ctx": ctx,
+        "x": x_q,
         "query": query,
         "view": ctx.view(query),
         "k": min(k, n_dsel),

@@ -4,8 +4,9 @@ These follow the published algorithm descriptions line by line with plain
 Python loops and no shared code with the library (beyond the documented tie
 rules: lowest classifier index, lowest class id, lowest DSEL index). They are
 the oracles the library's vectorized selectors are checked against. The
-double-fault measure, the single-support RRC probability and the trapezoidal
-ROC AUC are kept here as oracles too.
+output-profile similarity, the META-DES meta-features, the double-fault
+measure, the single-support RRC probability and the trapezoidal ROC AUC are
+kept here as oracles too.
 """
 
 import numpy as np
@@ -149,6 +150,41 @@ def fire_knu_ref(hits, roc, preds_q, dsel_labels, n_classes):
     sub_preds = [preds_q[i] for i in survivors]
     sel_local, weights, pred = knu_ref(sub_hits, roc, sub_preds, n_classes)
     return [survivors[i] for i in sel_local], weights, pred
+
+
+def profile_similarity(u_i, u_j):
+    """Fraction of positions where two output profiles agree."""
+    if len(u_i) != len(u_j):
+        raise ValueError("output profiles must have equal length")
+    return sum(1 for a, b in zip(u_i, u_j) if a == b) / len(u_i)
+
+
+def meta_features_ref(hits, dsel_supports, dsel_preds, dsel_labels, roc,
+                      preds_q, supports_q, kp, exclude=None):
+    """META-DES meta-feature rows, one per classifier, for one point.
+
+    Per classifier: hit/miss on each region neighbour, its support for each
+    neighbour's true class, its accuracy over the region, hit/miss on the kp
+    DSEL samples whose output profiles agree most with the point's (ties to
+    the lower index; the DSEL row `exclude` is never one of them), and its
+    largest support for the point.
+    """
+    m, n = hits.shape
+    sims = [
+        -1.0 if j == exclude
+        else profile_similarity([dsel_preds[i, j] for i in range(m)], list(preds_q))
+        for j in range(n)
+    ]
+    profile = sorted(range(n), key=lambda j: (-sims[j], j))[:kp]
+    rows = []
+    for i in range(m):
+        on_region = [float(hits[i, j]) for j in roc]
+        true_support = [float(dsel_supports[i, j, dsel_labels[j]]) for j in roc]
+        accuracy = sum(on_region) / len(on_region)
+        on_profile = [float(hits[i, j]) for j in profile]
+        rows.append(on_region + true_support + [accuracy] + on_profile
+                    + [float(max(supports_q[i]))])
+    return np.array(rows)
 
 
 def double_fault(hits_i, hits_j):

@@ -52,7 +52,7 @@ def test_criterion_01_kne_oracle(oracle_instances):
         ctx, query = inst["ctx"], inst["query"]
         got = select_kne(inst["view"])
         want_sel, want_pred = ref.kne_ref(
-            ctx.hits, query.roc.indices.tolist(), query.predictions, ctx.n_classes
+            ctx.hits, query.indices.tolist(), query.predictions, ctx.n_classes
         )
         if got.selected.tolist() != want_sel or got.predicted_class != want_pred:
             mismatches += 1
@@ -68,7 +68,7 @@ def test_criterion_02_selector_oracles(oracle_instances):
     for n, inst in enumerate(oracle_instances):
         ctx, query, view = inst["ctx"], inst["query"], inst["view"]
         hits, preds_q = ctx.hits, query.predictions
-        roc = query.roc.indices.tolist()
+        roc = query.indices.tolist()
         L = ctx.n_classes
 
         got = select_rank(view)
@@ -361,7 +361,7 @@ def test_criterion_09_fire_composition(oracle_instances):
         ctx, query = inst["ctx"], inst["query"]
         got = select_fire(select_knu, inst["view"])
         want_sel, want_w, want_pred = ref.fire_knu_ref(
-            ctx.hits, query.roc.indices.tolist(), query.predictions,
+            ctx.hits, query.indices.tolist(), query.predictions,
             ctx.dsel.labels, ctx.n_classes,
         )
         got_w = None if got.vote_weights is None else got.vote_weights.tolist()

@@ -162,6 +162,16 @@ class TestRun:
         with pytest.raises(ConfigError, match="different configuration"):
             run_experiment(other)
 
+    def test_manifest_hash_read_from_its_own_line(self, csv_dataset, tmp_path):
+        cfg = _config(csv_dataset, tmp_path / "other")
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "manifest.txt").write_text(
+            f"config_hash = {'0' * 16}\ncode_version = 0\n"
+            f"config_hash = {config_hash(cfg)}\n--- config ---\n"
+        )
+        with pytest.raises(ConfigError, match="different configuration"):
+            run_experiment(cfg)
+
 
 def _craft_records(tmp_path, values):
     """Write a results dir from {(dataset, variant, selector): value}."""
@@ -224,8 +234,12 @@ class TestReport:
         out = _craft_records(tmp_path / "gaps", values)
         lines = (out / "results.tsv").read_text().splitlines()
         (out / "results.tsv").write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(IncompleteGridError, match="missing 3 cells"):
+        with pytest.raises(IncompleteGridError, match="missing 3 cells") as info:
             make_report(out, "gmean")
+        assert str(info.value).splitlines()[1:] == [
+            f"  d1 / Ba-SM / KNU / {rep} / {fold} / gmean"
+            for rep, fold in (("4", "B"), ("5", "A"), ("5", "B"))
+        ]
 
     def test_end_to_end_with_runner(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "e2e")

@@ -4,18 +4,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import reference as ref
 from desbal.pool import DselSet, Pool
 from desbal.selection import (
+    MetaClassifier,
     Query,
     RegionView,
     SelectionContext,
     SelectorConfig,
+    _agreement,
     _meta_features_all,
+    _nearest,
     dfp_prune,
-    profile_similarity,
-    region_of_competence,
     run_selector,
     select_desknn,
     select_desp,
@@ -44,58 +46,83 @@ def _view(hits, profiles, labels, n_classes, preds_q):
     )
 
 
+def _stub_query(dsel_rows, x_q, k):
+    """The query `make_query` builds for x_q against a DSEL of `dsel_rows`,
+    under a one-classifier stub pool."""
+    dsel_rows = np.asarray(dsel_rows, dtype=float)
+    dsel = DselSet(dsel_rows, np.zeros(len(dsel_rows), dtype=int), "stub")
+    pool = Pool((_stub_tree(lambda row: np.array([1.0, 0.0]), 2, 2),), "Ba", 0, 2)
+    return SelectionContext(pool, dsel).make_query(np.asarray(x_q, dtype=float), k)
+
+
 class TestRegionOfCompetence:
     def test_exact_row_is_first(self):
-        dsel = np.array([[0.0], [3.0], [7.0]])
-        roc = region_of_competence(dsel, np.array([3.0]), k=2)
-        assert roc.indices[0] == 1
-        assert roc.distances[0] == 0.0
+        query = _stub_query([[0.0], [3.0], [7.0]], [3.0], k=2)
+        assert query.indices[0] == 1
+        assert query.distances[query.indices][0] == 0.0
 
     def test_k_equals_dsel(self):
-        dsel = np.array([[0.0], [1.0], [2.0]])
-        roc = region_of_competence(dsel, np.array([0.9]), k=3)
-        assert sorted(roc.indices.tolist()) == [0, 1, 2]
-        assert (np.diff(roc.distances) >= 0).all()
+        query = _stub_query([[0.0], [1.0], [2.0]], [0.9], k=3)
+        assert sorted(query.indices.tolist()) == [0, 1, 2]
+        assert (np.diff(query.distances[query.indices]) >= 0).all()
 
     def test_one_dimensional_example(self):
-        dsel = np.array([[0.0], [1.0], [2.0], [10.0]])
-        roc = region_of_competence(dsel, np.array([1.4]), k=2)
-        assert set(roc.indices.tolist()) == {1, 2}
+        query = _stub_query([[0.0], [1.0], [2.0], [10.0]], [1.4], k=2)
+        assert set(query.indices.tolist()) == {1, 2}
 
     def test_small_dsel_warns_and_shrinks(self, caplog):
         with caplog.at_level("WARNING"):
-            roc = region_of_competence(np.array([[0.0], [1.0]]), np.array([0.5]), k=7)
-        assert len(roc) == 2
+            order = _nearest(cdist([[0.5]], [[0.0], [1.0]]), 7)
+        assert order.shape == (1, 2)
+        assert "DSEL holds 2 < k=7" in caplog.text
 
     def test_distance_tie_breaks_low_index(self):
-        dsel = np.array([[1.0], [-1.0], [1.0]])
-        roc = region_of_competence(dsel, np.array([0.0]), k=2)
-        assert roc.indices.tolist() == [0, 1]
+        query = _stub_query([[1.0], [-1.0], [1.0]], [0.0], k=2)
+        assert query.indices.tolist() == [0, 1]
+
+    def test_distances_match_a_single_point_cdist(self, oracle_instances):
+        # the rows make_queries keeps are the distances DES-RRC sums over
+        ctx, train = TestMetaDes._real_ctx()
+        for query, x in zip(ctx.make_queries(train.features, 7), train.features):
+            assert np.array_equal(query.distances, cdist(x[None], ctx.dsel.features)[0])
+        for inst in oracle_instances:
+            want = cdist(inst["x"][None], inst["ctx"].dsel.features)[0]
+            assert np.array_equal(inst["query"].distances, want)
 
 
 class TestProfileSimilarity:
     def test_identity(self):
-        assert profile_similarity([1, 0, 1, 1], [1, 0, 1, 1]) == 1.0
+        assert ref.profile_similarity([1, 0, 1, 1], [1, 0, 1, 1]) == 1.0
 
     def test_half(self):
-        assert profile_similarity([1, 0, 1, 1], [1, 1, 1, 0]) == 0.5
+        assert ref.profile_similarity([1, 0, 1, 1], [1, 1, 1, 0]) == 0.5
 
     def test_disjoint(self):
-        assert profile_similarity([0, 0], [1, 1]) == 0.0
+        assert ref.profile_similarity([0, 0], [1, 1]) == 0.0
 
     def test_symmetric_and_hamming(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             u = rng.integers(0, 3, size=8)
             v = rng.integers(0, 3, size=8)
-            assert profile_similarity(u, v) == profile_similarity(v, u)
-            assert profile_similarity(u, v) == pytest.approx(
+            assert ref.profile_similarity(u, v) == ref.profile_similarity(v, u)
+            assert ref.profile_similarity(u, v) == pytest.approx(
                 1.0 - np.mean(u != v)
             )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            profile_similarity([1, 2], [1, 2, 3])
+            ref.profile_similarity([1, 2], [1, 2, 3])
+
+    def test_agreement_matches_oracle(self, oracle_instances):
+        for inst in oracle_instances[:50]:
+            ctx, query = inst["ctx"], inst["query"]
+            got = _agreement(ctx.predictions, query.predictions)
+            want = [
+                ref.profile_similarity(ctx.predictions[:, j], query.predictions)
+                for j in range(ctx.dsel.n_samples)
+            ]
+            assert got.tolist() == want
 
 
 class TestRank:
@@ -192,7 +219,7 @@ class TestKne:
             ctx, query = inst["ctx"], inst["query"]
             got = select_kne(inst["view"])
             want_sel, want_pred = ref.kne_ref(
-                ctx.hits, query.roc.indices.tolist(), query.predictions,
+                ctx.hits, query.indices.tolist(), query.predictions,
                 ctx.n_classes,
             )
             assert got.selected.tolist() == want_sel
@@ -216,7 +243,7 @@ class TestKnu:
             ctx, query = inst["ctx"], inst["query"]
             got = select_knu(inst["view"])
             want_sel, want_w, want_pred = ref.knu_ref(
-                ctx.hits, query.roc.indices.tolist(), query.predictions,
+                ctx.hits, query.indices.tolist(), query.predictions,
                 ctx.n_classes,
             )
             assert got.selected.tolist() == want_sel
@@ -260,7 +287,7 @@ class TestDesKnn:
             j = int(rng.integers(1, n + 1))
             got = select_desknn(inst["view"], n=n, j=j)
             want_sel, want_pred = ref.desknn_ref(
-                ctx.hits, query.roc.indices.tolist(), query.predictions,
+                ctx.hits, query.indices.tolist(), query.predictions,
                 n, j, ctx.n_classes,
             )
             assert got.selected.tolist() == want_sel
@@ -285,7 +312,7 @@ class TestDesp:
         for inst in oracle_instances[:80]:
             ctx, query = inst["ctx"], inst["query"]
             got = select_desp(inst["view"])
-            acc = ctx.hits[:, query.roc.indices].mean(axis=1)
+            acc = ctx.hits[:, query.indices].mean(axis=1)
             expected = np.flatnonzero(acc > 1.0 / ctx.n_classes)
             if expected.size:
                 assert got.selected.tolist() == expected.tolist()
@@ -386,7 +413,8 @@ class TestDesRrc:
 
 
 class TestMetaDes:
-    def _real_ctx(self, seed=0):
+    @staticmethod
+    def _real_ctx(seed=0):
         rng = np.random.default_rng(seed)
         from desbal.data import Dataset
         from desbal.pool import build_dsel, generate_pool
@@ -404,7 +432,9 @@ class TestMetaDes:
     def test_meta_feature_layout(self):
         ctx, train = self._real_ctx()
         query = ctx.make_query(train.features[0], k=7)
-        vec = _meta_features_all(ctx, query, kp=5)[0]
+        vec = _meta_features_all(
+            ctx, query.indices[None], query.predictions[None], query.supports[None], kp=5
+        )[0][0]
         assert vec.shape == (7 + 7 + 1 + 5 + 1,)
         # (c) is the mean of block (a)
         assert vec[14] == pytest.approx(vec[:7].mean())
@@ -446,8 +476,6 @@ class TestMetaDes:
             assert np.allclose(counts, np.round(counts))
 
     def test_duplicated_consistent_point_posterior(self):
-        from desbal.selection import MetaClassifier
-
         rng = np.random.default_rng(3)
         base = rng.normal(size=(30, 4))
         labels = np.concatenate([np.ones(12, int), np.zeros(18, int)])
@@ -461,13 +489,47 @@ class TestMetaDes:
         ctx, train = self._real_ctx(seed=4)
         ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
         query = ctx.make_query(train.features[5], k=7)
-        posteriors = ctx.meta.posterior_competent(_meta_features_all(ctx, query, 5))
+        posteriors = ctx.meta.posterior_competent(_meta_features_all(
+            ctx, query.indices[None], query.predictions[None], query.supports[None], 5
+        )[0])
         result = select_metades(ctx, query, SelectorConfig(meta_kp=5), threshold=0.5)
         expected = np.flatnonzero(posteriors > 0.5)
         if expected.size:
             assert result.selected.tolist() == expected.tolist()
         else:
             assert result.selected.size == ctx.pool_size
+
+    def test_meta_features_match_oracle(self, oracle_instances):
+        for n, inst in enumerate(oracle_instances):
+            ctx, query = inst["ctx"], inst["query"]
+            kp = 1 + n % 6
+            got = _meta_features_all(
+                ctx, query.indices[None], query.predictions[None],
+                query.supports[None], kp,
+            )[0]
+            want = ref.meta_features_ref(
+                ctx.hits, ctx.supports, ctx.predictions, ctx.dsel.labels,
+                query.indices.tolist(), query.predictions, query.supports, kp,
+            )
+            assert np.array_equal(got, want)
+
+    def test_training_set_matches_oracle(self):
+        # build_dsel puts the training rows first, so each row is kept out of
+        # its own region and profile neighbours
+        ctx, train = self._real_ctx(seed=4)
+        k, kp = 5, 3
+        rows = []
+        for t, x in enumerate(train.features):
+            roc = [j for j in ref.region_ref(ctx.dsel.features, x, k + 1) if j != t][:k]
+            rows.append(ref.meta_features_ref(
+                ctx.hits, ctx.supports, ctx.predictions, ctx.dsel.labels, roc,
+                ctx.predictions[:, t], ctx.supports[:, t], kp, exclude=t,
+            ))
+        want = MetaClassifier.fit(np.vstack(rows), ctx.hits[:, :train.n_samples].T.ravel())
+        got = train_meta_classifier(ctx, train, k=k, kp=kp)
+        assert got.constant is None and want.constant is None
+        for name in ("priors", "means", "variances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_requires_trained_meta(self):
         ctx, train = self._real_ctx()
@@ -494,7 +556,7 @@ class TestDfp:
             ctx, query = inst["ctx"], inst["query"]
             got = dfp_prune(inst["view"])
             want = ref.dfp_ref(
-                ctx.hits, query.roc.indices.tolist(), ctx.dsel.labels
+                ctx.hits, query.indices.tolist(), ctx.dsel.labels
             )
             assert got.tolist() == want
 
@@ -525,7 +587,7 @@ class TestFire:
             ctx, query = inst["ctx"], inst["query"]
             got = select_fire(select_knu, inst["view"])
             want_sel, want_w, want_pred = ref.fire_knu_ref(
-                ctx.hits, query.roc.indices.tolist(), query.predictions,
+                ctx.hits, query.indices.tolist(), query.predictions,
                 ctx.dsel.labels, ctx.n_classes,
             )
             assert got.selected.tolist() == want_sel
@@ -603,12 +665,11 @@ class TestProperties:
         for inst in oracle_instances[:10]:
             ctx, query = inst["ctx"], inst["query"]
             factor = 3.7
-            roc = region_of_competence(
-                ctx.dsel.features * factor, query.x * factor, k=len(query.roc)
-            )
-            assert roc.indices.tolist() == query.roc.indices.tolist()
+            dists = cdist(inst["x"][None] * factor, ctx.dsel.features * factor)[0]
+            indices = _nearest(dists, len(query.indices))
+            assert indices.tolist() == query.indices.tolist()
             scaled_query = Query(
-                x=query.x * factor, roc=roc,
+                indices=indices, distances=dists,
                 predictions=query.predictions, supports=query.supports,
             )
             for fn in (select_rank, select_lca, select_kne, select_knu, select_desp):
