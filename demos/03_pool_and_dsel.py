@@ -5,6 +5,8 @@ first; the DSEL keeps every real training row and adds the synthetic ones, so
 competence regions around minority queries are no longer starved.
 """
 
+import tempfile
+
 import numpy as np
 
 from desbal import TreeConfig, build_dsel, generate_pool, load_pool, save_pool
@@ -42,8 +44,9 @@ print("\nrebalanced bootstraps let trees see minority classes; the plain pool")
 print("rarely outvotes the majority on them")
 
 # pools persist as a manifest plus one JSON node dump per tree
-save_pool(pool, "/tmp/desbal_demo_pool", scaling_ref="scaling.txt")
-again = load_pool("/tmp/desbal_demo_pool")
+with tempfile.TemporaryDirectory(prefix="desbal_demo_") as out:
+    save_pool(pool, out, scaling_ref="scaling.txt")
+    again = load_pool(out)
 assert np.array_equal(again.predict_all(test_s.features), preds)
-print(f"\npool round-tripped through /tmp/desbal_demo_pool "
+print(f"\npool round-tripped through a temporary directory "
       f"({len(again)} trees, variant {again.variant})")

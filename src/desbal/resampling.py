@@ -94,17 +94,14 @@ def _neighbor_table(rows: np.ndarray, k: int) -> np.ndarray:
 def _interpolate(rows, seeds, k_neighbors, rng):
     """One synthetic row per seed: pick a neighbour, slide a random gap."""
     neighbors = _neighbor_table(rows, k_neighbors) if k_neighbors > 0 else None
-    samples = np.empty((len(seeds), rows.shape[1]))
-    provenance = []
-    for r, seed in enumerate(seeds):
-        if neighbors is None:  # degenerate single-row class: duplicate
-            neighbour = seed
-        else:
-            neighbour = int(neighbors[seed, rng.integers(neighbors.shape[1])])
-        gap = float(rng.uniform())
-        samples[r] = rows[seed] + gap * (rows[neighbour] - rows[seed])
-        provenance.append((int(seed), neighbour, gap))
-    return samples, tuple(provenance)
+    picks = seeds.copy()  # degenerate single-row class: duplicate the seed
+    gaps = np.empty(len(seeds))
+    for r, seed in enumerate(seeds):  # per-row draws keep the RNG stream
+        if neighbors is not None:
+            picks[r] = neighbors[seed, rng.integers(neighbors.shape[1])]
+        gaps[r] = rng.uniform()
+    samples = rows[seeds] + gaps[:, None] * (rows[picks] - rows[seeds])
+    return samples, tuple(zip(seeds.tolist(), picks.tolist(), gaps.tolist()))
 
 
 def smote_exact(rows, amount: int, k: int, rng, class_id: int = 0,

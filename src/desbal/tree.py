@@ -102,47 +102,35 @@ class DecisionTree:
         )
 
 
-def _gini_from_counts(counts, n):
-    return 1.0 - np.sum((counts / n) ** 2)
-
-
 def _best_split(X, y_onehot, counts, n_total):
     """Best (feature, threshold, weighted decrease) for one node.
 
-    Returns (None, None, -inf) when no candidate threshold exists. The gain
-    is already weighted by n_node / n_total.
+    Scores every (position, feature) pair of the column-wise sorted node at
+    once; positions that are not a boundary between distinct sorted values
+    score -inf. Returns (None, None, -inf) when no candidate threshold
+    exists. The gain is already weighted by n_node / n_total.
     """
     n = X.shape[0]
-    parent_gini = _gini_from_counts(counts, n)
-    best_gain = -np.inf
-    best_feature = None
-    best_threshold = None
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        boundaries = np.flatnonzero(sv[:-1] != sv[1:])
-        if boundaries.size == 0:
-            continue
-        cum = np.cumsum(y_onehot[order], axis=0)
-        left_counts = cum[boundaries]
-        right_counts = counts - left_counts
-        n_left = (boundaries + 1).astype(float)[:, None]
-        n_right = n - n_left
-        gini_left = 1.0 - np.sum((left_counts / n_left) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right) ** 2, axis=1)
-        child = (n_left.ravel() * gini_left + n_right.ravel() * gini_right) / n
-        gains = (n / n_total) * (parent_gini - child)
-        pos = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[pos] > best_gain:  # strict: earlier feature wins ties
-            b = boundaries[pos]
-            mid = sv[b] + (sv[b + 1] - sv[b]) / 2.0
-            if mid >= sv[b + 1]:  # midpoint rounded onto the right value
-                mid = sv[b]
-            best_gain = gains[pos]
-            best_feature = j
-            best_threshold = float(mid)
-    return best_feature, best_threshold, best_gain
+    order = np.argsort(X, axis=0, kind="stable")
+    sv = np.take_along_axis(X, order, axis=0)
+    boundary = sv[:-1] != sv[1:]  # (n - 1, d)
+    if not boundary.any():
+        return None, None, -np.inf
+    left_counts = y_onehot[order].cumsum(axis=0)[:-1]  # (n - 1, d, L)
+    right_counts = counts - left_counts
+    n_left = np.arange(1.0, n)[:, None]
+    n_right = n - n_left
+    parent_gini = 1.0 - ((counts / n) ** 2).sum()
+    gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
+    gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
+    child = (n_left * gini_left + n_right * gini_right) / n
+    gains = np.where(boundary, (n / n_total) * (parent_gini - child), -np.inf)
+    # feature-major: the first maximum is the lowest feature, then threshold
+    j, b = divmod(int(np.argmax(gains.T)), n - 1)
+    mid = sv[b, j] + (sv[b + 1, j] - sv[b, j]) / 2.0
+    if mid >= sv[b + 1, j]:  # midpoint rounded onto the right value
+        mid = sv[b, j]
+    return j, float(mid), gains[b, j]
 
 
 def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> DecisionTree:
@@ -177,7 +165,8 @@ def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> Decisio
     stack = [(new_node(), np.arange(n_total), 0)]
     while stack:
         node, idx, depth = stack.pop()
-        node_counts = onehot[idx].sum(axis=0)
+        node_onehot = onehot[idx]
+        node_counts = node_onehot.sum(axis=0)
         counts[node] = node_counts
         if (
             idx.size < 2
@@ -185,7 +174,7 @@ def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> Decisio
             or (config.max_depth is not None and depth >= config.max_depth)
         ):
             continue
-        feat, thr, gain = _best_split(X[idx], onehot[idx], node_counts, n_total)
+        feat, thr, gain = _best_split(X[idx], node_onehot, node_counts, n_total)
         if feat is None or gain < config.min_impurity_decrease:
             continue
         go_left = X[idx, feat] <= thr

@@ -6,7 +6,8 @@ rules: lowest classifier index, lowest class id, lowest DSEL index). They are
 the oracles the library's vectorized selectors are checked against. The
 output-profile similarity, the META-DES meta-features, the double-fault
 measure, the single-support RRC probability and the trapezoidal ROC AUC are
-kept here as oracles too.
+kept here as oracles too, and so are the per-feature CART split search and
+the per-row SMOTE interpolation that the library computes as arrays.
 """
 
 import numpy as np
@@ -226,3 +227,61 @@ def auc_trapezoid_ref(labels, scores):
         (x1 - x0) * (y0 + y1) / 2.0
         for (x0, y0), (x1, y1) in zip(points, points[1:])
     )
+
+
+def _gini_from_counts(counts, n):
+    return 1.0 - np.sum((counts / n) ** 2)
+
+
+def best_split_ref(X, y_onehot, counts, n_total):
+    """Best (feature, threshold, weighted decrease) for one node, one
+    feature at a time: the first maximum within a feature is its lowest
+    threshold, and a strict comparison lets the earlier feature win ties.
+    """
+    n = X.shape[0]
+    parent_gini = _gini_from_counts(counts, n)
+    best_gain = -np.inf
+    best_feature = None
+    best_threshold = None
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        boundaries = np.flatnonzero(sv[:-1] != sv[1:])
+        if boundaries.size == 0:
+            continue
+        cum = np.cumsum(y_onehot[order], axis=0)
+        left_counts = cum[boundaries]
+        right_counts = counts - left_counts
+        n_left = (boundaries + 1).astype(float)[:, None]
+        n_right = n - n_left
+        gini_left = 1.0 - np.sum((left_counts / n_left) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right_counts / n_right) ** 2, axis=1)
+        child = (n_left.ravel() * gini_left + n_right.ravel() * gini_right) / n
+        gains = (n / n_total) * (parent_gini - child)
+        pos = int(np.argmax(gains))  # first max = lowest threshold
+        if gains[pos] > best_gain:  # strict: earlier feature wins ties
+            b = boundaries[pos]
+            mid = sv[b] + (sv[b + 1] - sv[b]) / 2.0
+            if mid >= sv[b + 1]:  # midpoint rounded onto the right value
+                mid = sv[b]
+            best_gain = gains[pos]
+            best_feature = j
+            best_threshold = float(mid)
+    return best_feature, best_threshold, best_gain
+
+
+def interpolate_ref(rows, seeds, neighbors, rng):
+    """One SMOTE row per seed, row by row: draw a neighbour from the seed's
+    row of `neighbors` (None duplicates the seed), then a uniform gap."""
+    samples = np.empty((len(seeds), rows.shape[1]))
+    provenance = []
+    for r, seed in enumerate(seeds):
+        if neighbors is None:  # degenerate single-row class: duplicate
+            neighbour = seed
+        else:
+            neighbour = int(neighbors[seed, rng.integers(neighbors.shape[1])])
+        gap = float(rng.uniform())
+        samples[r] = rows[seed] + gap * (rows[neighbour] - rows[seed])
+        provenance.append((int(seed), neighbour, gap))
+    return samples, tuple(provenance)

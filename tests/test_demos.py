@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TIDY = {"03_pool_and_dsel.py"}
 
 
 def test_six_demos_found():
@@ -17,9 +18,16 @@ def test_six_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp))
     done = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    # a fixed path is shared by concurrent runs: temporary files go under
+    # a fresh tempfile directory, and a demo that removes its own leaves none
+    assert "/tmp/" not in script.read_text()
+    if script.name in TIDY:
+        assert not any(tmp.iterdir())

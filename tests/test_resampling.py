@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from desbal.data import Dataset
 from desbal.resampling import (
     RamoConfig,
+    _interpolate,
+    _neighbor_table,
     apply_multiclass,
     logistic_weight,
     normalize_variant,
@@ -85,6 +88,23 @@ class TestSmote:
         for amount in (0, 1, 6, 7, 13, 29):
             batch = smote_exact(rows, amount, 5, rng)
             assert len(batch) == amount
+
+
+class TestInterpolateOracle:
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_row_loop(self, k, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = 1 if k == 0 else 8  # k = 0 only arises for a one-row class
+        rows = rng.normal(size=(n_rows, 3))
+        seeds = np.sort(rng.integers(0, n_rows, size=25))  # seeds repeat
+        table = _neighbor_table(rows, k) if k else None
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        samples, provenance = _interpolate(rows, seeds, k, got_rng)
+        want_samples, want_provenance = ref.interpolate_ref(rows, seeds, table, want_rng)
+        assert np.array_equal(samples, want_samples)
+        assert provenance == want_provenance
+        assert got_rng.random() == want_rng.random()  # same draws consumed
 
 
 class TestRamoWeights:

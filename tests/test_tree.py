@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from desbal.tree import LEAF, DecisionTree, TreeConfig, fit_tree
+import desbal.tree as tree_module
+import reference as ref
+from desbal.benchmarks import load_benchmark
+from desbal.data import standardize, stratified_5x2
+from desbal.pool import generate_pool
+from desbal.resampling import VARIANTS
+from desbal.rng import derive_seed
+from desbal.tree import LEAF, DecisionTree, TreeConfig, _best_split, fit_tree
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -67,6 +74,108 @@ class TestFit:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_tree(np.empty((0, 2)), [], n_classes=2)
+
+
+def _assert_same_split(X, y, n_classes, n_total=None):
+    """The library's split of one node; asserts it equals the oracle's."""
+    X = np.asarray(X, dtype=float)
+    onehot = np.eye(n_classes)[np.asarray(y)]
+    counts = onehot.sum(axis=0)
+    n_total = X.shape[0] if n_total is None else n_total
+    got = _best_split(X, onehot, counts, n_total)
+    want = ref.best_split_ref(X, onehot, counts, n_total)
+    assert got == want  # feature, threshold and gain, all exactly equal
+    return got
+
+
+class TestSplitOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            n = int(rng.integers(2, 80))
+            d = int(rng.integers(1, 8))
+            n_classes = int(rng.integers(2, 12))  # 8+ classes: unrolled sums
+            if rng.random() < 0.5:  # few levels: repeated values everywhere
+                X = rng.integers(0, 4, size=(n, d)).astype(float)
+            else:
+                X = rng.normal(size=(n, d))
+            y = rng.integers(0, n_classes, size=n)
+            _assert_same_split(X, y, n_classes, n + int(rng.integers(0, 200)))
+
+    def test_duplicated_columns_tie_to_lowest_feature(self):
+        rng = np.random.default_rng(10)
+        col = rng.normal(size=(30, 1))
+        other = rng.normal(size=(30, 1))
+        y = (col[:, 0] > 0).astype(int)
+        assert _assert_same_split(np.hstack([col, col, col]), y, 2)[0] == 0
+        assert _assert_same_split(np.hstack([other, col, other, col]), y, 2)[0] == 1
+
+    def test_repeated_values_tie_to_lowest_threshold(self):
+        # cutting at 0.5 or at 2.5 peels one pure class-0 block: equal gains
+        X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0], [3.0], [3.0]])
+        y = np.array([0, 0, 1, 1, 1, 1, 0, 0])
+        assert _assert_same_split(X, y, 2)[1] == 0.5
+
+    def test_constant_columns_skipped(self):
+        X = np.column_stack([np.full(6, 2.0), [0, 1, 2, 3, 4, 5], np.full(6, -1.0)])
+        y = np.array([0, 0, 0, 1, 1, 1])
+        assert _assert_same_split(X, y, 2)[:2] == (1, 2.5)
+
+    def test_all_constant_node_has_no_split(self):
+        X = np.ones((5, 3))
+        y = np.array([0, 1, 0, 1, 2])
+        assert _assert_same_split(X, y, 3) == (None, None, -np.inf)
+
+    def test_two_row_nodes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            X = rng.integers(0, 2, size=(2, 3)).astype(float)
+            _assert_same_split(X, rng.integers(0, 3, size=2), 3, 9)
+
+    def test_one_feature(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            X = rng.integers(0, 6, size=(n, 1)).astype(float)
+            _assert_same_split(X, rng.integers(0, 4, size=n), 4, 50)
+
+    def test_classes_absent_from_node(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            X = rng.normal(size=(n, 4))
+            y = rng.choice([1, 6], size=n)  # 8 classes, two present
+            _assert_same_split(X, y, 8, 3 * n)
+
+    def test_midpoint_rounded_onto_right_value(self):
+        x = 1.0 + 2.0**-52  # odd last bit: x + ulp / 2 rounds up to the next value
+        nxt = np.nextafter(x, np.inf)
+        assert x + (nxt - x) / 2.0 == nxt
+        X = np.array([[x], [nxt]])
+        y = np.array([0, 1])
+        feature, threshold, _ = _assert_same_split(X, y, 2)
+        assert (feature, threshold) == (0, x)
+        tree = fit_tree(X, y)
+        assert tree.threshold[0] == x
+        assert np.array_equal(tree.predict(X), y)
+
+    @pytest.mark.parametrize("name", ["glass", "ecoli"])
+    def test_fit_tree_with_oracle_split_gives_same_trees(self, name, monkeypatch):
+        # bootstraps exactly as run_experiment draws them (seed 20240601)
+        ds = load_benchmark(name)
+        plan = stratified_5x2(ds, derive_seed(20240601, "split", ds.name))
+        rep, fold, train_idx, _ = next(iter(plan.folds()))
+        train, _, _ = standardize(ds.subset(train_idx), [])
+        for variant in VARIANTS:
+            seed = derive_seed(20240601, ds.name, variant, rep, fold)
+            pool = generate_pool(train, variant, 5, TreeConfig(), seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(tree_module, "_best_split", ref.best_split_ref)
+                oracle = generate_pool(train, variant, 5, TreeConfig(), seed)
+            for got, want in zip(pool.classifiers, oracle.classifiers):
+                for field in ("feature", "threshold", "left", "right", "counts"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestPredict:
