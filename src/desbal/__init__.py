@@ -19,15 +19,13 @@ from .data import (
 from .metrics import METRIC_NAMES, auc_multiclass, f_measure_weighted, g_mean
 from .pool import DselSet, Pool, build_dsel, generate_pool, load_pool, save_pool
 from .resampling import (
-    RamoConfig,
     SyntheticBatch,
     VARIANTS,
     apply_multiclass,
     ramo,
     ramo_weights,
-    random_balance,
     rus,
-    smote,
+    smote_exact,
 )
 from .selection import (
     RegionView,

@@ -79,13 +79,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_LIST_KEYS = {"datasets", "variants", "selectors", "metrics"}
-_INT_KEYS = {"pool_size", "k", "seed", "csv_label_column"}
-_STR_KEYS = {"output", "score_mode", "data_dir"}
-
-
 def parse_config_text(text: str) -> RunConfig:
-    """Parse the plain key/value run-configuration format."""
+    """Parse the plain key/value run-configuration format; each key reads as
+    the type of its `RunConfig` field (tuple: a comma-separated list)."""
+    kinds = {f.name: f.type for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -96,20 +93,21 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, rest = line.partition("=")
         key = key.strip().lower()
         rest = rest.strip()
-        if key in _LIST_KEYS:
+        kind = kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if kind is tuple:
             items = tuple(v.strip() for v in rest.split(",") if v.strip())
             if key == "metrics":
                 items = tuple(v.lower() for v in items)
             values[key] = items
-        elif key in _INT_KEYS:
+        elif kind is int:
             try:
                 values[key] = int(rest)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be an integer") from None
-        elif key in _STR_KEYS:
-            values[key] = rest
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            values[key] = rest
     if "datasets" not in values:
         raise ConfigError("config is missing the 'datasets' key")
     if "output" not in values:
@@ -124,19 +122,21 @@ def load_config(path) -> RunConfig:
 def validate_config(cfg: RunConfig) -> list:
     """All validation problems (empty list = runnable)."""
     problems = []
-    for v in cfg.variants:
-        try:
-            normalize_variant(v)
-        except ValueError as exc:
-            problems.append(str(exc))
-    for s in cfg.selectors:
-        try:
-            normalize_selector(s)
-        except ValueError as exc:
-            problems.append(str(exc))
+    entries = {"datasets": list(cfg.datasets), "variants": [], "selectors": [],
+               "metrics": list(cfg.metrics)}
+    for key, normalize in (("variants", normalize_variant), ("selectors", normalize_selector)):
+        for name in getattr(cfg, key):
+            try:
+                entries[key].append(normalize(name))
+            except ValueError as exc:
+                problems.append(str(exc))
     for m in cfg.metrics:
         if m not in METRIC_NAMES:
             problems.append(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+    for key, names in entries.items():
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            problems.append(f"{key} lists {', '.join(repeated)} more than once")
     if not cfg.datasets:
         problems.append("no datasets configured")
     if cfg.pool_size < 1:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .resampling import RamoConfig, apply_multiclass, normalize_variant, resample_dataset
+from .resampling import apply_multiclass, normalize_variant, resample_dataset
 from .rng import make_rng
 from .tree import DecisionTree, TreeConfig, fit_tree
 
@@ -79,8 +79,7 @@ def _bootstrap(train: Dataset, size: int, rng) -> tuple:
 
 
 def generate_pool(train: Dataset, variant: str, pool_size: int = 100,
-                  config: TreeConfig = TreeConfig(), seed: int = 0,
-                  k_smote: int = 5, ramo_config: RamoConfig = RamoConfig()) -> Pool:
+                  config: TreeConfig = TreeConfig(), seed: int = 0) -> Pool:
     """Train `pool_size` trees, each on a preprocessed 50% bootstrap."""
     if train.n_samples == 0:
         raise ValueError("cannot generate a pool from an empty training set")
@@ -94,9 +93,7 @@ def generate_pool(train: Dataset, variant: str, pool_size: int = 100,
         incomplete += not complete
         boot = train.subset(idx)
         if variant != "Ba":
-            boot = apply_multiclass(
-                boot, variant, rng, k_smote, ramo_config, warn_degenerate=False
-            )
+            boot = apply_multiclass(boot, variant, rng, warn_degenerate=False)
         trees.append(
             fit_tree(boot.features, boot.labels, config, n_classes=train.n_classes)
         )
@@ -113,8 +110,7 @@ def generate_pool(train: Dataset, variant: str, pool_size: int = 100,
     )
 
 
-def build_dsel(train: Dataset, variant: str, seed: int = 0, k_smote: int = 5,
-               ramo_config: RamoConfig = RamoConfig()) -> DselSet:
+def build_dsel(train: Dataset, variant: str, seed: int = 0) -> DselSet:
     """Training set augmented by the variant's synthetic rows.
 
     Every original training row is always present; Random Balance contributes
@@ -123,7 +119,7 @@ def build_dsel(train: Dataset, variant: str, seed: int = 0, k_smote: int = 5,
     """
     variant = normalize_variant(variant)
     rng = make_rng(seed, "dsel")
-    result = resample_dataset(train, variant, rng, k_smote, ramo_config)
+    result = resample_dataset(train, variant, rng)
     features = np.vstack([train.features, result.synthetic_features])
     labels = np.concatenate([train.labels, result.synthetic_labels])
     return DselSet(

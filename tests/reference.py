@@ -7,8 +7,12 @@ the oracles the library's vectorized selectors are checked against. The
 output-profile similarity, the META-DES meta-features, the double-fault
 measure, the single-support RRC probability and the trapezoidal ROC AUC are
 kept here as oracles too, and so are the per-feature CART split search and
-the per-row SMOTE interpolation that the library computes as arrays.
+the per-row SMOTE interpolation that the library computes as arrays. The
+resampling orchestration is kept here with one branch per variant family; it
+calls the library's per-class primitives, which have their own tests.
 """
+
+import logging
 
 import numpy as np
 
@@ -273,15 +277,108 @@ def best_split_ref(X, y_onehot, counts, n_total):
 
 def interpolate_ref(rows, seeds, neighbors, rng):
     """One SMOTE row per seed, row by row: draw a neighbour from the seed's
-    row of `neighbors` (None duplicates the seed), then a uniform gap."""
+    row of `neighbors`, then a uniform gap."""
     samples = np.empty((len(seeds), rows.shape[1]))
     provenance = []
     for r, seed in enumerate(seeds):
-        if neighbors is None:  # degenerate single-row class: duplicate
-            neighbour = seed
-        else:
-            neighbour = int(neighbors[seed, rng.integers(neighbors.shape[1])])
+        neighbour = int(neighbors[seed, rng.integers(neighbors.shape[1])])
         gap = float(rng.uniform())
         samples[r] = rows[seed] + gap * (rows[neighbour] - rows[seed])
         provenance.append((int(seed), neighbour, gap))
     return samples, tuple(provenance)
+
+
+def _oversample_amounts(counts, majority, double):
+    """Synthetic rows per class: up to the majority count, or doubling (capped)."""
+    amounts = {}
+    for c, n_c in enumerate(counts):
+        if c == majority or n_c == 0:
+            continue
+        amounts[c] = min(n_c, counts[majority] - n_c) if double else counts[majority] - n_c
+    return amounts
+
+
+def _rb_targets(counts, rng):
+    """Random class sizes >= 2 with the same total, drawn in random class order."""
+    eligible = [c for c, n in enumerate(counts) if n >= 2]
+    frozen = {c: int(n) for c, n in enumerate(counts) if 0 < n < 2}
+    total = int(sum(counts[c] for c in eligible))
+    order = rng.permutation(eligible)
+    targets = dict(frozen)
+    remaining = total
+    for pos, c in enumerate(order):
+        rest = len(order) - pos - 1
+        if rest == 0:
+            targets[int(c)] = remaining
+        else:
+            targets[int(c)] = int(rng.integers(2, remaining - 2 * rest, endpoint=True))
+        remaining -= targets[int(c)]
+    return targets
+
+
+def resample_dataset_ref(dataset, variant, rng):
+    """Variant orchestration with one branch per variant family.
+
+    Ba returns every row; RB draws class sizes and resizes each class; SM/RM
+    grow every non-majority class (majority: the largest class, ties to the
+    lowest id) by its `_oversample_amounts` entry and skip, with a warning,
+    any such class of fewer than 2 rows. The per-class primitives are the
+    library's `rus`, `smote_exact` (5 neighbours) and `ramo` (its defaults),
+    so this checks the orchestration: class order, targets and RNG use.
+    Returns (kept indices, synthetic features, synthetic labels).
+    """
+    from desbal.resampling import normalize_variant, ramo, rus, smote_exact
+
+    variant = normalize_variant(variant)
+    counts = dataset.class_counts()
+    all_idx = np.arange(dataset.n_samples)
+    empty = (np.empty((0, dataset.n_features)), np.empty(0, dtype=int))
+    if variant == "Ba":
+        return (all_idx, *empty)
+
+    def pack(kept, synth_x, synth_y):
+        if synth_x:
+            return np.sort(kept), np.vstack(synth_x), np.concatenate(synth_y)
+        return (np.sort(kept), *empty)
+
+    majority = int(np.argmax(counts))
+    if variant == "Ba-RB":
+        targets = _rb_targets(counts, rng)
+        kept, synth_x, synth_y = [], [], []
+        for c in range(dataset.n_classes):
+            idx = np.flatnonzero(dataset.labels == c)
+            if idx.size == 0:
+                continue
+            target = targets[c]
+            if target < idx.size:
+                kept.append(rus(idx, target, rng))
+            else:
+                kept.append(idx)
+                if target > idx.size:
+                    batch = smote_exact(dataset.features[idx], target - idx.size,
+                                        5, rng, class_id=c)
+                    synth_x.append(batch.samples)
+                    synth_y.append(np.full(len(batch), c, dtype=int))
+        return pack(np.concatenate(kept), synth_x, synth_y)
+
+    double = variant.endswith("100")
+    use_ramo = "RM" in variant
+    amounts = _oversample_amounts(counts, majority, double)
+    synth_x, synth_y = [], []
+    for c in sorted(amounts):
+        idx = np.flatnonzero(dataset.labels == c)
+        if idx.size < 2:
+            logging.getLogger(__name__).warning(
+                "%s: class %s has %d sample(s); cannot oversample, skipped",
+                dataset.name, dataset.class_names[c], idx.size,
+            )
+            continue
+        if amounts[c] <= 0:
+            continue
+        if use_ramo:
+            batch = ramo(idx, dataset.features, dataset.labels, amounts[c], rng)
+        else:
+            batch = smote_exact(dataset.features[idx], amounts[c], 5, rng, class_id=c)
+        synth_x.append(batch.samples)
+        synth_y.append(np.full(len(batch), c, dtype=int))
+    return pack(all_idx, synth_x, synth_y)

@@ -19,7 +19,7 @@ from desbal.data import Dataset
 from desbal.experiment import RunConfig, run_experiment
 from desbal.metrics import auc_multiclass, f_measure_weighted, g_mean
 from desbal.pool import DselSet, Pool
-from desbal.resampling import apply_multiclass, logistic_weight, ramo_weights, random_balance, smote_exact
+from desbal.resampling import apply_multiclass, logistic_weight, ramo_weights, smote_exact
 from desbal.selection import (
     SelectionContext,
     SelectorConfig,
@@ -129,13 +129,12 @@ def test_criterion_03_resampling_contracts():
         if not (np.bincount(sm.labels, minlength=L) == counts.max()).all():
             failures += 1
 
-        # RB preserves the total exactly
-        split = int(rng.integers(2, labels.size - 2))
-        a, b = features[:split], features[split:]
-        if a.shape[0] >= 2 and b.shape[0] >= 2:
-            new_a, new_b = random_balance(a, b, k=5, rng=rng)
-            if new_a.shape[0] + new_b.shape[0] != labels.size:
-                failures += 1
+        # RB preserves the total exactly on a two-class split of the rows
+        split = int(rng.integers(2, labels.size - 1))  # both halves >= 2 rows
+        halves = (np.arange(labels.size) >= split).astype(int)
+        rb = apply_multiclass(Dataset("halves", features, halves, ("a", "b")), "Ba-RB", rng)
+        if rb.n_samples != labels.size or (np.bincount(rb.labels, minlength=2) < 2).any():
+            failures += 1
 
         # every synthetic row is a convex combination of its provenance rows
         # and stays inside its class's bounding box

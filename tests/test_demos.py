@@ -9,7 +9,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-TIDY = {"03_pool_and_dsel.py"}
 
 
 def test_six_demos_found():
@@ -27,7 +26,6 @@ def test_demo_exits_cleanly(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     # a fixed path is shared by concurrent runs: temporary files go under
-    # a fresh tempfile directory, and a demo that removes its own leaves none
+    # a fresh tempfile directory, which every demo removes again
     assert "/tmp/" not in script.read_text()
-    if script.name in TIDY:
-        assert not any(tmp.iterdir())
+    assert not any(tmp.iterdir())

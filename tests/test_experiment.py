@@ -77,6 +77,22 @@ class TestConfig:
         cfg = _config(csv_dataset, tmp_path / "r", metrics=("auc", "accuracy"))
         assert any("accuracy" in p for p in problems) or validate_config(cfg)
 
+    def test_entries_repeated_after_normalization_rejected(self, csv_dataset, tmp_path):
+        # a repeated variant would be run and ranked twice in the report
+        text = CONFIG_TEXT.format(path=csv_dataset, out=tmp_path / "r").replace(
+            "variants = Ba, Ba-SM", "variants = Ba, ba, Ba-SM"
+        ).replace("selectors = STATIC, KNU, RANK", "selectors = STATIC, knu, KNU")
+        text += "metrics = auc, AUC\n"
+        problems = validate_config(parse_config_text(text))
+        assert "variants lists Ba more than once" in problems
+        assert "selectors lists KNU more than once" in problems
+        assert "metrics lists auc more than once" in problems
+        cfg = _config(csv_dataset, tmp_path / "r", datasets=(str(csv_dataset),) * 2)
+        assert validate_config(cfg) == [f"datasets lists {csv_dataset} more than once"]
+        with pytest.raises(ConfigError, match="more than once"):
+            run_experiment(cfg)
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_selector_fails_before_training(self, csv_dataset, tmp_path):
         out = tmp_path / "never"
         cfg = _config(csv_dataset, out, selectors=("KNU", "NOPE"))

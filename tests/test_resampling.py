@@ -1,12 +1,16 @@
 """RUS / SMOTE / RAMO / Random Balance and the multi-class rule."""
 
+import copy
+
 import numpy as np
 import pytest
 
 import reference as ref
-from desbal.data import Dataset
+from desbal.benchmarks import load_benchmark
+from desbal.data import Dataset, standardize, stratified_5x2
+from desbal.pool import BOOTSTRAP_FRACTION, _bootstrap
 from desbal.resampling import (
-    RamoConfig,
+    VARIANTS,
     _interpolate,
     _neighbor_table,
     apply_multiclass,
@@ -14,12 +18,11 @@ from desbal.resampling import (
     normalize_variant,
     ramo,
     ramo_weights,
-    random_balance,
     resample_dataset,
     rus,
-    smote,
     smote_exact,
 )
+from desbal.rng import derive_seed, make_rng
 
 
 def _dataset(counts, seed=0, d=2, spread=1.0):
@@ -57,12 +60,13 @@ class TestRus:
 class TestSmote:
     def test_full_round_count(self):
         rng = np.random.default_rng(3)
-        batch = smote(np.random.default_rng(0).normal(size=(5, 2)), 100, rng=rng)
+        batch = smote_exact(np.random.default_rng(0).normal(size=(5, 2)), 5, 5, rng)
         assert len(batch) == 5
+        assert [p[0] for p in batch.provenance] == list(range(5))  # each row once
 
     def test_under_100_subset_branch(self):
         rng = np.random.default_rng(4)
-        batch = smote(np.random.default_rng(0).normal(size=(4, 2)), 50, rng=rng)
+        batch = smote_exact(np.random.default_rng(0).normal(size=(4, 2)), 2, 5, rng)
         assert len(batch) == 2
         seeds = {p[0] for p in batch.provenance}
         assert len(seeds) == 2  # two distinct randomly chosen seeds
@@ -71,7 +75,7 @@ class TestSmote:
         minority = np.array([[0.0, 0.0], [1.0, 1.0]])
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            batch = smote(minority, 100, k=1, rng=rng)
+            batch = smote_exact(minority, 2, 1, rng)
             for row, (seed, neighbour, gap) in zip(batch.samples, batch.provenance):
                 assert row[0] == pytest.approx(row[1], abs=1e-12)
                 assert 0.0 <= row[0] <= 1.0
@@ -80,7 +84,7 @@ class TestSmote:
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match=">= 2 seeds"):
-            smote(np.zeros((1, 2)), 100, rng=np.random.default_rng(0))
+            smote_exact(np.zeros((1, 2)), 1, 5, np.random.default_rng(0))
 
     def test_exact_amount(self):
         rng = np.random.default_rng(6)
@@ -91,14 +95,13 @@ class TestSmote:
 
 
 class TestInterpolateOracle:
-    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_row_loop(self, k, seed):
         rng = np.random.default_rng(seed)
-        n_rows = 1 if k == 0 else 8  # k = 0 only arises for a one-row class
-        rows = rng.normal(size=(n_rows, 3))
-        seeds = np.sort(rng.integers(0, n_rows, size=25))  # seeds repeat
-        table = _neighbor_table(rows, k) if k else None
+        rows = rng.normal(size=(8, 3))
+        seeds = np.sort(rng.integers(0, 8, size=25))  # seeds repeat
+        table = _neighbor_table(rows, k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         samples, provenance = _interpolate(rows, seeds, k, got_rng)
         want_samples, want_provenance = ref.interpolate_ref(rows, seeds, table, want_rng)
@@ -142,8 +145,7 @@ class TestRamo:
         ])
         labels = np.array([1] * 8 + [0] * 20)
         rng = np.random.default_rng(7)
-        batch = ramo(np.flatnonzero(labels == 1), features, labels, 10000,
-                     RamoConfig(k1=5), rng)
+        batch = ramo(np.flatnonzero(labels == 1), features, labels, 10000, rng, k1=5)
         counts = np.bincount([p[0] for p in batch.provenance], minlength=8)
         assert chisquare(counts).pvalue > 0.01
 
@@ -165,8 +167,7 @@ class TestRamo:
         w_a = logistic_weight(4, 0.3)
         expected = w_a / (w_a + 5 * 0.5)
         rng = np.random.default_rng(8)
-        batch = ramo(np.arange(6), features, labels, 10000,
-                     RamoConfig(k1=4, k2=3), rng)
+        batch = ramo(np.arange(6), features, labels, 10000, rng, k1=4, k2=3)
         freq = np.mean([p[0] == 0 for p in batch.provenance])
         assert freq == pytest.approx(expected, abs=0.02)
 
@@ -175,28 +176,30 @@ class TestRandomBalance:
     def test_size_preserved_over_draws(self):
         rng = np.random.default_rng(9)
         for trial in range(200):
-            n_a = int(rng.integers(2, 30))
-            n_b = int(rng.integers(2, 30))
-            a = rng.normal(size=(n_a, 2))
-            b = rng.normal(5.0, 1.0, size=(n_b, 2))
-            new_a, new_b = random_balance(a, b, k=5, rng=rng)
-            assert new_a.shape[0] + new_b.shape[0] == n_a + n_b
-            assert new_a.shape[0] >= 2 and new_b.shape[0] >= 2
+            counts = (int(rng.integers(2, 30)), int(rng.integers(2, 30)))
+            ds = _dataset(counts, seed=int(rng.integers(1 << 30)))
+            new = np.bincount(apply_multiclass(ds, "Ba-RB", rng).labels, minlength=2)
+            assert new.sum() == sum(counts)
+            assert (new >= 2).all()
 
-    def test_total_below_four_rejected(self):
-        with pytest.raises(ValueError):
-            random_balance(np.zeros((1, 2)), np.ones((2, 2)), rng=np.random.default_rng(0))
+    def test_total_below_four_unchanged(self):
+        # a one-row class cannot seed SMOTE, so it keeps its size, and the
+        # other class, alone in the draw, keeps the rest
+        ds = _dataset((1, 2))
+        out = apply_multiclass(ds, "Ba-RB", np.random.default_rng(0))
+        assert np.array_equal(out.features, ds.features)
+        assert np.array_equal(out.labels, ds.labels)
 
     def test_extreme_ratio_possible(self):
-        # scan seeds for the boundary draw newMajSize = 2
+        # scan seeds for the boundary draw of a class of 2
+        ds = _dataset((60, 40))
         found = False
         for seed in range(300):
-            rng = np.random.default_rng(seed)
-            a = np.random.default_rng(0).normal(size=(60, 2))
-            b = np.random.default_rng(1).normal(5.0, 1.0, size=(40, 2))
-            new_a, new_b = random_balance(a, b, k=5, rng=rng)
-            if new_a.shape[0] == 2:
-                assert new_b.shape[0] == 98
+            new = np.bincount(
+                apply_multiclass(ds, "Ba-RB", np.random.default_rng(seed)).labels, minlength=2
+            )
+            if new[0] == 2:
+                assert new[1] == 98
                 found = True
                 break
         assert found
@@ -274,3 +277,73 @@ class TestApplyMulticlass:
             b = apply_multiclass(ds, variant, np.random.default_rng(42))
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.labels, b.labels)
+
+
+def _assert_matches_ref(ds, variant, rng, **kwargs):
+    """Library and oracle give the same rows, labels and leave the same RNG."""
+    got_rng, want_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    got = resample_dataset(ds, variant, got_rng, **kwargs)
+    kept, synth_x, synth_y = ref.resample_dataset_ref(ds, variant, want_rng)
+    assert np.array_equal(got.kept_indices, kept)
+    assert np.array_equal(got.synthetic_features, synth_x)
+    assert np.array_equal(got.synthetic_labels, synth_y)
+    assert got.synthetic_labels.dtype == synth_y.dtype
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestResampleOracle:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_random_datasets(self, variant):
+        # sizes from a small menu, so empty classes, one-row classes and tied
+        # majorities all come up often
+        rng = np.random.default_rng(2024)
+        for trial in range(250):
+            n_classes = int(rng.integers(2, 6))
+            counts = rng.choice([0, 1, 1, 2, 3, 5, 8, 8, 13], size=n_classes)
+            if counts.sum() == 0:
+                counts[-1] = 1
+            ds = _dataset(tuple(counts.tolist()), seed=trial, d=int(rng.integers(1, 4)))
+            _assert_matches_ref(ds, variant, np.random.default_rng(int(rng.integers(1 << 30))))
+
+    def test_degenerate_count_patterns(self):
+        patterns = [(0, 1), (1, 1, 1), (1, 2), (2, 2), (0, 5, 5), (5, 1, 5, 0), (3, 0, 1, 3)]
+        for counts in patterns:
+            for variant in VARIANTS:
+                for seed in range(5):
+                    _assert_matches_ref(_dataset(counts, seed=seed), variant,
+                                        np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("name", ["glass", "ecoli"])
+    def test_pipeline_bootstraps_and_dsel(self, name):
+        # the bootstraps generate_pool draws and the DSEL input build_dsel
+        # resamples, at run_experiment's seeds (seed 20240601, replication 1)
+        ds = load_benchmark(name)
+        plan = stratified_5x2(ds, derive_seed(20240601, "split", ds.name))
+        for rep, fold, train_idx, _ in list(plan.folds())[:2]:
+            train, _, _ = standardize(ds.subset(train_idx), [])
+            size = int(np.ceil(BOOTSTRAP_FRACTION * train.n_samples))
+            for variant in VARIANTS:
+                seed = derive_seed(20240601, ds.name, variant, rep, fold)
+                for i in range(10):
+                    rng = make_rng(seed, "tree", i)
+                    idx, _ = _bootstrap(train, size, rng)
+                    _assert_matches_ref(train.subset(idx), variant, rng,
+                                        warn_degenerate=False)
+                _assert_matches_ref(train, variant, make_rng(seed, "dsel"))
+
+    def test_all_one_row_classes_are_silent(self, caplog):
+        # no class needs to grow, so nothing warns that it cannot oversample
+        ds = _dataset((1, 1, 1))
+        for variant in VARIANTS:
+            with caplog.at_level("DEBUG"):
+                out = apply_multiclass(ds, variant, np.random.default_rng(0))
+            assert np.array_equal(out.labels, ds.labels)
+        assert not any("cannot oversample" in r.message for r in caplog.records)
+
+    def test_empty_class_stays_empty_and_silent(self, caplog):
+        ds = _dataset((0, 5, 2))
+        for variant in VARIANTS:
+            with caplog.at_level("DEBUG"):
+                out = apply_multiclass(ds, variant, np.random.default_rng(0))
+            assert np.bincount(out.labels, minlength=3)[0] == 0
+        assert not any("cannot oversample" in r.message for r in caplog.records)
