@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
                 print(f"error: {p}", file=sys.stderr)
             return 1
         summary = run_experiment(cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, IncompleteGridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(

@@ -66,7 +66,6 @@ class RunConfig:
     k: int = 7
     seed: int = 0
     csv_label_column: int = -1
-    score_mode: str = "support"  # or "onehot": score AUC on the voted label
     data_dir: str = ""
 
     def canonical_text(self) -> str:
@@ -143,8 +142,6 @@ def validate_config(cfg: RunConfig) -> list:
         problems.append("pool_size must be >= 1")
     if cfg.k < 1:
         problems.append("k must be >= 1")
-    if cfg.score_mode not in ("support", "onehot"):
-        problems.append("score_mode must be 'support' or 'onehot'")
     return problems
 
 
@@ -179,6 +176,15 @@ class RunSummary:
     failed_datasets: list = field(default_factory=list)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it into
+    place, so a crash leaves the old file or none, never a prefix. The
+    temporary file of an earlier crash is overwritten."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def _drop_torn_tail(path: Path) -> None:
     """Cut an unterminated last line, left by a write cut short, off the file."""
     content = path.read_bytes() if path.exists() else b""
@@ -188,49 +194,92 @@ def _drop_torn_tail(path: Path) -> None:
         os.truncate(path, end)
 
 
-def _existing_keys(path: Path) -> set:
-    keys = set()
+def _read_records(path: Path) -> list:
+    """The complete rows of a results file; an absent, empty or header-only
+    file holds none, and a foreign header is refused."""
     if not path.exists():
-        return keys
+        return []
     with path.open() as fh:
-        fh.readline()  # header
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) == len(RECORD_COLUMNS):
-                keys.add(tuple(parts[:6]))
-    return keys
+        header = fh.readline()
+        if header and tuple(header.rstrip("\n").split("\t")) != RECORD_COLUMNS:
+            raise IncompleteGridError(f"unexpected results header in {path}")
+        rows = (line.rstrip("\n").split("\t") for line in fh)
+        return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)]
 
 
-def _evaluate_selector(ctx, queries, selector, scfg, score_mode, n_classes):
-    labels = np.empty(len(queries), dtype=int)
-    scores = np.empty((len(queries), n_classes))
-    for qi, query in enumerate(queries):
-        result = run_selector(selector, ctx, query, scfg)
-        labels[qi] = result.predicted_class
-        if score_mode == "support":
+def _plan(cfg: RunConfig, dataset: Dataset, done: set):
+    """The folds of `dataset` that still miss a record, in grid order.
+
+    Yields (rep, fold, train, test, params, cells): the two halves
+    standardized on the training half, its scaling parameters, and one
+    (variant, selectors missing a metric) cell per variant with work left.
+    """
+    variants = tuple(normalize_variant(v) for v in cfg.variants)
+    selectors = tuple(normalize_selector(s) for s in cfg.selectors)
+    split = stratified_5x2(dataset, derive_seed(cfg.seed, "split", dataset.name))
+    for rep, fold, train_idx, test_idx in split.folds():
+        cells = []
+        for variant in variants:
+            missing = [
+                s for s in selectors
+                if any((dataset.name, variant, s, str(rep + 1), fold, m) not in done
+                       for m in cfg.metrics)
+            ]
+            if missing:
+                cells.append((variant, missing))
+        if cells:
+            train, (test,), params = standardize(
+                dataset.subset(train_idx), [dataset.subset(test_idx)]
+            )
+            yield rep, fold, train, test, params, cells
+
+
+def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
+                  rep: int, fold: str, selectors) -> list:
+    """Score `selectors` on one (dataset, replication, fold, variant) cell.
+
+    Grows the pool and the DSEL from the standardized training half, trains
+    META-DES only when it is asked for, and runs each selector over the test
+    half. The cell's randomness comes only from its derived seed. Returns
+    (selector, {metric: value}, wall_time_s) per selector; wall_time_s is
+    that selector's selection plus scoring.
+    """
+    fold_seed = derive_seed(cfg.seed, train.name, variant, rep, fold)
+    pool = generate_pool(train, variant, cfg.pool_size, TreeConfig(), fold_seed)
+    ctx = SelectionContext(pool, build_dsel(train, variant, fold_seed))
+    scfg = SelectorConfig(k=cfg.k, seed=derive_seed(fold_seed, "selector"))
+    if "META-DES" in selectors:
+        ctx.meta = train_meta_classifier(ctx, train, k=scfg.k, kp=scfg.meta_kp)
+    queries = ctx.make_queries(test.features, scfg.k)
+    scored = []
+    for selector in selectors:
+        start = time.perf_counter()
+        labels = np.empty(len(queries), dtype=int)
+        scores = np.empty((len(queries), train.n_classes))
+        for qi, query in enumerate(queries):
+            result = run_selector(selector, ctx, query, scfg)
+            labels[qi] = result.predicted_class
             scores[qi] = result.aggregate_score(query)
-        else:
-            scores[qi] = 0.0
-            scores[qi, result.predicted_class] = 1.0
-    return labels, scores
-
-
-def _metric_value(metric, labels_pred, scores, labels_true):
-    if metric == "auc":
-        return auc_multiclass(scores, labels_true)
-    if metric == "fmeasure":
-        return f_measure_weighted(labels_pred, labels_true)
-    return g_mean(labels_pred, labels_true)
+        values = {}
+        for metric in cfg.metrics:
+            if metric == "auc":
+                values[metric] = auc_multiclass(scores, test.labels)
+            elif metric == "fmeasure":
+                values[metric] = f_measure_weighted(labels, test.labels)
+            else:
+                values[metric] = g_mean(labels, test.labels)
+        scored.append((selector, values, time.perf_counter() - start))
+    return scored
 
 
 def run_experiment(cfg: RunConfig) -> RunSummary:
     """Execute the full grid, appending records not yet present on disk.
 
-    Per dataset: 5x2 stratified splits; per fold: standardize on the training
-    half, generate one pool and one DSEL per variant, evaluate every selector
-    on the held-out half, and append one record per metric. The record key
-    (dataset, variant, selector, replication, fold, metric) makes resumption
-    idempotent. The `fold` column names the tested half.
+    `_plan` yields the folds with records missing, `evaluate_cell` scores
+    each of their cells, and the loop below appends a cell's missing records
+    and flushes. The record key (dataset, variant, selector, replication,
+    fold, metric) makes resumption idempotent. The `fold` column names the
+    tested half.
     """
     problems = validate_config(cfg)
     if problems:
@@ -239,24 +288,19 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / RESULTS_FILE
     manifest_path = out_dir / MANIFEST_FILE
-    digest = config_hash(cfg)
-    if manifest_path.exists():
-        recorded = manifest_path.read_text().partition("\n")[0]
-        if recorded != f"config_hash = {digest}":
-            raise ConfigError(
-                f"output directory {out_dir} belongs to a different configuration"
-            )
-    else:
-        manifest_path.write_text(
-            f"config_hash = {digest}\ncode_version = {__version__}\n"
-            f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
-        )
+    hash_line = f"config_hash = {config_hash(cfg)}"
+    has_manifest = manifest_path.exists()
+    if has_manifest and manifest_path.read_text().partition("\n")[0] != hash_line:
+        raise ConfigError(f"output directory {out_dir} belongs to a different configuration")
     _drop_torn_tail(results_path)
-    done = _existing_keys(results_path)
+    done = {tuple(parts[:6]) for parts in _read_records(results_path)}
+    if not has_manifest:  # written only once the results file is known to be ours
+        _write_atomic(manifest_path, (
+            f"{hash_line}\ncode_version = {__version__}\n"
+            f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
+        ))
     summary = RunSummary(results_path=results_path, records_skipped=len(done))
     new_file = not results_path.exists() or results_path.stat().st_size == 0
-    variants = tuple(normalize_variant(v) for v in cfg.variants)
-    selectors = tuple(normalize_selector(s) for s in cfg.selectors)
 
     with results_path.open("a") as out:
         if new_file:
@@ -270,96 +314,27 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 continue
             logger.info("dataset %s: %d samples, %d classes",
                         dataset.name, dataset.n_samples, dataset.n_classes)
-            plan = stratified_5x2(dataset, derive_seed(cfg.seed, "split", dataset.name))
-            for rep, fold_name, train_idx, test_idx in plan.folds():
-                cell_keys = {
-                    (variant, selector, metric): (
-                        dataset.name, variant, selector, str(rep + 1), fold_name, metric
-                    )
-                    for variant in variants
-                    for selector in selectors
-                    for metric in cfg.metrics
-                }
-                if all(key in done for key in cell_keys.values()):
-                    continue
-                train = dataset.subset(train_idx)
-                test = dataset.subset(test_idx)
-                train_s, (test_s,), params = standardize(train, [test])
-                scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold_name}.txt"
+            for rep, fold, train, test, params, cells in _plan(cfg, dataset, done):
+                scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold}.txt"
                 if not scaling_path.exists():
-                    scaling_path.write_text(params.to_text())
-                for variant in variants:
-                    needed = [
-                        s for s in selectors
-                        if any(
-                            cell_keys[(variant, s, m)] not in done for m in cfg.metrics
-                        )
-                    ]
-                    if not needed:
-                        continue
-                    fold_seed = derive_seed(
-                        cfg.seed, dataset.name, variant, rep, fold_name
-                    )
-                    pool = generate_pool(
-                        train_s, variant, cfg.pool_size, TreeConfig(), fold_seed
-                    )
-                    dsel = build_dsel(train_s, variant, fold_seed)
-                    ctx = SelectionContext(pool, dsel)
-                    scfg = SelectorConfig(
-                        k=cfg.k, seed=derive_seed(fold_seed, "selector")
-                    )
-                    if "META-DES" in needed:
-                        ctx.meta = train_meta_classifier(
-                            ctx, train_s, k=scfg.k, kp=scfg.meta_kp
-                        )
-                    queries = ctx.make_queries(test_s.features, scfg.k)
-                    for selector in needed:
-                        start = time.perf_counter()
-                        labels, scores = _evaluate_selector(
-                            ctx, queries, selector, scfg, cfg.score_mode,
-                            dataset.n_classes,
-                        )
-                        values = {
-                            m: _metric_value(m, labels, scores, test_s.labels)
-                            for m in cfg.metrics
-                        }
-                        elapsed = time.perf_counter() - start
+                    _write_atomic(scaling_path, params.to_text())
+                for variant, selectors in cells:
+                    scored = evaluate_cell(cfg, train, test, variant, rep, fold, selectors)
+                    for selector, values, seconds in scored:
                         for metric in cfg.metrics:
-                            key = cell_keys[(variant, selector, metric)]
-                            if key in done:
-                                continue
-                            out.write(
-                                "\t".join(key)
-                                + f"\t{values[metric]:.12g}\t{elapsed:.3f}\n"
-                            )
-                            done.add(key)
-                            summary.records_written += 1
+                            key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
+                            if key not in done:
+                                out.write("\t".join(key)
+                                          + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
+                                summary.records_written += 1
                     out.flush()
-                logger.info(
-                    "%s replication %d fold %s done", dataset.name, rep + 1, fold_name
-                )
+                logger.info("%s replication %d fold %s done", dataset.name, rep + 1, fold)
     return summary
 
 
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------
-
-
-def _read_records(input_dir: Path):
-    path = Path(input_dir) / RESULTS_FILE
-    if not path.exists():
-        raise IncompleteGridError(f"no {RESULTS_FILE} in {input_dir}")
-    records = []
-    with path.open() as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if tuple(header) != RECORD_COLUMNS:
-            raise IncompleteGridError(f"unexpected results header in {path}")
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) == len(RECORD_COLUMNS):
-                records.append(parts)
-    return records
 
 
 def _manifest_config(input_dir: Path) -> RunConfig:
@@ -406,7 +381,10 @@ def make_report(input_dir, metric: str) -> str:
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
     input_dir = Path(input_dir)
-    records = _read_records(input_dir)
+    results_path = input_dir / RESULTS_FILE
+    if not results_path.exists():
+        raise IncompleteGridError(f"no {RESULTS_FILE} in {input_dir}")
+    records = _read_records(results_path)
     cfg = _manifest_config(input_dir)
     variants = tuple(normalize_variant(v) for v in cfg.variants)
     selectors = tuple(normalize_selector(s) for s in cfg.selectors)

@@ -12,7 +12,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_wraps_and_calls_resolve():
+def _perfbench():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
@@ -20,6 +20,11 @@ def test_benchmark_wraps_and_calls_resolve():
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
+    return layers, spans, workloads
+
+
+def test_benchmark_wraps_and_calls_resolve():
+    layers, spans, workloads = _perfbench()
     from desbal import experiment, selection
 
     tracer = spans.Tracer()
@@ -39,3 +44,29 @@ def test_benchmark_wraps_and_calls_resolve():
     ]:
         inspect.signature(fn).bind(*args, **kwargs)
     assert len(selection.SELECTOR_NAMES) == 15
+
+
+def test_traced_run_opens_every_span(tmp_path):
+    """A traced run still reaches every wrapped call site of the runner."""
+    layers, spans, _ = _perfbench()
+    from desbal import experiment
+
+    cfg = experiment.RunConfig(
+        datasets=("builtin:glass",), output=str(tmp_path / "run"),
+        variants=("Ba", "Ba-SM"), selectors=("STATIC", "KNU", "META-DES"),
+        metrics=("auc", "fmeasure", "gmean"), pool_size=3,
+    )
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        experiment.run_experiment(cfg)
+    finally:
+        tracer.unwrap_all()
+    assert set(tracer.names) == {
+        "benchmarks.load", "data.split", "data.standardize", "experiment.run",
+        "metrics.score", "pool.build_dsel", "pool.generate", "pool.predict",
+        "resampling.apply", "resampling.resample", "selection.aggregate",
+        "selection.context", "selection.make_queries", "selection.meta_train",
+        "selection.select.KNU", "selection.select.META-DES",
+        "selection.select.STATIC", "tree.fit",
+    }

@@ -73,6 +73,15 @@ def test_run_partial_failure_exit_code(workspace, capsys):
     assert main(["run", "--config", str(conf2)]) == 2
 
 
+def test_run_refuses_foreign_results_file(workspace, capsys):
+    tmp_path, config = workspace
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "results.tsv").write_text("id\tscore\n1\t0.5\n")
+    assert main(["run", "--config", str(config)]) == 1
+    assert "unexpected results header" in capsys.readouterr().err
+    assert (tmp_path / "out" / "results.tsv").read_text() == "id\tscore\n1\t0.5\n"
+
+
 def test_report_missing_input(tmp_path, capsys):
     assert main(["report", "--input", str(tmp_path / "nope"), "--metric", "gmean"]) == 1
 

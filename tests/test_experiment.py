@@ -1,15 +1,20 @@
 """Runner configuration, record persistence, resumption and reporting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from desbal.experiment import (
+    RECORD_COLUMNS,
     ConfigError,
     IncompleteGridError,
     RunConfig,
+    _plan,
     config_hash,
     make_report,
     parse_config_text,
+    resolve_dataset,
     run_experiment,
     validate_config,
 )
@@ -187,6 +192,109 @@ class TestRun:
         )
         with pytest.raises(ConfigError, match="different configuration"):
             run_experiment(cfg)
+
+    def test_resume_recomputes_one_deleted_cell(self, csv_dataset, tmp_path):
+        cfg = _config(csv_dataset, tmp_path / "cell")
+        run_experiment(cfg)
+        path = tmp_path / "cell" / "results.tsv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        full = {tuple(r.split("\t")[:6]): r.split("\t")[6] for r in rows}
+        # one (dataset, replication, fold, variant) cell from the middle
+        cell = ("toy", "Ba-SM", "3", "A")
+
+        def in_cell(row):
+            d, v, _s, rep, fold = row.split("\t")[:5]
+            return (d, v, rep, fold) == cell
+
+        kept = [r for r in rows if not in_cell(r)]
+        deleted = len(rows) - len(kept)
+        assert deleted == 9 and not in_cell(rows[-1])
+        path.write_text(header + "".join(kept))
+
+        done = {tuple(r.split("\t")[:6]) for r in kept}
+        planned = [
+            (rep, fold, cells)
+            for rep, fold, _train, _test, _params, cells
+            in _plan(cfg, resolve_dataset(str(csv_dataset), cfg), done)
+        ]
+        assert planned == [(2, "A", [("Ba-SM", ["STATIC", "KNU", "RANK"])])]
+
+        summary = run_experiment(cfg)
+        assert summary.records_written == deleted
+        assert summary.records_skipped == len(kept)
+        rows = path.read_text().splitlines()[1:]
+        assert {tuple(r.split("\t")[:6]): r.split("\t")[6] for r in rows} == full
+
+    @pytest.mark.parametrize("cut", [0, 5, 20, -30])
+    def test_interrupted_manifest_write_resumes(self, csv_dataset, tmp_path,
+                                                monkeypatch, cut):
+        cfg = _config(csv_dataset, tmp_path / "crash")
+        _crash_writes(monkeypatch, "config_hash = ", cut)
+        with pytest.raises(OSError, match="crash"):
+            run_experiment(cfg)
+        monkeypatch.undo()
+        summary = run_experiment(cfg)
+        assert summary.records_written == 180
+        for metric in ("auc", "fmeasure", "gmean"):
+            make_report(tmp_path / "crash", metric)
+        assert not list((tmp_path / "crash").glob("*.tmp"))
+
+    def test_interrupted_scaling_write_rewritten(self, csv_dataset, tmp_path,
+                                                 monkeypatch):
+        clean = _config(csv_dataset, tmp_path / "clean")
+        run_experiment(clean)
+        cfg = _config(csv_dataset, tmp_path / "torn")
+        _crash_writes(monkeypatch, "mean=", 5)
+        with pytest.raises(OSError, match="crash"):
+            run_experiment(cfg)
+        monkeypatch.undo()
+        run_experiment(cfg)
+        scaling = sorted(p.name for p in (tmp_path / "clean").glob("scaling_*"))
+        assert len(scaling) == 10
+        assert sorted(p.name for p in (tmp_path / "torn").glob("scaling_*")) == scaling
+        for name in scaling:
+            assert (tmp_path / "torn" / name).read_text() == (
+                tmp_path / "clean" / name
+            ).read_text()
+
+    def test_foreign_results_header_refused(self, csv_dataset, tmp_path):
+        cfg = _config(csv_dataset, tmp_path / "foreign")
+        path = tmp_path / "foreign" / "results.tsv"
+        path.parent.mkdir()
+        foreign = "id\tscore\n1\t0.5\n"
+        path.write_text(foreign)
+        with pytest.raises(IncompleteGridError, match="unexpected results header"):
+            run_experiment(cfg)
+        assert path.read_text() == foreign
+        assert not (tmp_path / "foreign" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("content", ["", "\t".join(RECORD_COLUMNS) + "\n"])
+    def test_empty_or_header_only_results_hold_no_records(self, csv_dataset,
+                                                          tmp_path, content):
+        cfg = _config(csv_dataset, tmp_path / "bare")
+        path = tmp_path / "bare" / "results.tsv"
+        path.parent.mkdir()
+        path.write_text(content)
+        summary = run_experiment(cfg)
+        assert (summary.records_written, summary.records_skipped) == (180, 0)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "\t".join(RECORD_COLUMNS)
+        assert lines.count(lines[0]) == 1
+
+
+def _crash_writes(monkeypatch, prefix, cut):
+    """Make every `Path.write_text` of text that starts with `prefix` write
+    only its first `cut` characters (counted from the end if negative) and
+    then raise, as a crash part-way through the write would leave it."""
+    write_text = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        if data.startswith(prefix):
+            write_text(self, data[:cut])
+            raise OSError(f"simulated crash writing {self.name}")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
 
 
 def _craft_records(tmp_path, values):
