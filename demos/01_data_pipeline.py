@@ -1,18 +1,13 @@
 """Ingesting an imbalanced dataset and preparing 5x2 cross-validation folds.
 
-Walks through the data layer: Keel parsing, one-hot encoding of nominal
-attributes, leakage-free standardization, and the stratified 5x2 split plan.
+Walks through the data layer: Keel parsing (nominal attributes arrive as
+one-hot indicator columns), leakage-free standardization, and the stratified
+5x2 split plan.
 """
 
 import numpy as np
 
-from desbal import (
-    ImbalanceProfile,
-    encode_nominals,
-    parse_keel,
-    standardize,
-    stratified_5x2,
-)
+from desbal import ImbalanceProfile, parse_keel, standardize, stratified_5x2
 from desbal.benchmarks import load_benchmark
 
 # --- a tiny Keel file with a nominal attribute -----------------------------
@@ -34,14 +29,12 @@ KEEL_TEXT = """@relation toy-imbalanced
 8.2, green, rare
 """
 
+# the nominal colour becomes one indicator column per category (red, green,
+# blue) so Euclidean distances stay honest
 ds = parse_keel(KEEL_TEXT, name="toy")
-print(f"parsed {ds.name}: {ds.n_samples} rows, {ds.n_features} attributes, "
-      f"classes {ds.class_names}")
-
-# nominal columns become indicator blocks so Euclidean distances stay honest
-encoded = encode_nominals(ds)
-print(f"after one-hot encoding: {encoded.n_features} numeric features")
-print(encoded.features[:3])
+print(f"parsed {ds.name}: {ds.n_samples} rows, {ds.n_features} numeric features "
+      f"(width + 3 colour indicators), classes {ds.class_names}")
+print(ds.features[:3])
 
 # --- the benchmark catalogue ------------------------------------------------
 

@@ -29,7 +29,7 @@ for variant in VARIANTS:
 # --- SMOTE interpolation provenance -------------------------------------------
 
 minority = ds.features[ds.labels == 2]
-batch = smote_exact(minority, len(minority), 5, np.random.default_rng(1), class_id=2)
+batch = smote_exact(minority, len(minority), 5, np.random.default_rng(1))
 print(f"\nSMOTE at 100% produced {len(batch)} synthetic rows for the rare class")
 print("provenance (row = seed + gap * (neighbour - seed)):")
 print(batch.provenance_csv()[:160] + "...")

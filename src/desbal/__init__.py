@@ -4,20 +4,18 @@ regions for multi-class imbalanced classification."""
 __version__ = "0.1.0"
 
 from .data import (
-    AttributeSpec,
     DataFormatError,
     Dataset,
     ImbalanceProfile,
     ScalingParams,
     SplitPlan,
-    encode_nominals,
     parse_csv,
     parse_keel,
     standardize,
     stratified_5x2,
 )
 from .metrics import METRIC_NAMES, auc_multiclass, f_measure_weighted, g_mean
-from .pool import DselSet, Pool, build_dsel, generate_pool, load_pool, save_pool
+from .pool import Pool, build_dsel, generate_pool, load_pool, save_pool
 from .resampling import (
     SyntheticBatch,
     VARIANTS,

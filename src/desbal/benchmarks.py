@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeSpec, Dataset, parse_keel
+from .data import Dataset, parse_keel
 from .rng import make_rng
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,6 @@ def _load_wine_real() -> Dataset | None:
         features=raw.data,
         labels=raw.target,
         class_names=tuple(str(c) for c in raw.target_names),
-        attribute_specs=tuple(AttributeSpec("numeric") for _ in range(raw.data.shape[1])),
     )
 
 
@@ -78,7 +77,6 @@ def synthetic_like(name: str) -> Dataset:
         features=np.vstack(blocks),
         labels=np.concatenate(labels),
         class_names=tuple(f"c{c}" for c in range(L)),
-        attribute_specs=tuple(AttributeSpec("numeric") for _ in range(d)),
     ).validate()
 
 

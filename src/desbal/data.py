@@ -1,7 +1,7 @@
-"""Dataset model, Keel/CSV ingestion, encoding, scaling and 5x2 splitting."""
+"""Dataset model, Keel/CSV ingestion, scaling and 5x2 splitting."""
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,31 +13,17 @@ class DataFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class AttributeSpec:
-    """Per-column descriptor: numeric, or nominal with its category list."""
-
-    kind: str  # "numeric" | "nominal"
-    categories: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("numeric", "nominal"):
-            raise ValueError(f"unknown attribute kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix plus integer class labels.
+    """Immutable numeric feature matrix plus integer class labels.
 
     `labels` are class ids in [0, n_classes); `class_names` fixes the id
-    order. `attribute_specs` describes each feature column; after one-hot
-    encoding all columns are numeric.
+    order. A training set, a test set and a DSEL are all Datasets.
     """
 
     name: str
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple
-    attribute_specs: tuple = field(default=())
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -133,19 +119,18 @@ def _parse_keel_attribute(line: str):
         close = body.rfind("}")
         if not name or close < brace:
             raise DataFormatError(f"malformed @attribute line: {line!r}")
-        categories = tuple(c.strip() for c in body[brace + 1 : close].split(","))
-        return name, AttributeSpec("nominal", categories)
-    return body.split()[0], AttributeSpec("numeric")
+        return name, tuple(c.strip() for c in body[brace + 1 : close].split(","))
+    return body.split()[0], None
 
 
 def parse_keel(text: str, name: str = "dataset") -> Dataset:
     """Parse a Keel `.dat` file into a Dataset.
 
     The class column is the declared `@outputs` attribute (last column when
-    absent). Nominal feature columns keep their declared category order for
-    later one-hot encoding; the class attribute's declaration order fixes the
-    class ids. Rows containing the `?` missing marker are dropped with a
-    logged count.
+    absent). A nominal feature becomes one indicator column per category, in
+    declared order; the class attribute's declaration order fixes the class
+    ids. Rows containing the `?` missing marker are dropped with a logged
+    count.
     """
     attr_names, attr_specs = [], []
     relation = name
@@ -197,9 +182,9 @@ def parse_csv(text: str, label_column: int = -1, name: str = "dataset") -> Datas
     """Parse a rectangular CSV table; `label_column` selects the class column.
 
     Column types are inferred: numeric when every value parses as a float,
-    nominal otherwise (categories in first-appearance order). A first row
-    whose cells fail that inference while the rest of the column is numeric
-    is treated as a header and skipped.
+    nominal otherwise, with one indicator column per category in
+    first-appearance order. A first row whose cells fail that inference while
+    the rest of the column is numeric is treated as a header and skipped.
     """
     rows = [
         [cell.strip() for cell in line.split(",")]
@@ -220,11 +205,8 @@ def parse_csv(text: str, label_column: int = -1, name: str = "dataset") -> Datas
     specs = []
     for j in range(width):
         column = [row[j] for row in rows if row[j] != MISSING_MARKER]
-        if column and all(_is_float(v) for v in column):
-            specs.append(AttributeSpec("numeric"))
-        else:
-            seen = dict.fromkeys(column)  # first-appearance order
-            specs.append(AttributeSpec("nominal", tuple(seen)))
+        numeric = column and all(_is_float(v) for v in column)
+        specs.append(None if numeric else tuple(dict.fromkeys(column)))
     return _assemble(name, rows, specs, label_idx, f"col{label_idx}")
 
 
@@ -247,7 +229,12 @@ def _is_float(value: str) -> bool:
 
 
 def _assemble(name, rows, specs, label_idx, label_name) -> Dataset:
-    """Shared tail of both parsers: drop missing, encode cells, build Dataset."""
+    """Shared tail of both parsers: drop missing, encode cells, build Dataset.
+
+    `specs[j]` is None for a numeric column and the category tuple of a
+    nominal one. A nominal feature is written as one indicator column per
+    category, in place; a cell sets the column of its first match.
+    """
     width = len(specs)
     kept, dropped = [], 0
     for i, row in enumerate(rows):
@@ -262,80 +249,41 @@ def _assemble(name, rows, specs, label_idx, label_name) -> Dataset:
     if not kept:
         raise DataFormatError("empty data section")
 
-    label_spec = specs[label_idx]
-    if label_spec.kind == "nominal":
-        class_names = label_spec.categories
-        class_id = {c: i for i, c in enumerate(class_names)}
-    else:
-        values = sorted({row[label_idx] for row in kept}, key=float)
-        class_names = tuple(values)
-        class_id = {c: i for i, c in enumerate(class_names)}
+    class_names = specs[label_idx]
+    if class_names is None:
+        class_names = tuple(sorted({row[label_idx] for row in kept}, key=float))
+    class_id = {c: i for i, c in enumerate(class_names)}
     if len(class_names) < 2:
         raise DataFormatError("fewer than 2 classes")
 
-    feature_specs = tuple(s for j, s in enumerate(specs) if j != label_idx)
-    n, d = len(kept), width - 1
-    features = np.empty((n, d), dtype=float)
-    labels = np.empty(n, dtype=int)
+    columns = [j for j in range(width) if j != label_idx]
+    starts = np.cumsum([0] + [1 if specs[j] is None else len(specs[j]) for j in columns])
+    features = np.zeros((len(kept), starts[-1]))
+    labels = np.empty(len(kept), dtype=int)
     for i, row in enumerate(kept):
         cell = row[label_idx]
         if cell not in class_id:
             raise DataFormatError(f"unknown class value {cell!r} in column {label_name}")
         labels[i] = class_id[cell]
-        k = 0
-        for j, spec in enumerate(specs):
-            if j == label_idx:
-                continue
-            if spec.kind == "numeric":
+        for j, start in zip(columns, starts):
+            categories = specs[j]
+            if categories is None:
                 try:
-                    features[i, k] = float(row[j])
+                    features[i, start] = float(row[j])
                 except ValueError:
                     raise DataFormatError(
                         f"non-numeric cell {row[j]!r} in numeric column {j}"
                     ) from None
+            elif row[j] in categories:
+                features[i, start + categories.index(row[j])] = 1.0
             else:
-                if row[j] not in spec.categories:
-                    raise DataFormatError(
-                        f"unknown nominal category {row[j]!r} in column {j}"
-                    )
-                features[i, k] = spec.categories.index(row[j])
-            k += 1
-    ds = Dataset(
-        name=name,
-        features=features,
-        labels=labels,
-        class_names=class_names,
-        attribute_specs=feature_specs,
-    )
-    return ds.validate()
+                raise DataFormatError(f"unknown nominal category {row[j]!r} in column {j}")
+    return Dataset(name, features, labels, class_names).validate()
 
 
 # ---------------------------------------------------------------------------
-# Encoding and scaling
+# Scaling
 # ---------------------------------------------------------------------------
-
-
-def encode_nominals(dataset: Dataset) -> Dataset:
-    """Replace each nominal column by one indicator column per category."""
-    if all(s.kind == "numeric" for s in dataset.attribute_specs):
-        return dataset
-    blocks, new_specs = [], []
-    for j, spec in enumerate(dataset.attribute_specs):
-        col = dataset.features[:, j]
-        if spec.kind == "numeric":
-            blocks.append(col[:, None])
-            new_specs.append(spec)
-        else:
-            c = len(spec.categories)
-            onehot = np.zeros((dataset.n_samples, c))
-            onehot[np.arange(dataset.n_samples), col.astype(int)] = 1.0
-            blocks.append(onehot)
-            new_specs.extend(AttributeSpec("numeric") for _ in range(c))
-    return replace(
-        dataset,
-        features=np.hstack(blocks),
-        attribute_specs=tuple(new_specs),
-    )
 
 
 @dataclass(frozen=True)

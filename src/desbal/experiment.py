@@ -13,8 +13,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import load_benchmark
 from .data import (
-    FOLDS, REPLICATIONS, Dataset, encode_nominals, parse_csv, parse_keel, standardize,
-    stratified_5x2,
+    FOLDS, REPLICATIONS, Dataset, parse_csv, parse_keel, standardize, stratified_5x2,
 )
 from .metrics import METRIC_NAMES, auc_multiclass, f_measure_weighted, g_mean
 from .pool import build_dsel, generate_pool
@@ -41,6 +40,7 @@ RECORD_COLUMNS = (
     "metric", "value", "wall_time_s",
 )
 
+HEADER_LINE = "\t".join(RECORD_COLUMNS) + "\n"
 RESULTS_FILE = "results.tsv"
 MANIFEST_FILE = "manifest.txt"
 
@@ -152,15 +152,11 @@ def config_hash(cfg: RunConfig) -> str:
 def resolve_dataset(spec: str, cfg: RunConfig) -> Dataset:
     """Turn one dataset entry (builtin:<name> or a file path) into a Dataset."""
     if spec.startswith("builtin:"):
-        ds = load_benchmark(spec.split(":", 1)[1], data_dir=cfg.data_dir or None)
-    else:
-        path = Path(spec)
-        text = path.read_text()
-        if path.suffix.lower() == ".csv":
-            ds = parse_csv(text, cfg.csv_label_column, name=path.stem)
-        else:
-            ds = parse_keel(text, name=path.stem)
-    return encode_nominals(ds).validate()
+        return load_benchmark(spec.split(":", 1)[1], data_dir=cfg.data_dir or None)
+    path = Path(spec)
+    if path.suffix.lower() == ".csv":
+        return parse_csv(path.read_text(), cfg.csv_label_column, name=path.stem)
+    return parse_keel(path.read_text(), name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +182,15 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line, left by a write cut short, off the file."""
+    """Cut an unterminated last line, left by a write cut short, off the file.
+
+    The header is checked first, so a foreign file is refused untouched: an
+    unterminated first line is torn only while it is a prefix of the header.
+    """
     content = path.read_bytes() if path.exists() else b""
+    first = content[: content.find(b"\n") + 1] or content  # with its newline, if any
+    if not HEADER_LINE.encode().startswith(first):
+        raise IncompleteGridError(f"unexpected results header in {path}")
     end = content.rfind(b"\n") + 1
     if end < len(content):
         logger.warning("%s: dropping the torn last line %r", path, content[end:])
@@ -304,7 +307,7 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
 
     with results_path.open("a") as out:
         if new_file:
-            out.write("\t".join(RECORD_COLUMNS) + "\n")
+            out.write(HEADER_LINE)
         for spec in cfg.datasets:
             try:
                 dataset = resolve_dataset(spec, cfg)

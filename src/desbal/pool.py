@@ -51,19 +51,6 @@ class Pool:
         return np.stack([np.atleast_2d(tree.predict_support(X)) for tree in self.classifiers])
 
 
-@dataclass(frozen=True)
-class DselSet:
-    """Labelled set over which per-query competence is estimated."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    source: str
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-
 def _bootstrap(train: Dataset, size: int, rng) -> tuple:
     """Half-size bootstrap; redraw a few times if a training class vanishes.
 
@@ -110,23 +97,20 @@ def generate_pool(train: Dataset, variant: str, pool_size: int = 100,
     )
 
 
-def build_dsel(train: Dataset, variant: str, seed: int = 0) -> DselSet:
-    """Training set augmented by the variant's synthetic rows.
+def build_dsel(train: Dataset, variant: str, seed: int = 0) -> Dataset:
+    """Training set augmented by the variant's synthetic rows, as a Dataset
+    named `<train>+<variant>`.
 
-    Every original training row is always present; Random Balance contributes
-    only its synthetic portion (its undersampling step is ignored here so the
-    competence set never loses real samples).
+    Every original training row is always present, first and in order;
+    Random Balance contributes only its synthetic portion (its undersampling
+    step is ignored here so the competence set never loses real samples).
     """
     variant = normalize_variant(variant)
     rng = make_rng(seed, "dsel")
     result = resample_dataset(train, variant, rng)
     features = np.vstack([train.features, result.synthetic_features])
     labels = np.concatenate([train.labels, result.synthetic_labels])
-    return DselSet(
-        features=features,
-        labels=labels,
-        source=f"{train.name}+{variant}",
-    )
+    return train.with_rows(features, labels, name=f"{train.name}+{variant}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class SyntheticBatch:
     """
 
     samples: np.ndarray
-    class_id: int
     provenance: tuple
 
     def __len__(self) -> int:
@@ -58,10 +57,8 @@ class SyntheticBatch:
         return "\n".join(lines) + "\n"
 
 
-def _empty_batch(n_features: int, class_id: int) -> SyntheticBatch:
-    return SyntheticBatch(
-        samples=np.empty((0, n_features)), class_id=class_id, provenance=()
-    )
+def _empty_batch(n_features: int) -> SyntheticBatch:
+    return SyntheticBatch(samples=np.empty((0, n_features)), provenance=())
 
 
 def rus(samples, target_size: int, rng) -> np.ndarray:
@@ -92,7 +89,7 @@ def _interpolate(rows, seeds, k_neighbors, rng):
     return samples, tuple(zip(seeds.tolist(), picks.tolist(), gaps.tolist()))
 
 
-def smote_exact(rows, amount: int, k: int, rng, class_id: int = 0) -> SyntheticBatch:
+def smote_exact(rows, amount: int, k: int, rng) -> SyntheticBatch:
     """Generate exactly `amount` synthetic rows from `rows`.
 
     Each row seeds `amount // len(rows)` interpolations; the remainder comes
@@ -104,7 +101,7 @@ def smote_exact(rows, amount: int, k: int, rng, class_id: int = 0) -> SyntheticB
     if amount < 0 or k < 1:
         raise ValueError("amount must be >= 0 and k >= 1")
     if amount == 0:
-        return _empty_batch(rows.shape[1] if rows.ndim == 2 else 0, class_id)
+        return _empty_batch(rows.shape[1] if rows.ndim == 2 else 0)
     if t < 2:
         raise ValueError("SMOTE needs >= 2 seeds")
     q, r = divmod(amount, t)
@@ -112,7 +109,7 @@ def smote_exact(rows, amount: int, k: int, rng, class_id: int = 0) -> SyntheticB
     if r:
         seeds = np.concatenate([seeds, np.sort(rng.choice(t, size=r, replace=False))])
     samples, provenance = _interpolate(rows, seeds, min(k, t - 1), rng)
-    return SyntheticBatch(samples=samples, class_id=class_id, provenance=provenance)
+    return SyntheticBatch(samples=samples, provenance=provenance)
 
 
 def logistic_weight(majority_count, alpha: float) -> np.ndarray:
@@ -151,17 +148,15 @@ def ramo(minority_indices, features, labels, amount: int, rng,
     if k1 < 1 or k2 < 1 or alpha <= 0:
         raise ValueError("RAMO needs k1 >= 1, k2 >= 1 and alpha > 0")
     minority_indices = np.asarray(minority_indices, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    class_id = int(labels[minority_indices[0]])
     rows = np.asarray(features, dtype=float)[minority_indices]
     if amount == 0:
-        return _empty_batch(rows.shape[1], class_id)
+        return _empty_batch(rows.shape[1])
     if rows.shape[0] < 2:
         raise ValueError("SMOTE needs >= 2 seeds")
     weights = ramo_weights(minority_indices, features, labels, k1, alpha)
     seeds = rng.choice(rows.shape[0], size=amount, replace=True, p=weights / weights.sum())
     samples, provenance = _interpolate(rows, seeds, min(k2, rows.shape[0] - 1), rng)
-    return SyntheticBatch(samples=samples, class_id=class_id, provenance=provenance)
+    return SyntheticBatch(samples=samples, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +172,10 @@ class ResampleResult:
     synthetic_features: np.ndarray
     synthetic_labels: np.ndarray
 
-    def assemble(self, dataset: Dataset, name=None) -> Dataset:
+    def assemble(self, dataset: Dataset) -> Dataset:
         features = np.vstack([dataset.features[self.kept_indices], self.synthetic_features])
         labels = np.concatenate([dataset.labels[self.kept_indices], self.synthetic_labels])
-        return dataset.with_rows(features, labels, name=name)
+        return dataset.with_rows(features, labels)
 
 
 def _targets(counts, variant: str, rng) -> np.ndarray:
@@ -237,7 +232,7 @@ def resample_dataset(dataset: Dataset, variant: str, rng,
         if "RM" in variant:
             batch = ramo(idx, dataset.features, dataset.labels, target - idx.size, rng)
         else:
-            batch = smote_exact(dataset.features[idx], target - idx.size, 5, rng, class_id=c)
+            batch = smote_exact(dataset.features[idx], target - idx.size, 5, rng)
         synth_x.append(batch.samples)
         synth_y.append(np.full(len(batch), c, dtype=int))
     return ResampleResult(np.sort(np.concatenate(kept)), np.vstack(synth_x),
@@ -247,6 +242,4 @@ def resample_dataset(dataset: Dataset, variant: str, rng,
 def apply_multiclass(dataset: Dataset, variant: str, rng,
                      warn_degenerate: bool = True) -> Dataset:
     """Resampled dataset per the variant catalogue (see `resample_dataset`)."""
-    if dataset.n_classes < 2:
-        raise ValueError("multi-class resampling needs at least 2 classes")
     return resample_dataset(dataset, variant, rng, warn_degenerate).assemble(dataset)

@@ -17,7 +17,8 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .pool import DselSet, Pool
+from .data import Dataset
+from .pool import Pool
 from .rng import make_rng
 
 logger = logging.getLogger(__name__)
@@ -101,9 +102,9 @@ class RegionView:
 
 
 class SelectionContext:
-    """Pool behaviour over a DSEL set, precomputed once and queried per point."""
+    """Pool behaviour over a DSEL, precomputed once and queried per point."""
 
-    def __init__(self, pool: Pool, dsel: DselSet):
+    def __init__(self, pool: Pool, dsel: Dataset):
         self.pool = pool
         self.dsel = dsel
         self.n_classes = pool.n_classes
@@ -334,6 +335,9 @@ def select_desp(view: RegionView) -> SelectionResult:
 # ---------------------------------------------------------------------------
 
 
+RRC_REGION_FACTOR = 30
+
+
 def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
     """Centred RRC win probabilities per (classifier, DSEL sample).
 
@@ -355,17 +359,17 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
 
 
 def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),
-                  draws: int = 1000, region_factor: int = 30) -> SelectionResult:
+                  draws: int = 1000) -> SelectionResult:
     """Gaussian-weighted sum of centred RRC probabilities over the DSEL.
 
-    The sum runs over the `region_factor * K` nearest DSEL samples; farther
+    The sum runs over the `RRC_REGION_FACTOR * K` nearest DSEL samples; farther
     weights exp(-d^2) are negligible on standardized features. Classifiers
     with positive competence are selected, otherwise the whole pool votes.
     The Monte-Carlo draws are seeded by `cfg.seed`.
     """
     csrc = ctx.rrc_csrc(draws=draws, seed=cfg.seed)
     dists = query.distances
-    limit = region_factor * max(len(query.indices), 1)
+    limit = RRC_REGION_FACTOR * max(len(query.indices), 1)
     if limit < dists.shape[0]:
         nearest = _nearest(dists, limit)
     else:  # DSEL order, which fixes the summation order of the product below

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from desbal.pool import DselSet, Pool
+from desbal.data import Dataset
+from desbal.pool import Pool
 from desbal.selection import SelectionContext
 from desbal.tree import TreeConfig, fit_tree
 
@@ -32,10 +33,11 @@ def random_instance(rng):
     pool = Pool(
         classifiers=tuple(trees), variant="Ba", generation_seed=0, n_classes=n_classes
     )
-    dsel = DselSet(
-        features=rng.normal(size=(n_dsel, d)),
-        labels=rng.integers(0, n_classes, size=n_dsel),
-        source="random",
+    dsel = Dataset(
+        "random",
+        rng.normal(size=(n_dsel, d)),
+        rng.integers(0, n_classes, size=n_dsel),
+        tuple(str(c) for c in range(n_classes)),
     )
     ctx = SelectionContext(pool, dsel)
     x_q = rng.normal(size=d)

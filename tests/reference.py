@@ -356,7 +356,7 @@ def resample_dataset_ref(dataset, variant, rng):
                 kept.append(idx)
                 if target > idx.size:
                     batch = smote_exact(dataset.features[idx], target - idx.size,
-                                        5, rng, class_id=c)
+                                        5, rng)
                     synth_x.append(batch.samples)
                     synth_y.append(np.full(len(batch), c, dtype=int))
         return pack(np.concatenate(kept), synth_x, synth_y)
@@ -378,7 +378,7 @@ def resample_dataset_ref(dataset, variant, rng):
         if use_ramo:
             batch = ramo(idx, dataset.features, dataset.labels, amounts[c], rng)
         else:
-            batch = smote_exact(dataset.features[idx], amounts[c], 5, rng, class_id=c)
+            batch = smote_exact(dataset.features[idx], amounts[c], 5, rng)
         synth_x.append(batch.samples)
         synth_y.append(np.full(len(batch), c, dtype=int))
     return pack(all_idx, synth_x, synth_y)

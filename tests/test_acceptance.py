@@ -18,7 +18,7 @@ import reference as ref
 from desbal.data import Dataset
 from desbal.experiment import RunConfig, run_experiment
 from desbal.metrics import auc_multiclass, f_measure_weighted, g_mean
-from desbal.pool import DselSet, Pool
+from desbal.pool import Pool
 from desbal.resampling import apply_multiclass, logistic_weight, ramo_weights, smote_exact
 from desbal.selection import (
     SelectionContext,
@@ -140,7 +140,7 @@ def test_criterion_03_resampling_contracts():
         # and stays inside its class's bounding box
         cls = int(rng.integers(0, L))
         rows = features[labels == cls]
-        batch = smote_exact(rows, int(rng.integers(1, 9)), 5, rng, class_id=cls)
+        batch = smote_exact(rows, int(rng.integers(1, 9)), 5, rng)
         lo, hi = rows.min(axis=0), rows.max(axis=0)
         for sample, (seed, neighbour, gap) in zip(batch.samples, batch.provenance):
             expected = rows[seed] + gap * (rows[neighbour] - rows[seed])
@@ -389,7 +389,7 @@ def test_criterion_10_rrc_sanity():
     features = rng.normal(size=(n, d))
     labels = rng.integers(0, L, size=n)
     labels[:L] = np.arange(L)
-    dsel = DselSet(features=features, labels=labels, source="stub")
+    dsel = Dataset("stub", features, labels, tuple(str(c) for c in range(L)))
 
     def perfect(row):
         j = int(np.argmin(((features - row) ** 2).sum(axis=1)))

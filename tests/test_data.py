@@ -1,4 +1,5 @@
-"""Parsing, encoding, scaling and splitting contracts."""
+"""Parsing (with one-hot encoding of nominal attributes), scaling and
+splitting contracts."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from desbal.data import (
     Dataset,
     ImbalanceProfile,
     ScalingParams,
-    encode_nominals,
     parse_csv,
     parse_keel,
     standardize,
     stratified_5x2,
 )
+from desbal.experiment import RunConfig, resolve_dataset
 
 KEEL_MIXED = """@relation toy
 @attribute width real [0.0, 10.0]
@@ -49,14 +50,13 @@ class TestParseKeel:
         assert ds.n_samples == 178
         assert ds.n_features == 13
         assert ds.n_classes == 3
-        assert all(s.kind == "numeric" for s in ds.attribute_specs)
 
     def test_mixed_attributes_and_outputs(self):
         ds = parse_keel(KEEL_MIXED)
         assert ds.n_samples == 5
-        assert ds.n_features == 2
+        assert ds.n_features == 1 + 3  # width, then red / green / blue
         assert ds.class_names == ("a", "b")
-        assert ds.attribute_specs[1].categories == ("red", "green", "blue")
+        assert ds.features[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         # class ids follow declaration order
         assert ds.labels.tolist() == [0, 1, 0, 1, 0]
 
@@ -102,17 +102,46 @@ class TestParseCsv:
             parse_csv("1,2,0\n3,4\n", label_column=2)
 
 
+KEEL_TWO_NOMINALS = """@relation twonom
+@attribute size real [0.0, 10.0]
+@attribute colour {red, green, red, blue}
+@attribute shape{round,square}
+@attribute cls {a, b, c}
+@inputs size, colour, shape
+@outputs cls
+@data
+1.0, red, round, a
+2.5, green, square, b
+3.0, blue, round, c
+4.0, red, square, a
+5.0, ?, round, b
+6.5, blue, square, b
+7.0, green, round, c
+"""
+
+CSV_NOMINAL = """w,colour,h,label
+1.5,sun,2.0,x
+2.5,rain,3.0,y
+3.5,snow,1.0,x
+4.5,rain,?,y
+5.5,sun,0.5,y
+6.5,snow,4.0,x
+"""
+
+
 class TestEncodeNominals:
+    """The parsers write a nominal feature as one indicator column per
+    category, in place: declared order for Keel, first appearance for CSV."""
+
     def test_one_nominal_column(self):
         ds = parse_keel(KEEL_MIXED)
-        enc = encode_nominals(ds)
-        assert enc.n_features == 1 + 3
-        onehot = enc.features[:, 1:]
-        assert np.array_equal(onehot.sum(axis=1), np.ones(5))
+        assert np.array_equal(ds.features[:, 1:], [
+            [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0],
+        ])
 
     def test_all_numeric_identity(self):
         ds = parse_csv("1,2,0\n3,4,1\n", label_column=2)
-        assert encode_nominals(ds) is ds
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_feature_growth(self):
         text = (
@@ -121,15 +150,46 @@ class TestEncodeNominals:
             "p, w, 1.0, m\nq, x, 2.0, n\np, y, 3.0, m\nq, z, 4.0, n\n"
         )
         ds = parse_keel(text)
-        enc = encode_nominals(ds)
-        assert enc.n_features == ds.n_features + (2 - 1) + (4 - 1)
+        assert np.array_equal(ds.features, [
+            [1, 0, 1, 0, 0, 0, 1.0],
+            [0, 1, 0, 1, 0, 0, 2.0],
+            [1, 0, 0, 0, 1, 0, 3.0],
+            [0, 1, 0, 0, 0, 1, 4.0],
+        ])
 
     def test_roundtrip_preserves_rows_and_labels(self):
         ds = parse_keel(KEEL_MIXED)
-        enc = encode_nominals(ds)
-        scaled, _, _ = standardize(enc)
+        scaled, _, _ = standardize(ds)
         assert scaled.n_samples == ds.n_samples
         assert np.array_equal(scaled.labels, ds.labels)
+
+    def test_resolved_keel_and_csv_matrices(self, tmp_path):
+        # a category declared twice keeps its column and sets the first
+        # match; the row holding `?` is dropped
+        (tmp_path / "twonom.dat").write_text(KEEL_TWO_NOMINALS)
+        (tmp_path / "toy.csv").write_text(CSV_NOMINAL)
+        cfg = RunConfig(datasets=(), output="")
+        keel = resolve_dataset(str(tmp_path / "twonom.dat"), cfg)
+        assert keel.features.tolist() == [
+            [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [2.5, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+            [3.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+            [4.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [6.5, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+            [7.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+        assert keel.labels.tolist() == [0, 1, 2, 0, 1, 2]
+        assert keel.class_names == ("a", "b", "c")
+        csv = resolve_dataset(str(tmp_path / "toy.csv"), cfg)
+        assert csv.features.tolist() == [  # colour: sun, rain, snow
+            [1.5, 1.0, 0.0, 0.0, 2.0],
+            [2.5, 0.0, 1.0, 0.0, 3.0],
+            [3.5, 0.0, 0.0, 1.0, 1.0],
+            [5.5, 1.0, 0.0, 0.0, 0.5],
+            [6.5, 0.0, 0.0, 1.0, 4.0],
+        ]
+        assert csv.labels.tolist() == [0, 1, 0, 1, 0]
+        assert csv.class_names == ("x", "y")
 
 
 class TestStandardize:

@@ -7,6 +7,7 @@ import pytest
 
 from desbal.experiment import (
     RECORD_COLUMNS,
+    RESULTS_FILE,
     ConfigError,
     IncompleteGridError,
     RunConfig,
@@ -267,6 +268,43 @@ class TestRun:
             run_experiment(cfg)
         assert path.read_text() == foreign
         assert not (tmp_path / "foreign" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("foreign", ["id\tscore", "id\tscore\n1\t0.5\n2\t0."])
+    def test_foreign_results_never_truncated(self, csv_dataset, tmp_path, foreign):
+        # an unterminated last line of a foreign file is not a torn record
+        cfg = _config(csv_dataset, tmp_path / "foreign")
+        path = tmp_path / "foreign" / "results.tsv"
+        path.parent.mkdir()
+        path.write_text(foreign)
+        with pytest.raises(IncompleteGridError, match="unexpected results header"):
+            run_experiment(cfg)
+        assert path.read_text() == foreign
+        assert not (tmp_path / "foreign" / "manifest.txt").exists()
+
+    def test_resume_after_a_cut_at_any_byte(self, tmp_path):
+        # a crash can cut results.tsv at any byte of the records last written
+        # or of the header; resuming must give the uninterrupted run
+        out = tmp_path / "cut"
+        cfg = RunConfig(
+            datasets=("builtin:glass",), output=str(out), variants=("Ba", "Ba-SM"),
+            selectors=("STATIC", "KNU"), metrics=("auc", "gmean"), pool_size=2,
+        )
+        run_experiment(cfg)
+        path = out / RESULTS_FILE
+        full = path.read_bytes()
+        report = make_report(out, "auc")
+        lines = full.splitlines(keepends=True)
+        header = len(lines[0])
+        last_three = len(full) - sum(len(line) for line in lines[-3:])
+
+        def first_seven(data):
+            return [line.split(b"\t")[:7] for line in data.splitlines()]
+
+        for offset in [0, 1, header - 1, header, *range(last_three, len(full))]:
+            path.write_bytes(full[:offset])
+            run_experiment(cfg)
+            assert first_seven(path.read_bytes()) == first_seven(full), offset
+            assert make_report(out, "auc") == report, offset
 
     @pytest.mark.parametrize("content", ["", "\t".join(RECORD_COLUMNS) + "\n"])
     def test_empty_or_header_only_results_hold_no_records(self, csv_dataset,

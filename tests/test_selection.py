@@ -7,7 +7,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import reference as ref
-from desbal.pool import DselSet, Pool
+from desbal.benchmarks import load_benchmark
+from desbal.data import Dataset, standardize, stratified_5x2
+from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     MetaClassifier,
     Query,
@@ -50,7 +52,7 @@ def _stub_query(dsel_rows, x_q, k):
     """The query `make_query` builds for x_q against a DSEL of `dsel_rows`,
     under a one-classifier stub pool."""
     dsel_rows = np.asarray(dsel_rows, dtype=float)
-    dsel = DselSet(dsel_rows, np.zeros(len(dsel_rows), dtype=int), "stub")
+    dsel = Dataset("stub", dsel_rows, np.zeros(len(dsel_rows), dtype=int), ("a", "b"))
     pool = Pool((_stub_tree(lambda row: np.array([1.0, 0.0]), 2, 2),), "Ba", 0, 2)
     return SelectionContext(pool, dsel).make_query(np.asarray(x_q, dtype=float), k)
 
@@ -369,7 +371,7 @@ def _rrc_pool_ctx(n_classes=3, n_dsel=15, seed=0):
     features = rng.normal(size=(n_dsel, 2))
     labels = rng.integers(0, n_classes, size=n_dsel)
     labels[:n_classes] = np.arange(n_classes)
-    dsel = DselSet(features=features, labels=labels, source="stub")
+    dsel = Dataset("stub", features, labels, tuple(str(c) for c in range(n_classes)))
 
     def perfect(row):
         # one-hot on the true label of the nearest DSEL row
@@ -416,9 +418,6 @@ class TestMetaDes:
     @staticmethod
     def _real_ctx(seed=0):
         rng = np.random.default_rng(seed)
-        from desbal.data import Dataset
-        from desbal.pool import build_dsel, generate_pool
-
         labels = np.concatenate([np.zeros(20, int), np.ones(12, int)])
         features = np.vstack(
             [rng.normal(0, 1, (20, 3)), rng.normal(2.5, 1, (12, 3))]
@@ -445,7 +444,7 @@ class TestMetaDes:
         features = rng.normal(size=(20, 2))
         labels = rng.integers(0, 2, size=20)
         labels[:2] = [0, 1]
-        dsel = DselSet(features=features, labels=labels, source="stub")
+        dsel = Dataset("stub", features, labels, ("a", "b"))
 
         def perfect(row):
             j = int(np.argmin(((features - row) ** 2).sum(axis=1)))
@@ -458,8 +457,6 @@ class TestMetaDes:
             variant="Ba", generation_seed=0, n_classes=2,
         )
         ctx = SelectionContext(pool, dsel)
-        from desbal.data import Dataset
-
         train = Dataset("t", features, labels, ("a", "b"))
         with caplog.at_level("WARNING"):
             meta = train_meta_classifier(ctx, train, k=5, kp=3)
@@ -527,6 +524,35 @@ class TestMetaDes:
             ))
         want = MetaClassifier.fit(np.vstack(rows), ctx.hits[:, :train.n_samples].T.ravel())
         got = train_meta_classifier(ctx, train, k=k, kp=kp)
+        assert got.constant is None and want.constant is None
+        for name in ("priors", "means", "variances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_non_prefix_dsel_matches_oracle(self, caplog):
+        # reversed, the DSEL no longer starts with the training set, so no
+        # training row is kept out of its own region or profile neighbours
+        glass = load_benchmark("glass")
+        _rep, _fold, train_idx, _test_idx = next(stratified_5x2(glass, 0).folds())
+        train, _, _ = standardize(glass.subset(train_idx))
+        pool = generate_pool(train, "Ba-SM", pool_size=10, seed=1)
+        dsel = build_dsel(train, "Ba-SM", seed=1)
+        dsel = dsel.subset(np.arange(dsel.n_samples)[::-1])
+        ctx = SelectionContext(pool, dsel)
+        k, kp = 5, 10  # kp 3 would miss a self-exclusion applied here by mistake
+        with caplog.at_level("WARNING"):
+            got = train_meta_classifier(ctx, train, k=k, kp=kp)
+        assert "not a prefix" in caplog.text
+        supports = pool.support_all(train.features)
+        predictions = supports.argmax(axis=2)
+        rows = [
+            ref.meta_features_ref(
+                ctx.hits, ctx.supports, ctx.predictions, dsel.labels,
+                ref.region_ref(dsel.features, x, k), predictions[:, t], supports[:, t], kp,
+            )
+            for t, x in enumerate(train.features)
+        ]
+        hits = predictions == train.labels[None, :]
+        want = MetaClassifier.fit(np.vstack(rows), hits.T.ravel().astype(int))
         assert got.constant is None and want.constant is None
         for name in ("priors", "means", "variances"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -607,7 +633,7 @@ class TestStatic:
 
     def _static_vote(self, preds, n_classes):
         pool = self._pool_of_constants(preds, n_classes)
-        dsel = DselSet(features=np.zeros((3, 2)), labels=np.zeros(3, int), source="stub")
+        dsel = Dataset("stub", np.zeros((3, 2)), np.zeros(3, int), ("a", "b"))
         ctx = SelectionContext(pool, dsel)
         return run_selector("STATIC", ctx, ctx.make_query(np.zeros(2), k=3)).predicted_class
 
@@ -640,7 +666,7 @@ class TestProperties:
         features = rng.normal(size=(20, 2))
         labels = rng.integers(0, 2, size=20)
         labels[:2] = [0, 1]
-        dsel = DselSet(features=features, labels=labels, source="stub")
+        dsel = Dataset("stub", features, labels, ("a", "b"))
 
         def perfect(row):
             j = int(np.argmin(((features - row) ** 2).sum(axis=1)))
