@@ -101,6 +101,16 @@ class ImbalanceProfile:
         return cls.from_counts(dataset.class_counts())
 
 
+def _nearest(dists, k: int) -> np.ndarray:
+    """Columns of the k smallest distances of each row, closest first; ties go
+    to the lower column, and a k beyond the columns takes them all (warned).
+    Selection and resampling share this one neighbour rule."""
+    n = dists.shape[-1]
+    if n < k:
+        logger.warning("DSEL holds %d < k=%d samples; using the whole set", n, k)
+    return np.argsort(dists, axis=-1, kind="stable")[..., :k]
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -129,8 +139,8 @@ def parse_keel(text: str, name: str = "dataset") -> Dataset:
     The class column is the declared `@outputs` attribute (last column when
     absent). A nominal feature becomes one indicator column per category, in
     declared order; the class attribute's declaration order fixes the class
-    ids. Rows containing the `?` missing marker are dropped with a logged
-    count.
+    ids, and a class category declared twice is one class. Rows containing
+    the `?` missing marker are dropped with a logged count.
     """
     attr_names, attr_specs = [], []
     relation = name
@@ -144,23 +154,18 @@ def parse_keel(text: str, name: str = "dataset") -> Dataset:
         if in_data:
             data_lines.append(line)
             continue
-        lower = line.lower()
+        lower, rest = line.lower(), "".join(line.split(None, 1)[1:])
         if lower.startswith("@relation"):
-            parts = line.split(None, 1)
-            if len(parts) == 2:
-                relation = parts[1].strip()
+            relation = rest or relation
         elif lower.startswith("@attribute"):
             aname, spec = _parse_keel_attribute(line)
             attr_names.append(aname)
             attr_specs.append(spec)
-        elif lower.startswith("@outputs") or lower.startswith("@output"):
-            names = line.split(None, 1)[1] if len(line.split(None, 1)) == 2 else ""
-            outputs = [n.strip() for n in names.split(",") if n.strip()]
+        elif lower.startswith("@output"):
+            outputs = [n.strip() for n in rest.split(",") if n.strip()]
             if len(outputs) != 1:
                 raise DataFormatError("exactly one @outputs attribute is required")
             output_name = outputs[0]
-        elif lower.startswith("@inputs") or lower.startswith("@input"):
-            pass  # informational; column order already fixed by @attribute
         elif lower.startswith("@data"):
             in_data = True
     if not in_data:
@@ -175,7 +180,7 @@ def parse_keel(text: str, name: str = "dataset") -> Dataset:
             raise DataFormatError(f"@outputs names unknown attribute {output_name!r}")
         label_idx = matches[0]
     rows = [[cell.strip() for cell in line.split(",")] for line in data_lines]
-    return _assemble(relation, rows, attr_specs, label_idx, attr_names[label_idx])
+    return _assemble(relation, rows, label_idx, attr_names[label_idx], attr_specs)
 
 
 def parse_csv(text: str, label_column: int = -1, name: str = "dataset") -> Dataset:
@@ -186,11 +191,8 @@ def parse_csv(text: str, label_column: int = -1, name: str = "dataset") -> Datas
     first-appearance order. A first row whose cells fail that inference while
     the rest of the column is numeric is treated as a header and skipped.
     """
-    rows = [
-        [cell.strip() for cell in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    lines = [line for line in text.splitlines() if line.strip()]
+    rows = [[cell.strip() for cell in line.split(",")] for line in lines]
     if not rows:
         raise DataFormatError("empty data section")
     width = len(rows[0])
@@ -202,22 +204,15 @@ def parse_csv(text: str, label_column: int = -1, name: str = "dataset") -> Datas
     label_idx = label_column if label_column >= 0 else width + label_column
     if not 0 <= label_idx < width:
         raise DataFormatError(f"label column {label_column} out of range for width {width}")
-    specs = []
-    for j in range(width):
-        column = [row[j] for row in rows if row[j] != MISSING_MARKER]
-        numeric = column and all(_is_float(v) for v in column)
-        specs.append(None if numeric else tuple(dict.fromkeys(column)))
-    return _assemble(name, rows, specs, label_idx, f"col{label_idx}")
+    return _assemble(name, rows, label_idx, f"col{label_idx}")
 
 
 def _looks_like_header(rows) -> bool:
-    for j in range(len(rows[0])):
-        rest_numeric = all(
-            _is_float(row[j]) for row in rows[1:] if row[j] != MISSING_MARKER
-        )
-        if rest_numeric and not _is_float(rows[0][j]):
-            return True
-    return False
+    return any(
+        not _is_float(rows[0][j])
+        and all(_is_float(row[j]) for row in rows[1:] if row[j] != MISSING_MARKER)
+        for j in range(len(rows[0]))
+    )
 
 
 def _is_float(value: str) -> bool:
@@ -228,57 +223,59 @@ def _is_float(value: str) -> bool:
         return False
 
 
-def _assemble(name, rows, specs, label_idx, label_name) -> Dataset:
-    """Shared tail of both parsers: drop missing, encode cells, build Dataset.
+def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
+    """Shared tail of both parsers: drop the rows holding `?`, then decode.
 
-    `specs[j]` is None for a numeric column and the category tuple of a
-    nominal one. A nominal feature is written as one indicator column per
-    category, in place; a cell sets the column of its first match.
-    """
-    width = len(specs)
-    kept, dropped = [], 0
+    `specs[j]` is None (numeric) or a category tuple; CSV passes none and
+    they are read from the kept rows (numeric when every cell parses as a
+    float, else nominal in first-appearance order). Every nominal column, the
+    class included, maps a cell to its first matching category; a nominal
+    feature becomes indicator columns in place. The first bad cell in row
+    order is reported."""
+    width = len(rows[0]) if specs is None else len(specs)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataFormatError(f"row {i} has {len(row)} cells, expected {width}")
-        if MISSING_MARKER in row:
-            dropped += 1
-        else:
-            kept.append(row)
-    if dropped:
-        logger.info("%s: dropped %d rows with missing values", name, dropped)
+    kept = [row for row in rows if MISSING_MARKER not in row]
+    if len(kept) < len(rows):
+        logger.info("%s: dropped %d rows with missing values", name, len(rows) - len(kept))
     if not kept:
         raise DataFormatError("empty data section")
+    columns = list(zip(*kept))
+    if specs is None:
+        specs = [None if all(map(_is_float, c)) else tuple(dict.fromkeys(c)) for c in columns]
+    declared = specs[label_idx] or sorted(set(columns[label_idx]), key=float)
+    class_names = tuple(dict.fromkeys(declared))  # a class declared twice is one
+    kinds = [class_names if j == label_idx else spec for j, spec in enumerate(specs)]
+    decoded = [_decode(cells, kind) for cells, kind in zip(columns, kinds)]
+    # the first bad cell in row order, a row's class cell before its features
+    bad = [(row, j != label_idx, j) for j, (_, row) in enumerate(decoded) if row is not None]
+    if bad:
+        row, _, j = min(bad)
+        cell = columns[j][row]
+        raise DataFormatError(
+            f"unknown class value {cell!r} in column {label_name}" if j == label_idx
+            else f"non-numeric cell {cell!r} in numeric column {j}" if kinds[j] is None
+            else f"unknown nominal category {cell!r} in column {j}"
+        )
+    features = np.column_stack([np.empty((len(kept), 0))] + [
+        values if kind is None else np.eye(len(kind))[values]
+        for j, ((values, _), kind) in enumerate(zip(decoded, kinds)) if j != label_idx
+    ])
+    return Dataset(name, features, decoded[label_idx][0], class_names).validate()
 
-    class_names = specs[label_idx]
-    if class_names is None:
-        class_names = tuple(sorted({row[label_idx] for row in kept}, key=float))
-    class_id = {c: i for i, c in enumerate(class_names)}
-    if len(class_names) < 2:
-        raise DataFormatError("fewer than 2 classes")
 
-    columns = [j for j in range(width) if j != label_idx]
-    starts = np.cumsum([0] + [1 if specs[j] is None else len(specs[j]) for j in columns])
-    features = np.zeros((len(kept), starts[-1]))
-    labels = np.empty(len(kept), dtype=int)
-    for i, row in enumerate(kept):
-        cell = row[label_idx]
-        if cell not in class_id:
-            raise DataFormatError(f"unknown class value {cell!r} in column {label_name}")
-        labels[i] = class_id[cell]
-        for j, start in zip(columns, starts):
-            categories = specs[j]
-            if categories is None:
-                try:
-                    features[i, start] = float(row[j])
-                except ValueError:
-                    raise DataFormatError(
-                        f"non-numeric cell {row[j]!r} in numeric column {j}"
-                    ) from None
-            elif row[j] in categories:
-                features[i, start + categories.index(row[j])] = 1.0
-            else:
-                raise DataFormatError(f"unknown nominal category {row[j]!r} in column {j}")
-    return Dataset(name, features, labels, class_names).validate()
+def _decode(cells, categories):
+    """(values, first bad row or None) of one column: the Python floats of a
+    numeric column, or each nominal cell's first matching category."""
+    if categories is None:
+        try:
+            return np.fromiter(map(float, cells), float, len(cells)), None
+        except ValueError:
+            return None, next(i for i, v in enumerate(cells) if not _is_float(v))
+    first = {c: categories.index(c) for c in categories}
+    ids = np.array([first.get(v, -1) for v in cells])
+    return ids, next(iter(np.flatnonzero(ids < 0).tolist()), None)
 
 
 # ---------------------------------------------------------------------------

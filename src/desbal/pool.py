@@ -55,12 +55,13 @@ def _bootstrap(train: Dataset, size: int, rng) -> tuple:
     """Half-size bootstrap; redraw a few times if a training class vanishes.
 
     Returns (indices, complete flag); an incomplete draw is accepted after
-    the redraw budget runs out.
+    the redraw budget runs out. A draw is complete when it holds as many
+    distinct classes as `train` does.
     """
-    present = np.unique(train.labels)
+    present = np.count_nonzero(train.class_counts())
     for attempt in range(MAX_BOOTSTRAP_REDRAWS + 1):
         idx = rng.integers(0, train.n_samples, size=size)
-        if np.isin(present, train.labels[idx]).all():
+        if np.count_nonzero(np.bincount(train.labels[idx])) == present:
             return idx, True
     return idx, False
 

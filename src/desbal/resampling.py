@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset
+from .data import Dataset, _nearest
 
 logger = logging.getLogger(__name__)
 
@@ -69,17 +69,17 @@ def rus(samples, target_size: int, rng) -> np.ndarray:
     return np.sort(rng.choice(samples, size=target_size, replace=False))
 
 
-def _neighbor_table(rows: np.ndarray, k: int) -> np.ndarray:
-    """k nearest same-set neighbours of each row (self excluded, ties by index)."""
-    dists = cdist(rows, rows)
-    np.fill_diagonal(dists, np.inf)
-    order = np.argsort(dists, axis=1, kind="stable")
-    return order[:, :k]
+def _neighbors(features, of, k: int) -> np.ndarray:
+    """The k rows of `features` nearest to each row `of` names, nearest first,
+    that row itself excluded (ties to the lower index)."""
+    dists = cdist(features[of], features)
+    dists[np.arange(len(of)), of] = np.inf
+    return _nearest(dists, k)
 
 
-def _interpolate(rows, seeds, k_neighbors, rng):
-    """One synthetic row per seed: pick a neighbour, slide a random gap."""
-    neighbors = _neighbor_table(rows, k_neighbors)
+def _interpolate(rows, seeds, neighbors, rng):
+    """One synthetic row per seed: pick one of its `neighbors` (a table of
+    row indices per seed row), slide a random gap."""
     picks = np.empty_like(seeds)
     gaps = np.empty(len(seeds))
     for r, seed in enumerate(seeds):  # per-row draws keep the RNG stream
@@ -108,7 +108,8 @@ def smote_exact(rows, amount: int, k: int, rng) -> SyntheticBatch:
     seeds = np.repeat(np.arange(t), q)
     if r:
         seeds = np.concatenate([seeds, np.sort(rng.choice(t, size=r, replace=False))])
-    samples, provenance = _interpolate(rows, seeds, min(k, t - 1), rng)
+    neighbors = _neighbors(rows, np.arange(t), min(k, t - 1))
+    samples, provenance = _interpolate(rows, seeds, neighbors, rng)
     return SyntheticBatch(samples=samples, provenance=provenance)
 
 
@@ -129,10 +130,7 @@ def ramo_weights(minority_indices, features, labels, k1: int = 10,
     minority_indices = np.asarray(minority_indices, dtype=int)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    k1 = min(k1, features.shape[0] - 1)
-    dists = cdist(features[minority_indices], features)
-    dists[np.arange(minority_indices.size), minority_indices] = np.inf
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k1]
+    order = _neighbors(features, minority_indices, min(k1, features.shape[0] - 1))
     hostile = labels[order] != labels[minority_indices][:, None]
     return logistic_weight(hostile.sum(axis=1), alpha)
 
@@ -155,7 +153,8 @@ def ramo(minority_indices, features, labels, amount: int, rng,
         raise ValueError("SMOTE needs >= 2 seeds")
     weights = ramo_weights(minority_indices, features, labels, k1, alpha)
     seeds = rng.choice(rows.shape[0], size=amount, replace=True, p=weights / weights.sum())
-    samples, provenance = _interpolate(rows, seeds, min(k2, rows.shape[0] - 1), rng)
+    neighbors = _neighbors(rows, np.arange(len(rows)), min(k2, len(rows) - 1))
+    samples, provenance = _interpolate(rows, seeds, neighbors, rng)
     return SyntheticBatch(samples=samples, provenance=provenance)
 
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset
+from .data import Dataset, _nearest
 from .pool import Pool
 from .rng import make_rng
 
@@ -50,18 +50,6 @@ class SelectorConfig:
 # ---------------------------------------------------------------------------
 # Regions, queries, shared context
 # ---------------------------------------------------------------------------
-
-
-def _nearest(dists, k: int) -> np.ndarray:
-    """Columns of the k smallest distances of each row, closest first.
-
-    Distance ties go to the lower column; a k beyond the number of columns
-    takes them all, with a warning.
-    """
-    n = dists.shape[-1]
-    if n < k:
-        logger.warning("DSEL holds %d < k=%d samples; using the whole set", n, k)
-    return np.argsort(dists, axis=-1, kind="stable")[..., :k]
 
 
 @dataclass(frozen=True)

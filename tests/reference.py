@@ -9,7 +9,9 @@ measure, the single-support RRC probability and the trapezoidal ROC AUC are
 kept here as oracles too, and so are the per-feature CART split search and
 the per-row SMOTE interpolation that the library computes as arrays. The
 resampling orchestration is kept here with one branch per variant family; it
-calls the library's per-class primitives, which have their own tests.
+calls the library's per-class primitives, which have their own tests. The
+bootstrap completeness rule and the parsers' cell decoding are kept here as
+set tests and per-cell loops.
 """
 
 import logging
@@ -382,3 +384,83 @@ def resample_dataset_ref(dataset, variant, rng):
         synth_x.append(batch.samples)
         synth_y.append(np.full(len(batch), c, dtype=int))
     return pack(all_idx, synth_x, synth_y)
+
+
+def bootstrap_ref(labels, size, rng, redraws=10):
+    """Half-size bootstrap, redrawn until every class of `labels` is drawn
+    (at most `redraws` times); returns (indices, complete flag)."""
+    present = np.unique(labels)
+    for _ in range(redraws + 1):
+        idx = rng.integers(0, len(labels), size=size)
+        if np.isin(present, labels[idx]).all():
+            return idx, True
+    return idx, False
+
+
+def _parses(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def csv_body_ref(rows):
+    """The rows a CSV table decodes: without a first row that fails float
+    parsing in a column whose other non-`?` cells all parse."""
+    for j in range(len(rows[0])):
+        rest = [row[j] for row in rows[1:] if row[j] != "?"]
+        if len(rows) > 1 and not _parses(rows[0][j]) and all(map(_parses, rest)):
+            return rows[1:]
+    return rows
+
+
+def decode_ref(rows, label_idx, label_name, specs=None):
+    """Row-by-row oracle of the parsers' decoding rules.
+
+    Rows holding `?` are dropped first. A missing spec is read from the kept
+    rows: numeric (None) when every cell parses as a float, else the
+    categories in first-appearance order. Class names are the class spec
+    with repeats removed (a numeric class: its distinct cells by value).
+    Every cell takes its first matching category; a nominal feature becomes
+    one indicator per declared category. Returns (features, labels,
+    class_names), or the error message of the first bad cell in row order.
+    """
+    kept = [row for row in rows if "?" not in row]
+    if not kept:
+        return "empty data section"
+    if specs is None:
+        specs = []
+        for j in range(len(kept[0])):
+            cells = [row[j] for row in kept]
+            numeric = all(_parses(c) for c in cells)
+            specs.append(None if numeric else tuple(dict.fromkeys(cells)))
+    if specs[label_idx] is None:
+        class_names = tuple(sorted({row[label_idx] for row in kept}, key=float))
+    else:
+        class_names = tuple(dict.fromkeys(specs[label_idx]))
+    features, labels = [], []
+    for row in kept:
+        cell = row[label_idx]
+        if cell not in class_names:
+            return f"unknown class value {cell!r} in column {label_name}"
+        labels.append(class_names.index(cell))
+        out = []
+        for j, spec in enumerate(specs):
+            if j == label_idx:
+                continue
+            if spec is None:
+                if not _parses(row[j]):
+                    return f"non-numeric cell {row[j]!r} in numeric column {j}"
+                out.append(float(row[j]))
+            elif row[j] in spec:
+                out.extend(1.0 if i == spec.index(row[j]) else 0.0 for i in range(len(spec)))
+            else:
+                return f"unknown nominal category {row[j]!r} in column {j}"
+        features.append(out)
+    if len(class_names) < 2:
+        return "fewer than 2 classes"
+    missing = [c for i, c in enumerate(class_names) if i not in labels]
+    if missing:
+        return f"classes with no samples: {missing}"
+    return features, labels, class_names

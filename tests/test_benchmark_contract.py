@@ -25,7 +25,8 @@ def _perfbench():
 
 def test_benchmark_wraps_and_calls_resolve():
     layers, spans, workloads = _perfbench()
-    from desbal import experiment, selection
+    from desbal import data, experiment, pool, selection
+    from desbal.tree import TreeConfig
 
     tracer = spans.Tracer()
     try:
@@ -41,9 +42,32 @@ def test_benchmark_wraps_and_calls_resolve():
         (selection.run_selector, ("KNU", "ctx", "query", "cfg"), {}),
         (selection.SelectionResult.aggregate_score, ("result", "query"), {}),
         (experiment.make_report, ("dir", "auc"), {}),
+        (experiment.run_experiment, ("cfg",), {}),
+        (experiment.resolve_dataset, ("spec", "cfg"), {}),
+        (data.stratified_5x2, ("ds", 1), {}),
+        (data.SplitPlan.folds, ("plan",), {}),
+        (data.standardize, ("train", ["test"]), {}),
+        (pool.generate_pool, ("train", "Ba", 100, TreeConfig(), 1), {}),
+        (pool.build_dsel, ("train", "Ba", 1), {}),
+        (experiment.RunConfig, (), {
+            "datasets": (), "output": "", "variants": (), "selectors": (),
+            "metrics": (), "pool_size": 100, "k": 7, "seed": 1,
+        }),
     ]:
         inspect.signature(fn).bind(*args, **kwargs)
     assert len(selection.SELECTOR_NAMES) == 15
+    # selector-sweep unpacks a fold and a standardization like this
+    ds = data.Dataset("toy", [[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], ("a", "b"))
+    _, _, train_idx, test_idx = next(iter(data.stratified_5x2(ds, 1).folds()))
+    _, (_,), _ = data.standardize(ds.subset(train_idx), [ds.subset(test_idx)])
+    # report-grid writes results.tsv itself, one column per field in this order
+    assert experiment.RESULTS_FILE == "results.tsv"
+    assert experiment.RECORD_COLUMNS == (
+        "dataset", "variant", "selector", "replication", "fold",
+        "metric", "value", "wall_time_s",
+    )
+    summary = experiment.RunSummary(results_path="results.tsv")
+    assert (summary.records_written, summary.records_skipped) == (0, 0)
 
 
 def test_traced_run_opens_every_span(tmp_path):

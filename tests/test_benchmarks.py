@@ -53,6 +53,25 @@ def test_keel_file_preferred(tmp_path):
     assert ds.n_samples == 10  # the dropped-in file wins over the stand-in
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_keel_round_trip_of_the_catalogue(tmp_path, name):
+    # every shape the catalogue holds, up to 8 classes and 2-row classes,
+    # through the data_dir path: repr-written numbers come back exactly
+    ds = synthetic_like(name)
+    lines = [f"@relation {name}"]
+    lines += [f"@attribute x{j} real" for j in range(ds.n_features)]
+    lines += ["@attribute class {" + ", ".join(ds.class_names) + "}", "@data"]
+    lines += [
+        ", ".join(repr(float(v)) for v in row) + f", {ds.class_names[label]}"
+        for row, label in zip(ds.features, ds.labels)
+    ]
+    (tmp_path / f"{name}.dat").write_text("\n".join(lines) + "\n")
+    loaded = load_benchmark(name, data_dir=tmp_path)
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(loaded.labels, ds.labels)
+    assert loaded.class_names == ds.class_names
+
+
 def test_unknown_name():
     with pytest.raises(ValueError, match="unknown benchmark"):
         load_benchmark("abalone")

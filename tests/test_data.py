@@ -4,6 +4,7 @@ splitting contracts."""
 import numpy as np
 import pytest
 
+import reference as ref
 from desbal.data import (
     DataFormatError,
     Dataset,
@@ -190,6 +191,123 @@ class TestEncodeNominals:
         ]
         assert csv.labels.tolist() == [0, 1, 0, 1, 0]
         assert csv.class_names == ("x", "y")
+
+
+class TestDecodeRules:
+    """Rows holding `?` are dropped before any column is read, and the class
+    column decodes like every nominal column: first match."""
+
+    def test_keel_class_declared_twice_is_one_class(self):
+        text = "@relation t\n@attribute x real\n@attribute cls {a, b, a}\n@data\n"
+        ds = parse_keel(text + "1.0, a\n2.0, b\n3.0, a\n")
+        assert ds.class_names == ("a", "b")
+        assert ds.labels.tolist() == [0, 1, 0]
+
+    def test_csv_category_only_in_a_dropped_row_has_no_column(self):
+        ds = parse_csv("1,sun,x\n2,rain,y\n3,hail,?\n4,sun,y\n5,rain,x\n")
+        assert ds.features.tolist() == [  # sun, rain; no hail
+            [1.0, 1.0, 0.0], [2.0, 0.0, 1.0], [4.0, 1.0, 0.0], [5.0, 0.0, 1.0],
+        ]
+
+    def test_csv_class_only_in_a_dropped_row_is_no_class(self):
+        ds = parse_csv("1,x\n2,y\n?,z\n4,x\n5,y\n")
+        assert ds.class_names == ("x", "y")
+        assert ds.labels.tolist() == [0, 1, 0, 1]
+
+    def test_first_bad_cell_in_row_order(self):
+        head = (
+            "@relation t\n@attribute x real\n@attribute c {p, q}\n"
+            "@attribute cls {a, b}\n@data\n"
+        )
+        with pytest.raises(DataFormatError, match="unknown nominal category 'r' in column 1"):
+            parse_keel(head + "1.0, p, a\n2.0, r, b\nz, p, d\n")
+        with pytest.raises(DataFormatError, match="unknown class value 'd' in column cls"):
+            parse_keel(head + "1.0, p, a\nz, r, d\n")
+
+
+NUMBERS = ("0", "1", "2.5", "-0.0", "1e3", "0.1", "7", "-3.25")
+WORDS = ("sun", "rain", "hail", "snow", "fog")
+
+
+def random_table(rng):
+    """A seeded random table for the decoding fuzz.
+
+    Returns (rows, keel_specs, label_idx): 2-12 rows of 1-4 columns (one of
+    them the class) that are numeric, nominal or mostly numeric, with about
+    one `?` cell in ten. `keel_specs` declares each column for a Keel file:
+    None (real) or categories that may repeat one or miss a used one; a real
+    feature column may hold a word.
+    """
+    n_rows, width = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+    label_idx = int(rng.integers(width))
+    columns, specs = [], []
+    for j in range(width):
+        kind = rng.choice(["numeric", "nominal", "mixed"])
+        if j == label_idx and kind == "mixed":
+            kind = "nominal"
+        pool = NUMBERS[: rng.integers(2, 5)] if j == label_idx else NUMBERS
+        words = WORDS[: rng.integers(1, 6)]
+        cells = [
+            str(rng.choice(words)) if kind == "nominal" or (kind == "mixed" and rng.random() < 0.2)
+            else str(rng.choice(pool))
+            for _ in range(n_rows)
+        ]
+        if kind == "nominal":
+            declared = [str(w) for w in rng.permutation(list(dict.fromkeys(cells)))]
+            if rng.random() < 0.3:
+                declared.insert(int(rng.integers(len(declared) + 1)), str(rng.choice(declared)))
+            if len(declared) > 1 and rng.random() < 0.1:
+                declared.pop()
+            if rng.random() < 0.3:
+                declared.append("spare")
+            specs.append(tuple(declared))
+        else:
+            specs.append(None)
+        columns.append(cells)
+    rows = [[col[i] if rng.random() > 0.1 else "?" for col in columns] for i in range(n_rows)]
+    return rows, specs, label_idx
+
+
+def keel_text(rows, specs, label_idx, outputs=True):
+    """`rows` as a Keel file; without `outputs` the class must be last."""
+    lines = ["@relation fuzz"]
+    for j, spec in enumerate(specs):
+        kind = "real" if spec is None else "{" + ", ".join(spec) + "}"
+        lines.append(f"@attribute a{j} {kind}")
+    if outputs:
+        lines.append(f"@outputs a{label_idx}")
+    lines.append("@data")
+    return "\n".join(lines + [", ".join(row) for row in rows]) + "\n"
+
+
+def _outcome(parse):
+    """(features, labels, class names) of a parse, or its error message."""
+    try:
+        ds = parse()
+    except DataFormatError as exc:
+        return str(exc)
+    return ds.features.tolist(), ds.labels.tolist(), ds.class_names
+
+
+class TestDecodeFuzz:
+    """Seeded random tables decode as the row-by-row oracle says."""
+
+    def test_keel(self):
+        rng = np.random.default_rng(20240601)
+        for _ in range(600):
+            rows, specs, label_idx = random_table(rng)
+            outputs = label_idx != len(specs) - 1 or rng.random() < 0.5
+            text = keel_text(rows, specs, label_idx, outputs)
+            want = ref.decode_ref(rows, label_idx, f"a{label_idx}", list(specs))
+            assert _outcome(lambda: parse_keel(text)) == want, text
+
+    def test_csv(self):
+        rng = np.random.default_rng(20240602)
+        for _ in range(600):
+            rows, _, label_idx = random_table(rng)
+            text = "\n".join(",".join(row) for row in rows) + "\n"
+            want = ref.decode_ref(ref.csv_body_ref(rows), label_idx, f"col{label_idx}")
+            assert _outcome(lambda: parse_csv(text, label_idx)) == want, text
 
 
 class TestStandardize:

@@ -3,10 +3,21 @@
 import math
 
 import numpy as np
+import pytest
 
-from desbal.data import Dataset
-from desbal.pool import build_dsel, generate_pool, load_pool, save_pool
-from desbal.rng import make_rng
+import reference as ref
+from desbal.benchmarks import load_benchmark
+from desbal.data import Dataset, stratified_5x2
+from desbal.pool import (
+    BOOTSTRAP_FRACTION,
+    MAX_BOOTSTRAP_REDRAWS,
+    _bootstrap,
+    build_dsel,
+    generate_pool,
+    load_pool,
+    save_pool,
+)
+from desbal.rng import derive_seed, make_rng
 from desbal.tree import TreeConfig, fit_tree
 
 
@@ -67,6 +78,37 @@ class TestGeneratePool:
         pool = generate_pool(train, "Ba-SM100", pool_size=5, seed=13)
         probe = np.random.default_rng(1).normal(size=(20, 3))
         assert np.array_equal(pool.predict_all(probe), pool.predict_all(probe))
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("name", ["glass", "ecoli"])
+    def test_class_count_rule_matches_set_rule(self, name):
+        # ecoli's 2-row classes leave one row in a training half, so some
+        # draws redraw to the cap and come back incomplete
+        ds = load_benchmark(name)
+        plan = stratified_5x2(ds, derive_seed(20240601, "split", ds.name))
+        flags = []
+        for rep, fold, train_idx, _ in list(plan.folds())[:2]:
+            train = ds.subset(train_idx)
+            size = math.ceil(BOOTSTRAP_FRACTION * train.n_samples)
+            for i in range(60):
+                got_rng, want_rng = make_rng(rep, fold, i), make_rng(rep, fold, i)
+                idx, complete = _bootstrap(train, size, got_rng)
+                want_idx, want_complete = ref.bootstrap_ref(
+                    train.labels, size, want_rng, MAX_BOOTSTRAP_REDRAWS
+                )
+                assert np.array_equal(idx, want_idx)
+                assert complete == want_complete
+                flags.append(complete)
+        assert any(flags)
+        if name == "ecoli":
+            assert not all(flags)
+
+    def test_a_class_missing_from_train_is_not_required(self):
+        train = _train(counts=(6, 0, 4))
+        idx, complete = _bootstrap(train, 5, np.random.default_rng(0))
+        assert complete
+        assert set(train.labels[idx].tolist()) == {0, 2}
 
 
 class TestBuildDsel:

@@ -12,7 +12,7 @@ from desbal.pool import BOOTSTRAP_FRACTION, _bootstrap
 from desbal.resampling import (
     VARIANTS,
     _interpolate,
-    _neighbor_table,
+    _neighbors,
     apply_multiclass,
     logistic_weight,
     normalize_variant,
@@ -101,9 +101,9 @@ class TestInterpolateOracle:
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(8, 3))
         seeds = np.sort(rng.integers(0, 8, size=25))  # seeds repeat
-        table = _neighbor_table(rows, k)
+        table = _neighbors(rows, np.arange(8), k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        samples, provenance = _interpolate(rows, seeds, k, got_rng)
+        samples, provenance = _interpolate(rows, seeds, table, got_rng)
         want_samples, want_provenance = ref.interpolate_ref(rows, seeds, table, want_rng)
         assert np.array_equal(samples, want_samples)
         assert provenance == want_provenance
