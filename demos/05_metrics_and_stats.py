@@ -41,12 +41,12 @@ table = np.array(
         [0.88, 0.93, 0.95],
     ]
 )
-rt = average_ranks(table, methods)
+ranks = average_ranks(table)
 print("\naverage ranks over 6 datasets (1 = best):")
-for name, rank in zip(rt.methods, rt.average_ranks):
+for name, rank in zip(methods, ranks):
     print(f"  {name:<15}{rank:.2f}")
 
-best, pvalues, others = rank_test_pvalues(rt.average_ranks, n_datasets=6)
+best, pvalues, others = rank_test_pvalues(ranks, n_datasets=6)
 rejected = finner_stepdown(pvalues, alpha=0.05)
 print(f"best-ranked: {methods[best]}")
 for pos, idx in enumerate(others):

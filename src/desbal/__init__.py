@@ -46,5 +46,5 @@ from .selection import (
     select_static,
     train_meta_classifier,
 )
-from .stats import RankTable, average_ranks, finner_stepdown, sign_test
+from .stats import average_ranks, finner_stepdown, sign_test
 from .tree import DecisionTree, TreeConfig, fit_tree

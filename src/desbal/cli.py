@@ -66,13 +66,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    metric = args.metric.strip().lower()  # as make_report and run configs read it
     try:
-        text = make_report(args.input, args.metric)
+        text = make_report(args.input, metric)
     except (IncompleteGridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text, end="")
-    out = Path(args.input) / f"report_{args.metric}.txt"
+    out = Path(args.input) / f"report_{metric}.txt"
     out.write_text(text)
     print(f"(written to {out})")
     return 0

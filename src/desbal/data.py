@@ -208,9 +208,9 @@ def parse_csv(text: str, label_column: int = -1, name: str = "dataset") -> Datas
 
 
 def _looks_like_header(rows) -> bool:
+    kept = [row for row in rows[1:] if MISSING_MARKER not in row]  # as `_assemble` keeps
     return any(
-        not _is_float(rows[0][j])
-        and all(_is_float(row[j]) for row in rows[1:] if row[j] != MISSING_MARKER)
+        not _is_float(rows[0][j]) and all(_is_float(row[j]) for row in kept)
         for j in range(len(rows[0]))
     )
 
@@ -244,7 +244,7 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
     columns = list(zip(*kept))
     if specs is None:
         specs = [None if all(map(_is_float, c)) else tuple(dict.fromkeys(c)) for c in columns]
-    declared = specs[label_idx] or sorted(set(columns[label_idx]), key=float)
+    declared = specs[label_idx] or sorted(set(filter(_is_float, columns[label_idx])), key=float)
     class_names = tuple(dict.fromkeys(declared))  # a class declared twice is one
     kinds = [class_names if j == label_idx else spec for j, spec in enumerate(specs)]
     decoded = [_decode(cells, kind) for cells, kind in zip(columns, kinds)]

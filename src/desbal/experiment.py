@@ -348,29 +348,46 @@ def _manifest_config(input_dir: Path) -> RunConfig:
     return parse_config_text(text.split(marker, 1)[1])
 
 
-def fold_means(records, metric: str):
-    """Mean of the 10 fold scores per (dataset, variant, selector)."""
-    sums, counts = {}, {}
-    for dataset, variant, selector, _rep, _fold, m, value, _t in records:
-        if m != metric:
-            continue
-        key = (dataset, variant, selector)
-        sums[key] = sums.get(key, 0.0) + float(value)
-        counts[key] = counts.get(key, 0) + 1
-    return {key: sums[key] / counts[key] for key in sums}
+def _fold_means(records, metric: str, axes):
+    """The (dataset, variant, selector) array of `metric`'s fold means over
+    `axes`, each summed in file order over its cell's records, duplicates and
+    records off the 5x2 grid included. Raises, listing the first 20 in grid
+    order, while the (dataset, variant, selector, replication, fold) grid
+    misses a record."""
+    grid = (*axes, tuple(str(rep) for rep in range(1, REPLICATIONS + 1)), FOLDS)
+    codes = [{name: i for i, name in enumerate(axis)} for axis in grid]
+    rows = [r for r in records if r[5] == metric]
+    index = np.array([[c.get(cell, -1) for c, cell in zip(codes, r)] for r in rows], dtype=int)
+    index = index.reshape(-1, len(grid))  # (records, 5); -1 off an axis
+    present = np.zeros(tuple(map(len, grid)), dtype=bool)
+    present[tuple(index[(index >= 0).all(axis=1)].T)] = True
+    missing = np.argwhere(~present)
+    if len(missing):
+        head = "\n".join(
+            "  " + " / ".join([*(names[i] for names, i in zip(grid, cell)), metric])
+            for cell in missing[:20]
+        )
+        more = f"\n  ... and {len(missing) - 20} more" if len(missing) > 20 else ""
+        raise IncompleteGridError(f"missing {len(missing)} cells:\n{head}{more}")
+    values = np.array([float(r[6]) for r in rows])
+    in_axes = (index[:, :3] >= 0).all(axis=1)
+    shape = present.shape[:3]
+    cells = np.ravel_multi_index(index[in_axes, :3].T, shape)
+    sums = np.bincount(cells, weights=values[in_axes], minlength=np.prod(shape))
+    return (sums / np.bincount(cells, minlength=np.prod(shape))).reshape(shape)
 
 
-def _equivalence_flags(avg_ranks, n_datasets, alpha=0.05):
-    """True where a method is statistically equivalent to the best-ranked one."""
-    m = len(avg_ranks)
-    flags = np.ones(m, dtype=bool)
-    if m < 2 or n_datasets < 1:
-        return flags
-    best, pvals, others = rank_test_pvalues(np.asarray(avg_ranks), n_datasets)
-    rejected = finner_stepdown(pvals, alpha)
-    for pos, idx in enumerate(others):
-        flags[idx] = not rejected[pos]
-    return flags
+def _ranked(table, alpha=0.05):
+    """Average ranks of the columns of a (datasets, methods) table, the
+    best-ranked column, and True where a column is statistically equivalent
+    to the best (Finner step-down at `alpha`)."""
+    ranks = average_ranks(table)
+    best = int(np.argmin(ranks))
+    equivalent = np.ones(len(ranks), dtype=bool)
+    if len(ranks) > 1:
+        _, pvals, others = rank_test_pvalues(ranks, len(table))
+        equivalent[others] = ~finner_stepdown(pvals, alpha)
+    return ranks, best, equivalent
 
 
 def make_report(input_dir, metric: str) -> str:
@@ -378,9 +395,12 @@ def make_report(input_dir, metric: str) -> str:
 
     Sections: (a) per-selector average ranks of the preprocessing variants,
     (b) global ranks of each selector's best variant, (c) wins/ties/losses of
-    each selector's best variant against its plain-bagging baseline. Brackets
-    mark methods statistically equivalent to the best (Finner, alpha = 0.05).
+    each selector's best variant against its plain-bagging baseline. Every
+    section reads one (dataset, variant, selector) array of fold means.
+    Brackets mark methods statistically equivalent to the best (Finner,
+    alpha = 0.05). The metric name is case-insensitive.
     """
+    metric = metric.strip().lower()
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
     input_dir = Path(input_dir)
@@ -394,86 +414,46 @@ def make_report(input_dir, metric: str) -> str:
     datasets = tuple(sorted({r[0] for r in records}))
     if not datasets:
         raise IncompleteGridError("no records found")
-    present = {tuple(r[:6]) for r in records}
-    missing = [
-        (d, v, s, str(rep), fold, metric)
-        for d in datasets
-        for v in variants
-        for s in selectors
-        for rep in range(1, REPLICATIONS + 1)
-        for fold in FOLDS
-        if (d, v, s, str(rep), fold, metric) not in present
-    ]
-    if missing:
-        head = "\n".join("  " + " / ".join(cell) for cell in missing[:20])
-        more = f"\n  ... and {len(missing) - 20} more" if len(missing) > 20 else ""
-        raise IncompleteGridError(f"missing {len(missing)} cells:\n{head}{more}")
-    means = fold_means(records, metric)
-    n_ds = len(datasets)
-    lines = [f"=== Report: {metric} over {n_ds} dataset(s) ===", ""]
+    means = _fold_means(records, metric, (datasets, variants, selectors))
+    lines = [f"=== Report: {metric} over {len(datasets)} dataset(s) ===", ""]
 
     # (a) preprocessing comparison per selector
     lines.append("(a) Average rank of each preprocessing variant per selector")
     lines.append("    ([x.xx] = equivalent to the row's best, Finner alpha=0.05)")
-    header = f"{'selector':<12}" + "".join(f"{v:>12}" for v in variants)
-    lines.append(header)
-    best_variant = {}
-    for selector in selectors:
-        table = np.array(
-            [[means[(d, v, selector)] for v in variants] for d in datasets]
-        )
-        rt = average_ranks(table, variants)
-        flags = _equivalence_flags(rt.average_ranks, n_ds)
-        best = int(np.argmin(rt.average_ranks))
-        best_variant[selector] = variants[best]
-        cells = []
-        for i, v in enumerate(variants):
-            mark = f"*{rt.average_ranks[i]:.2f}" if i == best else (
-                f"[{rt.average_ranks[i]:.2f}]" if flags[i] else f"{rt.average_ranks[i]:.2f}"
-            )
-            cells.append(f"{mark:>12}")
-        lines.append(f"{selector:<12}" + "".join(cells))
+    lines.append(f"{'selector':<12}" + "".join(f"{v:>12}" for v in variants))
+    best_variant = np.empty(len(selectors), dtype=int)
+    for s, selector in enumerate(selectors):
+        ranks, best, equivalent = _ranked(means[:, :, s])
+        best_variant[s] = best
+        cells = [f"[{r:.2f}]" if flag else f"{r:.2f}" for r, flag in zip(ranks, equivalent)]
+        cells[best] = f"*{ranks[best]:.2f}"
+        lines.append(f"{selector:<12}" + "".join(f"{cell:>12}" for cell in cells))
     lines.append("")
 
     # (b) best-variant-per-selector global comparison
     lines.append("(b) Average rank of each selector with its best variant")
-    combo_table = np.array(
-        [[means[(d, best_variant[s], s)] for s in selectors] for d in datasets]
-    )
-    rt = average_ranks(combo_table, selectors)
-    flags = _equivalence_flags(rt.average_ranks, n_ds)
-    order = np.argsort(rt.average_ranks, kind="stable")
-    for pos in order:
-        name = f"{best_variant[selectors[pos]]}+{selectors[pos]}"
-        rank = rt.average_ranks[pos]
-        mark = "*" if pos == order[0] else ("[=]" if flags[pos] else "   ")
-        lines.append(f"  {name:<24}{rank:>8.2f}  {mark}")
+    chosen = means[:, best_variant, np.arange(len(selectors))]
+    ranks, best, equivalent = _ranked(chosen)
+    for pos in np.argsort(ranks, kind="stable"):
+        name = f"{variants[best_variant[pos]]}+{selectors[pos]}"
+        mark = "*" if pos == best else ("[=]" if equivalent[pos] else "   ")
+        lines.append(f"  {name:<24}{ranks[pos]:>8.2f}  {mark}")
     lines.append("")
 
     # (c) sign test of each selector's best variant vs its plain-Ba baseline
     if "Ba" in variants:
         lines.append("(c) Wins/ties/losses vs the same selector with plain bagging")
         lines.append("    (significance of the win count at alpha 0.10 / 0.05 / 0.01)")
-        for selector in selectors:
-            chosen = best_variant[selector]
-            wins = ties = losses = 0
-            for d in datasets:
-                a = means[(d, chosen, selector)]
-                b = means[(d, "Ba", selector)]
-                if a > b:
-                    wins += 1
-                elif a < b:
-                    losses += 1
-                else:
-                    ties += 1
+        baseline = means[:, variants.index("Ba")]
+        wins = (chosen > baseline).sum(axis=0).tolist()
+        losses = (chosen < baseline).sum(axis=0).tolist()
+        for name, v, w, l in zip(selectors, best_variant, wins, losses):
+            t = len(datasets) - w - l
             marks = "".join(
-                "+" if sign_test(wins, ties, losses, alpha).significant else "."
+                "+" if sign_test(w, t, l, alpha).significant else "."
                 for alpha in (0.10, 0.05, 0.01)
             )
-            lines.append(
-                f"  {selector:<12} best={chosen:<9} "
-                f"W/T/L = {wins}/{ties}/{losses}  [{marks}]"
-            )
+            lines.append(f"  {name:<12} best={variants[v]:<9} W/T/L = {w}/{t}/{l}  [{marks}]")
     else:
         lines.append("(c) skipped: plain bagging (Ba) is not part of this run")
     return "\n".join(lines) + "\n"

@@ -7,29 +7,15 @@ import numpy as np
 from scipy.stats import binom, norm, rankdata
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Fractional ranks of each method on each dataset (rank 1 = best)."""
-
-    methods: tuple
-    ranks: np.ndarray  # (n_datasets, n_methods)
-    average_ranks: np.ndarray
-
-
-def average_ranks(scores, methods=None, higher_is_better: bool = True) -> RankTable:
-    """Rank methods per dataset (ties get mean ranks) and average the columns."""
+def average_ranks(scores) -> np.ndarray:
+    """Average rank of each method (column) over the datasets (rows) of a
+    score table: rank 1 is the highest score, and ties get mean ranks."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
         raise ValueError("scores must be a (n_datasets, n_methods) table")
     if np.isnan(scores).any():
         raise ValueError("score table has missing cells")
-    keyed = -scores if higher_is_better else scores
-    ranks = np.vstack([rankdata(row) for row in keyed])
-    if methods is None:
-        methods = tuple(f"m{i}" for i in range(scores.shape[1]))
-    return RankTable(
-        methods=tuple(methods), ranks=ranks, average_ranks=ranks.mean(axis=0)
-    )
+    return rankdata(-scores, axis=1).mean(axis=0)
 
 
 def rank_test_pvalues(avg_ranks, n_datasets: int):

@@ -407,9 +407,9 @@ def _parses(cell):
 
 def csv_body_ref(rows):
     """The rows a CSV table decodes: without a first row that fails float
-    parsing in a column whose other non-`?` cells all parse."""
+    parsing in a column whose cells in the other rows free of `?` all parse."""
     for j in range(len(rows[0])):
-        rest = [row[j] for row in rows[1:] if row[j] != "?"]
+        rest = [row[j] for row in rows[1:] if "?" not in row]
         if len(rows) > 1 and not _parses(rows[0][j]) and all(map(_parses, rest)):
             return rows[1:]
     return rows
@@ -421,7 +421,8 @@ def decode_ref(rows, label_idx, label_name, specs=None):
     Rows holding `?` are dropped first. A missing spec is read from the kept
     rows: numeric (None) when every cell parses as a float, else the
     categories in first-appearance order. Class names are the class spec
-    with repeats removed (a numeric class: its distinct cells by value).
+    with repeats removed (a numeric class: its distinct numeric cells by
+    value, so a non-number is an unknown class value).
     Every cell takes its first matching category; a nominal feature becomes
     one indicator per declared category. Returns (features, labels,
     class_names), or the error message of the first bad cell in row order.
@@ -436,7 +437,8 @@ def decode_ref(rows, label_idx, label_name, specs=None):
             numeric = all(_parses(c) for c in cells)
             specs.append(None if numeric else tuple(dict.fromkeys(cells)))
     if specs[label_idx] is None:
-        class_names = tuple(sorted({row[label_idx] for row in kept}, key=float))
+        cells = {row[label_idx] for row in kept if _parses(row[label_idx])}
+        class_names = tuple(sorted(cells, key=float))
     else:
         class_names = tuple(dict.fromkeys(specs[label_idx]))
     features, labels = [], []

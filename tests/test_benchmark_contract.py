@@ -94,3 +94,27 @@ def test_traced_run_opens_every_span(tmp_path):
         "selection.select.KNU", "selection.select.META-DES",
         "selection.select.STATIC", "tree.fit",
     }
+
+
+def test_traced_report_opens_every_stats_span(tmp_path):
+    """A traced report still calls the stats functions the benchmark wraps,
+    so report-grid keeps its `stats.*` and `experiment.report` metrics."""
+    layers, spans, _ = _perfbench()
+    from desbal import experiment
+
+    cfg = experiment.RunConfig(
+        datasets=("builtin:glass",), output=str(tmp_path / "run"),
+        variants=("Ba", "Ba-SM"), selectors=("STATIC", "KNU"), metrics=("gmean",),
+        pool_size=2,
+    )
+    experiment.run_experiment(cfg)
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        text = experiment.make_report(cfg.output, "gmean")
+    finally:
+        tracer.unwrap_all()
+    assert "W/T/L" in text
+    assert set(tracer.names) == {
+        "experiment.report", "stats.ranks", "stats.finner", "stats.sign_test",
+    }

@@ -63,6 +63,18 @@ def test_run_then_report(workspace, capsys):
     assert (tmp_path / "out" / "report_gmean.txt").exists()
 
 
+def test_report_metric_is_case_insensitive(workspace, capsys):
+    # a config may say `metrics = GMean`; the report verb reads it the same way
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--input", str(tmp_path / "out"), "--metric", "gmean"]) == 0
+    lower = capsys.readouterr().out
+    assert main(["report", "--input", str(tmp_path / "out"), "--metric", " GMean "]) == 0
+    assert capsys.readouterr().out == lower
+    assert sorted(p.name for p in (tmp_path / "out").glob("report_*")) == ["report_gmean.txt"]
+
+
 def test_run_partial_failure_exit_code(workspace, capsys):
     tmp_path, config = workspace
     conf2 = tmp_path / "partial.conf"

@@ -214,6 +214,20 @@ class TestDecodeRules:
         assert ds.class_names == ("x", "y")
         assert ds.labels.tolist() == [0, 1, 0, 1]
 
+    def test_csv_header_judged_by_the_kept_rows(self):
+        # `zz` sits only in a row dropped for its `?`, so it hides no header
+        with_dropped = parse_csv("a,cls\n1,x\nzz,?\n3,y\n5,x\n")
+        without = parse_csv("a,cls\n1,x\n3,y\n5,x\n")
+        assert with_dropped.class_names == without.class_names == ("x", "y")
+        assert with_dropped.features.tolist() == without.features.tolist() == [[1.0], [3.0], [5.0]]
+
+    def test_keel_numeric_class_non_number_is_unknown_class(self):
+        head = "@relation t\n@attribute x real\n@attribute cls real\n@data\n"
+        with pytest.raises(DataFormatError, match="unknown class value 'a' in column cls"):
+            parse_keel(head + "1.0, a\n2.0, 1\n3.0, 2\n")
+        with pytest.raises(DataFormatError, match="unknown class value 'a' in column cls"):
+            parse_keel(head + "1.0, 1\nz, a\n3.0, 2\n")  # a class cell before its features
+
     def test_first_bad_cell_in_row_order(self):
         head = (
             "@relation t\n@attribute x real\n@attribute c {p, q}\n"
@@ -236,15 +250,13 @@ def random_table(rng):
     them the class) that are numeric, nominal or mostly numeric, with about
     one `?` cell in ten. `keel_specs` declares each column for a Keel file:
     None (real) or categories that may repeat one or miss a used one; a real
-    feature column may hold a word.
+    column, the class included, may hold a word.
     """
     n_rows, width = int(rng.integers(2, 13)), int(rng.integers(1, 5))
     label_idx = int(rng.integers(width))
     columns, specs = [], []
     for j in range(width):
         kind = rng.choice(["numeric", "nominal", "mixed"])
-        if j == label_idx and kind == "mixed":
-            kind = "nominal"
         pool = NUMBERS[: rng.integers(2, 5)] if j == label_idx else NUMBERS
         words = WORDS[: rng.integers(1, 6)]
         cells = [

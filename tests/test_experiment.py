@@ -410,3 +410,4 @@ class TestReport:
             text = make_report(tmp_path / "e2e", metric)
             assert "Average rank" in text
             assert "W/T/L" in text
+            assert make_report(tmp_path / "e2e", f" {metric.upper()} ") == text

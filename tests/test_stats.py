@@ -17,27 +17,21 @@ from desbal.stats import (
 class TestAverageRanks:
     def test_dominant_method(self):
         scores = np.array([[0.9, 0.5], [0.8, 0.4], [0.7, 0.2]])
-        rt = average_ranks(scores, ("a", "b"))
-        assert rt.average_ranks.tolist() == [1.0, 2.0]
+        assert average_ranks(scores).tolist() == [1.0, 2.0]
 
     def test_exact_tie_mean_rank(self):
-        rt = average_ranks(np.array([[0.5, 0.5]]), ("a", "b"))
-        assert rt.ranks[0].tolist() == [1.5, 1.5]
+        assert average_ranks(np.array([[0.5, 0.5]])).tolist() == [1.5, 1.5]
 
     def test_sort_based_oracle(self):
         rng = np.random.default_rng(0)
         scores = rng.uniform(size=(4, 3))
-        rt = average_ranks(scores)
-        for row, ranks in zip(scores, rt.ranks):
-            order = sorted(range(3), key=lambda i: -row[i])
-            expected = np.empty(3)
-            for pos, idx in enumerate(order):
-                expected[idx] = pos + 1
-            assert np.array_equal(ranks, expected)  # no ties in random floats
-
-    def test_lower_is_better_flag(self):
-        rt = average_ranks(np.array([[1.0, 2.0]]), higher_is_better=False)
-        assert rt.ranks[0].tolist() == [1.0, 2.0]
+        expected = np.empty_like(scores)
+        for row, ranks in zip(scores, expected):
+            for pos, idx in enumerate(sorted(range(3), key=lambda i: -row[i])):
+                ranks[idx] = pos + 1  # no ties in random floats
+        for row, ranks in zip(scores, expected):
+            assert np.array_equal(average_ranks(row[None]), ranks)
+        assert np.array_equal(average_ranks(scores), expected.mean(axis=0))
 
     def test_missing_cells_rejected(self):
         with pytest.raises(ValueError, match="missing"):
