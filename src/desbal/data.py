@@ -244,7 +244,8 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
     columns = list(zip(*kept))
     if specs is None:
         specs = [None if all(map(_is_float, c)) else tuple(dict.fromkeys(c)) for c in columns]
-    declared = specs[label_idx] or sorted(set(filter(_is_float, columns[label_idx])), key=float)
+    declared = specs[label_idx] or sorted(  # equal numbers keep their row order
+        dict.fromkeys(filter(_is_float, columns[label_idx])), key=float)
     class_names = tuple(dict.fromkeys(declared))  # a class declared twice is one
     kinds = [class_names if j == label_idx else spec for j, spec in enumerate(specs)]
     decoded = [_decode(cells, kind) for cells, kind in zip(columns, kinds)]

@@ -3,8 +3,11 @@ combinations, crash-safe result persistence, and report generation."""
 
 import hashlib
 import logging
+import logging.handlers
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -275,14 +278,60 @@ def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
     return scored
 
 
+def _evaluate_held(cell) -> tuple:
+    """`evaluate_cell(*cell)` and the desbal log records it made, held back
+    from every handler so that the writer emits them in plan order. An
+    exception the cell raises carries its records as `held_records`."""
+    package_logger = logging.getLogger(__package__)
+    saved = package_logger.handlers, package_logger.propagate
+    held = logging.handlers.BufferingHandler(capacity=float("inf"))  # never flushes
+    package_logger.handlers, package_logger.propagate = [held], False
+    try:
+        return evaluate_cell(*cell), held.buffer
+    except Exception as exc:
+        exc.held_records = held.buffer
+        raise
+    finally:
+        package_logger.handlers, package_logger.propagate = saved
+
+
+def _next_scores(results) -> list:
+    """The next cell's scores from `results`, once the log records the cell
+    made are emitted; a cell that raised emits them, then raises."""
+    records = []
+    try:
+        scored, records = next(results)
+        return scored
+    except Exception as exc:
+        records = getattr(exc, "held_records", [])
+        raise
+    finally:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+
+
+def _worker_count(cells: int) -> int:
+    """Processes to run `cells` cells on: one per CPU of this process's
+    affinity mask, at most one per cell. 1 means this process, as it does
+    where `fork` or the affinity mask is unavailable."""
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    if not (fork and hasattr(os, "sched_getaffinity")):
+        return min(cells, 1)
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
 def run_experiment(cfg: RunConfig) -> RunSummary:
     """Execute the full grid, appending records not yet present on disk.
 
-    `_plan` yields the folds with records missing, `evaluate_cell` scores
-    each of their cells, and the loop below appends a cell's missing records
-    and flushes. The record key (dataset, variant, selector, replication,
-    fold, metric) makes resumption idempotent. The `fold` column names the
-    tested half.
+    `_plan` yields the folds with records missing and `evaluate_cell` scores
+    each of their cells: in forked worker processes, one per usable CPU
+    (`os.sched_getaffinity`), or in this process when one CPU or one cell is
+    left. The loop below takes the cells back in plan order, emits the log
+    records each one made, appends its missing records and flushes, so the
+    file and the log are those of a serial run and a crash leaves a prefix
+    of them. The record key (dataset, variant, selector, replication, fold,
+    metric) makes resumption idempotent. The `fold` column names the tested
+    half.
     """
     problems = validate_config(cfg)
     if problems:
@@ -317,21 +366,37 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 continue
             logger.info("dataset %s: %d samples, %d classes",
                         dataset.name, dataset.n_samples, dataset.n_classes)
-            for rep, fold, train, test, params, cells in _plan(cfg, dataset, done):
+            folds, cells = [], []
+            for rep, fold, train, test, params, fold_cells in _plan(cfg, dataset, done):
                 scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold}.txt"
                 if not scaling_path.exists():
                     _write_atomic(scaling_path, params.to_text())
-                for variant, selectors in cells:
-                    scored = evaluate_cell(cfg, train, test, variant, rep, fold, selectors)
-                    for selector, values, seconds in scored:
-                        for metric in cfg.metrics:
-                            key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
-                            if key not in done:
-                                out.write("\t".join(key)
-                                          + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
-                                summary.records_written += 1
-                    out.flush()
-                logger.info("%s replication %d fold %s done", dataset.name, rep + 1, fold)
+                folds.append((rep, fold, [variant for variant, _ in fold_cells]))
+                cells += [(cfg, train, test, variant, rep, fold, selectors)
+                          for variant, selectors in fold_cells]
+            workers = _worker_count(len(cells))
+            logger.info("dataset %s: %d cells left, %s", dataset.name, len(cells),
+                        f"{workers} worker processes" if workers > 1 else "run in this process")
+            executor = None
+            if workers > 1:
+                executor = ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                results = (executor.map if executor else map)(_evaluate_held, cells)
+                for rep, fold, variants in folds:
+                    for variant in variants:
+                        for selector, values, seconds in _next_scores(results):
+                            for metric in cfg.metrics:
+                                key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
+                                if key not in done:
+                                    out.write("\t".join(key)
+                                              + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
+                                    summary.records_written += 1
+                        out.flush()
+                    logger.info("%s replication %d fold %s done", dataset.name, rep + 1, fold)
+            finally:
+                if executor:  # cells not yet started are dropped, running ones finish
+                    executor.shutdown(cancel_futures=True)
     return summary
 
 

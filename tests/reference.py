@@ -437,7 +437,7 @@ def decode_ref(rows, label_idx, label_name, specs=None):
             numeric = all(_parses(c) for c in cells)
             specs.append(None if numeric else tuple(dict.fromkeys(cells)))
     if specs[label_idx] is None:
-        cells = {row[label_idx] for row in kept if _parses(row[label_idx])}
+        cells = dict.fromkeys(row[label_idx] for row in kept if _parses(row[label_idx]))
         class_names = tuple(sorted(cells, key=float))
     else:
         class_names = tuple(dict.fromkeys(specs[label_idx]))

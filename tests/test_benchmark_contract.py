@@ -6,6 +6,7 @@ changed signature shows up here instead of only when the benchmark runs.
 """
 
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -70,30 +71,36 @@ def test_benchmark_wraps_and_calls_resolve():
     assert (summary.records_written, summary.records_skipped) == (0, 0)
 
 
-def test_traced_run_opens_every_span(tmp_path):
-    """A traced run still reaches every wrapped call site of the runner."""
+def test_traced_run_opens_every_span(tmp_path, monkeypatch):
+    """A traced run on one CPU (`taskset -c 0`) still reaches every wrapped
+    call site of the runner; on more, the cells' spans stay in the workers."""
     layers, spans, _ = _perfbench()
     from desbal import experiment
 
-    cfg = experiment.RunConfig(
-        datasets=("builtin:glass",), output=str(tmp_path / "run"),
-        variants=("Ba", "Ba-SM"), selectors=("STATIC", "KNU", "META-DES"),
-        metrics=("auc", "fmeasure", "gmean"), pool_size=3,
-    )
-    tracer = spans.Tracer()
-    try:
-        layers.install(tracer)
-        experiment.run_experiment(cfg)
-    finally:
-        tracer.unwrap_all()
-    assert set(tracer.names) == {
-        "benchmarks.load", "data.split", "data.standardize", "experiment.run",
+    def traced_run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = experiment.RunConfig(
+            datasets=("builtin:glass",), output=str(tmp_path / f"run{cpus}"),
+            variants=("Ba", "Ba-SM"), selectors=("STATIC", "KNU", "META-DES"),
+            metrics=("auc", "fmeasure", "gmean"), pool_size=3,
+        )
+        tracer = spans.Tracer()
+        try:
+            layers.install(tracer)
+            experiment.run_experiment(cfg)
+        finally:
+            tracer.unwrap_all()
+        return set(tracer.names)
+
+    parent = {"benchmarks.load", "data.split", "data.standardize", "experiment.run"}
+    assert traced_run(1) == parent | {
         "metrics.score", "pool.build_dsel", "pool.generate", "pool.predict",
         "resampling.apply", "resampling.resample", "selection.aggregate",
         "selection.context", "selection.make_queries", "selection.meta_train",
         "selection.select.KNU", "selection.select.META-DES",
         "selection.select.STATIC", "tree.fit",
     }
+    assert traced_run(2) == parent
 
 
 def test_traced_report_opens_every_stats_span(tmp_path):

@@ -1,6 +1,11 @@
 """Parsing (with one-hot encoding of nominal attributes), scaling and
 splitting contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,6 +232,31 @@ class TestDecodeRules:
             parse_keel(head + "1.0, a\n2.0, 1\n3.0, 2\n")
         with pytest.raises(DataFormatError, match="unknown class value 'a' in column cls"):
             parse_keel(head + "1.0, 1\nz, a\n3.0, 2\n")  # a class cell before its features
+
+    def test_numeric_class_ties_keep_row_order_under_any_hash_seed(self):
+        # `0` and `-0.0` are equal as numbers, so their class ids come from
+        # their first appearance, never from a set order that PYTHONHASHSEED sets
+        code = (
+            "import reference as ref\n"
+            "from desbal.data import parse_keel\n"
+            "head = '@relation t\\n@attribute x real\\n@attribute cls real\\n@data\\n'\n"
+            "ds = parse_keel(head + '1.0, 0\\n2.0, -0.0\\n3.0, 0\\n')\n"
+            "rows = [['1.0', '0'], ['2.0', '-0.0'], ['3.0', '0']]\n"
+            "_, labels, names = ref.decode_ref(rows, 1, 'cls', [None, None])\n"
+            "print(ds.class_names, ds.labels.tolist(), names, labels)\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+            )
+            for seed in range(1, 5)
+        ]
+        outputs = [run.communicate(timeout=60)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0] * 4
+        assert set(outputs) == {"('0', '-0.0') [0, 1, 0] ('0', '-0.0') [0, 1, 0]\n"}
 
     def test_first_bad_cell_in_row_order(self):
         head = (

@@ -1,10 +1,14 @@
 """Runner configuration, record persistence, resumption and reporting."""
 
+import logging
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import desbal.experiment as experiment
 from desbal.experiment import (
     RECORD_COLUMNS,
     RESULTS_FILE,
@@ -98,6 +102,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="more than once"):
             run_experiment(cfg)
         assert not (tmp_path / "r").exists()
+
+    def test_config_hash_is_pinned(self):
+        # the hash names an output directory: a new RunConfig field, or any
+        # change to canonical_text, would lock every existing one out
+        cfg = RunConfig(
+            datasets=("builtin:glass", "data/toy.csv"), output="out", variants=("Ba", "Ba-SM"),
+            selectors=("STATIC", "META-DES"), metrics=("auc",), pool_size=5, k=3, seed=7,
+            csv_label_column=0, data_dir="keel",
+        )
+        assert config_hash(cfg) == "71cc3a3769981b07"
 
     def test_unknown_selector_fails_before_training(self, csv_dataset, tmp_path):
         out = tmp_path / "never"
@@ -318,6 +332,112 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert lines[0] == "\t".join(RECORD_COLUMNS)
         assert lines.count(lines[0]) == 1
+
+
+def _first_seven(path):
+    return [line.split("\t")[:7] for line in Path(path).read_text().splitlines()]
+
+
+def _held_log(run):
+    """`run()` and the (name, level, message) of every desbal record it logs."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    package_logger = logging.getLogger("desbal")
+    level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(logging.DEBUG)
+    try:
+        run()
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(level)
+    return [(r.name, r.levelname, r.getMessage()) for r in records]
+
+
+def _glass_cells(out_dir) -> RunConfig:
+    return RunConfig(
+        datasets=("builtin:glass",), output=str(out_dir), variants=("Ba", "Ba-SM"),
+        selectors=("STATIC", "KNU", "META-DES"), pool_size=5,
+    )
+
+
+@pytest.fixture(scope="module")
+def parallel_run(tmp_path_factory):
+    """A glass run on two worker processes: its config and its log."""
+    cfg = _glass_cells(tmp_path_factory.mktemp("parallel"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        log = _held_log(lambda: run_experiment(cfg))
+    return cfg, log
+
+
+class TestParallelCells:
+    """Cells run in forked workers, one per CPU of the affinity mask; the
+    writer takes them back in plan order."""
+
+    def test_parallel_equals_in_process(self, parallel_run, tmp_path, monkeypatch):
+        cfg, parallel_log = parallel_run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _glass_cells(tmp_path / "serial")
+        serial_log = _held_log(lambda: run_experiment(serial))
+        assert _first_seven(Path(serial.output) / RESULTS_FILE) == _first_seven(
+            Path(cfg.output) / RESULTS_FILE)
+        # the log is the same line for line, but for the count of processes
+        name, level, head = "desbal.experiment", "INFO", "dataset glass-synthetic: 20 cells left, "
+        at = parallel_log.index((name, level, head + "2 worker processes"))
+        assert serial_log.pop(at) == (name, level, head + "run in this process")
+        assert serial_log == parallel_log[:at] + parallel_log[at + 1:]
+        assert ("desbal.resampling", "DEBUG") in {(name, level) for name, level, _ in serial_log}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_raising_cell_leaves_a_prefix_that_resume_completes(self, parallel_run, tmp_path,
+                                                                monkeypatch, cpus):
+        cfg = _glass_cells(tmp_path / "crash")
+        evaluate_cell = experiment.evaluate_cell
+
+        def third_cell_raises(cfg, train, test, variant, rep, fold, selectors):
+            if (variant, rep, fold) == ("Ba", 0, "A"):  # plan order: rep 1 B Ba, B Ba-SM, A Ba
+                logging.getLogger("desbal.pool").warning("third cell warns")
+                raise RuntimeError("third cell failed")
+            return evaluate_cell(cfg, train, test, variant, rep, fold, selectors)
+
+        def crash():
+            with pytest.raises(RuntimeError, match="third cell failed"):
+                run_experiment(cfg)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(experiment, "evaluate_cell", third_cell_raises)  # forks inherit it
+        log = _held_log(crash)
+        # the failing cell's records come last, after the fold done before it
+        assert log[-2:] == [
+            ("desbal.experiment", "INFO", "glass-synthetic replication 1 fold B done"),
+            ("desbal.pool", "WARNING", "third cell warns"),
+        ]
+        clean = _first_seven(Path(parallel_run[0].output) / RESULTS_FILE)
+        cut = _first_seven(Path(cfg.output) / RESULTS_FILE)
+        assert cut == clean[:1 + 2 * 3 * 3]  # two cells of 3 selectors x 3 metrics
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(experiment, "evaluate_cell", evaluate_cell)
+        run_experiment(cfg)
+        assert _first_seven(Path(cfg.output) / RESULTS_FILE) == clean
+
+    def test_resume_and_one_cell_start_no_process(self, parallel_run, tmp_path, monkeypatch):
+        out = tmp_path / "resume"
+        cfg = _glass_cells(out)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(cfg)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was made")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        assert run_experiment(cfg).records_written == 0  # as report-grid resumes
+        path = out / RESULTS_FILE
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-9]))  # the last cell: 3 selectors x 3 metrics
+        assert run_experiment(cfg).records_written == 9
+        assert _first_seven(path) == _first_seven(Path(parallel_run[0].output) / RESULTS_FILE)
 
 
 def _crash_writes(monkeypatch, prefix, cut):
