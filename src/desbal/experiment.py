@@ -7,7 +7,7 @@ import logging.handlers
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -310,10 +310,35 @@ def _next_scores(results) -> list:
             logging.getLogger(record.name).handle(record)
 
 
+def _shared_outcomes(executor, cells):
+    """`map(_evaluate_held, cells)`, run by this process and `executor`'s
+    workers together. Every cell is queued to the workers; this process
+    takes each cell no worker has started yet, runs it, and then yields the
+    outcomes done so far in plan order. A cell that raises here stops it
+    taking more. Kept busy, this process holds a core of its own instead of
+    waking onto a worker's."""
+    futures = [executor.submit(_evaluate_held, cell) for cell in cells]
+    yielded = 0
+    for i, cell in enumerate(cells):
+        if not futures[i].cancel():
+            continue  # a worker has it
+        futures[i] = Future()
+        try:
+            futures[i].set_result(_evaluate_held(cell))
+        except Exception as exc:
+            futures[i].set_exception(exc)
+            break
+        while yielded < len(futures) and futures[yielded].done():
+            yield futures[yielded].result()
+            yielded += 1
+    for future in futures[yielded:]:
+        yield future.result()
+
+
 def _worker_count(cells: int) -> int:
-    """Processes to run `cells` cells on: one per CPU of this process's
-    affinity mask, at most one per cell. 1 means this process, as it does
-    where `fork` or the affinity mask is unavailable."""
+    """Processes to run `cells` cells on, this one included: one per CPU of
+    this process's affinity mask, at most one per cell. 1 means this process
+    alone, as it does where `fork` or the affinity mask is unavailable."""
     fork = "fork" in multiprocessing.get_all_start_methods()
     if not (fork and hasattr(os, "sched_getaffinity")):
         return min(cells, 1)
@@ -324,14 +349,14 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     """Execute the full grid, appending records not yet present on disk.
 
     `_plan` yields the folds with records missing and `evaluate_cell` scores
-    each of their cells: in forked worker processes, one per usable CPU
-    (`os.sched_getaffinity`), or in this process when one CPU or one cell is
-    left. The loop below takes the cells back in plan order, emits the log
-    records each one made, appends its missing records and flushes, so the
-    file and the log are those of a serial run and a crash leaves a prefix
-    of them. The record key (dataset, variant, selector, replication, fold,
-    metric) makes resumption idempotent. The `fold` column names the tested
-    half.
+    each of their cells: in this process and forked workers, one process per
+    usable CPU (`os.sched_getaffinity`), or in this process alone when one
+    CPU or one cell is left. The loop below takes the cells back in plan
+    order, emits the log records each one made, appends its missing records
+    and flushes, so the file and the log are those of a serial run and a
+    crash leaves a prefix of them. The record key (dataset, variant,
+    selector, replication, fold, metric) makes resumption idempotent. The
+    `fold` column names the tested half.
     """
     problems = validate_config(cfg)
     if problems:
@@ -375,14 +400,15 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 cells += [(cfg, train, test, variant, rep, fold, selectors)
                           for variant, selectors in fold_cells]
             workers = _worker_count(len(cells))
-            logger.info("dataset %s: %d cells left, %s", dataset.name, len(cells),
-                        f"{workers} worker processes" if workers > 1 else "run in this process")
+            logger.info("dataset %s: %d cells left, run in this process%s", dataset.name,
+                        len(cells), f" and {workers - 1} forked worker(s)" if workers > 1 else "")
             executor = None
             if workers > 1:
                 executor = ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork"))
+                    workers - 1, mp_context=multiprocessing.get_context("fork"))
             try:
-                results = (executor.map if executor else map)(_evaluate_held, cells)
+                results = (_shared_outcomes(executor, cells) if executor
+                           else map(_evaluate_held, cells))
                 for rep, fold, variants in folds:
                     for variant in variants:
                         for selector, values, seconds in _next_scores(results):

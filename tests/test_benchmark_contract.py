@@ -73,7 +73,8 @@ def test_benchmark_wraps_and_calls_resolve():
 
 def test_traced_run_opens_every_span(tmp_path, monkeypatch):
     """A traced run on one CPU (`taskset -c 0`) still reaches every wrapped
-    call site of the runner; on more, the cells' spans stay in the workers."""
+    call site of the runner; on more, the spans of the cells a worker ran
+    stay in the worker."""
     layers, spans, _ = _perfbench()
     from desbal import experiment
 
@@ -93,14 +94,15 @@ def test_traced_run_opens_every_span(tmp_path, monkeypatch):
         return set(tracer.names)
 
     parent = {"benchmarks.load", "data.split", "data.standardize", "experiment.run"}
-    assert traced_run(1) == parent | {
+    one_cpu = traced_run(1)
+    assert one_cpu == parent | {
         "metrics.score", "pool.build_dsel", "pool.generate", "pool.predict",
         "resampling.apply", "resampling.resample", "selection.aggregate",
         "selection.context", "selection.make_queries", "selection.meta_train",
         "selection.select.KNU", "selection.select.META-DES",
         "selection.select.STATIC", "tree.fit",
     }
-    assert traced_run(2) == parent
+    assert parent <= traced_run(2) <= one_cpu
 
 
 def test_traced_report_opens_every_stats_span(tmp_path):

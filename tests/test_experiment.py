@@ -364,7 +364,7 @@ def _glass_cells(out_dir) -> RunConfig:
 
 @pytest.fixture(scope="module")
 def parallel_run(tmp_path_factory):
-    """A glass run on two worker processes: its config and its log."""
+    """A glass run on two processes: its config and its log."""
     cfg = _glass_cells(tmp_path_factory.mktemp("parallel"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -373,8 +373,8 @@ def parallel_run(tmp_path_factory):
 
 
 class TestParallelCells:
-    """Cells run in forked workers, one per CPU of the affinity mask; the
-    writer takes them back in plan order."""
+    """Cells run in this process and forked workers, one process per CPU of
+    the affinity mask; the writer takes them back in plan order."""
 
     def test_parallel_equals_in_process(self, parallel_run, tmp_path, monkeypatch):
         cfg, parallel_log = parallel_run
@@ -385,10 +385,27 @@ class TestParallelCells:
             Path(cfg.output) / RESULTS_FILE)
         # the log is the same line for line, but for the count of processes
         name, level, head = "desbal.experiment", "INFO", "dataset glass-synthetic: 20 cells left, "
-        at = parallel_log.index((name, level, head + "2 worker processes"))
+        at = parallel_log.index((name, level, head + "run in this process and 1 forked worker(s)"))
         assert serial_log.pop(at) == (name, level, head + "run in this process")
         assert serial_log == parallel_log[:at] + parallel_log[at + 1:]
         assert ("desbal.resampling", "DEBUG") in {(name, level) for name, level, _ in serial_log}
+
+    def test_this_process_runs_cells_beside_the_worker(self, tmp_path, monkeypatch):
+        """The run process takes every cell no worker has started, so it
+        computes beside the worker instead of waiting for it."""
+        evaluate_cell = experiment.evaluate_cell
+
+        def logs_its_process(*cell):
+            logging.getLogger("desbal.experiment").info("cell in %d", os.getpid())
+            return evaluate_cell(*cell)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiment, "evaluate_cell", logs_its_process)  # forks inherit it
+        log = _held_log(lambda: run_experiment(_glass_cells(tmp_path / "out")))
+        pids = [int(message.split()[-1]) for _, _, message in log
+                if message.startswith("cell in ")]
+        assert len(pids) == 20
+        assert os.getpid() in pids and len(set(pids)) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_cell_leaves_a_prefix_that_resume_completes(self, parallel_run, tmp_path,
