@@ -39,19 +39,19 @@ x_q = test_s.features[query_idx]
 truth = test_s.labels[query_idx]
 
 # the query keeps its distance to every DSEL row; its region of competence
-# is the k nearest of them
+# is the k nearest of them, with the pool's behaviour on each
 query = ctx.make_query(x_q, k=7)
 print(f"query: a class-{truth} test point")
 print(f"region of competence: DSEL rows {query.indices.tolist()}")
 print(f"  distances {np.round(query.distances[query.indices], 3).tolist()}")
-print(f"  neighbour labels {dsel.labels[query.indices].tolist()}")
+print(f"  neighbour labels {query.labels.tolist()}")
 
 u_q = query.predictions
 print(f"\noutput profile of the query (first 12 of {len(u_q)} classifiers): "
       f"{u_q[:12].tolist()}")
-first_neighbour_profile = ctx.predictions[:, query.indices[0]]
+# agrees[i, j]: classifier i labels neighbour j as it labels the query
 print(f"similarity to its nearest neighbour's profile: "
-      f"{np.mean(u_q == first_neighbour_profile):.2f}")
+      f"{query.agrees[:, 0].mean():.2f}")
 
 cfg = SelectorConfig(k=7, seed=99)
 print(f"\n{'scheme':<11}{'|EoC|':>6}  {'label':>5}  ok")
@@ -61,13 +61,12 @@ for name in SELECTOR_NAMES:
     print(f"{name:<11}{len(result.selected):>6}  {result.predicted_class:>5}  {ok}")
 
 # the schemes' own sizes and thresholds are keyword arguments of functions
-# of the query's region view
-view = ctx.view(query)
+# of the query
 for n, j in ((50, 30), (20, 5)):
-    result = select_desknn(view, n=n, j=j)
+    result = select_desknn(query, n=n, j=j)
     print(f"DES-KNN N={n} J={j}: |EoC| {len(result.selected)}, "
           f"label {result.predicted_class}")
-pruned = select_fire(select_knu, view)
+pruned = select_fire(select_knu, query)
 print(f"FIRE around KNU: |EoC| {len(pruned.selected)}, label {pruned.predicted_class}")
 
 print("\nDCS schemes (RANK, LCA, MCB) pick one specialist; DES schemes keep a")

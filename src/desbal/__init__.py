@@ -26,7 +26,6 @@ from .resampling import (
     smote_exact,
 )
 from .selection import (
-    RegionView,
     SELECTOR_NAMES,
     SelectionContext,
     SelectionResult,

@@ -1,32 +1,32 @@
 """Multi-class performance metrics for imbalanced problems.
 
 Plain accuracy rewards majority-class bias, so evaluation uses the pairwise
-rank-based AUC (averaged over class pairs), the prevalence-weighted
+Mann-Whitney AUC (averaged over class pairs), the prevalence-weighted
 F-measure, and the geometric mean of per-class sensitivities.
 """
 
 import logging
 
 import numpy as np
-from scipy.stats import rankdata
 
 logger = logging.getLogger(__name__)
 
 METRIC_NAMES = ("auc", "fmeasure", "gmean")
 
 
-def _pairwise_auc(scores_col, labels, positive, negative) -> float:
-    """Rank-based AUC of `positive` vs `negative` using one score column."""
-    mask = (labels == positive) | (labels == negative)
-    ranks = rankdata(scores_col[mask])  # mean ranks on ties
-    n_pos = int(np.sum(labels[mask] == positive))
-    n_neg = mask.sum() - n_pos
-    rank_sum = ranks[labels[mask] == positive].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+def _u_statistic(pos, neg) -> float:
+    """Mann-Whitney U of `pos` over `neg`: the (pos, neg) pairs that `pos`
+    scores higher, a tie counting half. A count plus half a count, it is
+    exact in floating point, as the mid-rank sum it replaces was."""
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left").sum()
+    ties = np.searchsorted(neg, pos, side="right").sum() - below
+    return below + 0.5 * ties
 
 
 def auc_multiclass(scores, labels) -> float:
-    """Multi-class AUC: mean over class pairs of the two directed rank AUCs.
+    """Multi-class AUC: mean over class pairs of the two directed AUCs, each
+    the U statistic of one class's score column over the pair's members.
 
     `scores` holds one class-support row per sample (rows on the simplex).
     Pairs with an absent class are skipped with a warning; an instance where
@@ -50,8 +50,10 @@ def auc_multiclass(scores, labels) -> float:
             if not (present[i] and present[j]):
                 logger.warning("class pair (%d, %d) skipped: one side absent", i, j)
                 continue
-            a_ij = _pairwise_auc(scores[:, i], labels, i, j)
-            a_ji = _pairwise_auc(scores[:, j], labels, j, i)
+            in_i, in_j = labels == i, labels == j
+            pairs = in_i.sum() * in_j.sum()
+            a_ij = _u_statistic(scores[in_i, i], scores[in_j, i]) / pairs
+            a_ji = _u_statistic(scores[in_j, j], scores[in_i, j]) / pairs
             values.append((a_ij + a_ji) / 2)
     if not values:
         raise ValueError("all class pairs were skipped")

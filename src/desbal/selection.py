@@ -1,10 +1,10 @@
 """Competence regions and the dynamic classifier/ensemble selection schemes.
 
 A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
-Each test point becomes a `Query` (its distances to the DSEL, its region of
-competence and the pool's outputs for it), and `SelectionContext.view`
-gathers the pool's behaviour on the query's neighbours into a `RegionView`,
-the input of every scheme that judges competence on the region alone.
+Each test point becomes a `Query`: its distances to the DSEL, the pool's
+outputs for it, and its region of competence with the pool's behaviour on
+it, gathered once per batch of queries. A scheme that judges competence on
+the region alone reads the query and nothing else.
 Determinism rules used throughout: competence ties break to the lowest
 classifier index, vote ties to the lowest class id, distance ties to the
 lowest DSEL index.
@@ -55,38 +55,34 @@ class SelectorConfig:
 @dataclass(frozen=True)
 class Query:
     """One test point: its region of competence (the K nearest DSEL rows by
-    Euclidean distance, closest first), its distance to every DSEL row, and
-    every classifier's output for it."""
+    Euclidean distance, closest first), its distance to every DSEL row,
+    every classifier's output for it, and the pool's behaviour on the region.
+
+    `hits[i, j]` tells whether classifier i labels neighbour j correctly and
+    `agrees[i, j]` whether it gives neighbour j the label it gives the query;
+    `labels` are the neighbours' true classes.
+    """
 
     indices: np.ndarray  # (K,) DSEL rows
     distances: np.ndarray  # (n,) Euclidean distance to each DSEL row
     predictions: np.ndarray  # (M,) class ids
     supports: np.ndarray  # (M, L)
-
-
-@dataclass(frozen=True)
-class RegionView:
-    """The pool's behaviour on one query's K nearest DSEL neighbours.
-
-    `hits[i, j]` tells whether classifier i labels neighbour j correctly and
-    `profiles[i, j]` is that label; `labels` are the neighbours' true classes
-    and `predictions` the classifiers' labels for the query itself.
-    """
-
     hits: np.ndarray  # (M, K) bool
-    profiles: np.ndarray  # (M, K) class ids
+    agrees: np.ndarray  # (M, K) bool
     labels: np.ndarray  # (K,) class ids
-    predictions: np.ndarray  # (M,) class ids
-    n_classes: int
 
     @property
     def pool_size(self) -> int:
-        return self.hits.shape[0]
+        return self.predictions.shape[0]
 
-    def rows(self, keep) -> "RegionView":
-        """The same region as seen by the classifiers `keep` alone."""
-        return replace(self, hits=self.hits[keep], profiles=self.profiles[keep],
-                       predictions=self.predictions[keep])
+    @property
+    def n_classes(self) -> int:
+        return self.supports.shape[1]
+
+    def rows(self, keep) -> "Query":
+        """The same query as seen by the classifiers `keep` alone."""
+        return replace(self, predictions=self.predictions[keep], supports=self.supports[keep],
+                       hits=self.hits[keep], agrees=self.agrees[keep])
 
 
 class SelectionContext:
@@ -110,28 +106,22 @@ class SelectionContext:
         return self.make_queries(np.asarray(x_q, dtype=float)[None, :], k)[0]
 
     def make_queries(self, X, k: int = 7) -> list:
-        """Queries for a whole test matrix with one pass of the pool over it."""
+        """Queries for a whole test matrix with one pass of the pool over it
+        and one gather of the pool's behaviour on every region."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         dists = cdist(X, self.dsel.features)
-        order = _nearest(dists, k)
-        supports = self.pool.support_all(X)
+        order = _nearest(dists, k)  # (Q, K)
+        supports = self.pool.support_all(X)  # (M, Q, L)
         predictions = supports.argmax(axis=2)
+        hits = self.hits[:, order]  # (M, Q, K)
+        agrees = self.predictions[:, order] == predictions[:, :, None]
+        labels = self.dsel.labels[order]
         return [
-            Query(indices=order[q], distances=dists[q],
-                  predictions=predictions[:, q], supports=supports[:, q, :])
+            Query(indices=order[q], distances=dists[q], predictions=predictions[:, q],
+                  supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
+                  labels=labels[q])
             for q in range(X.shape[0])
         ]
-
-    def view(self, query: Query) -> RegionView:
-        """The pool's behaviour on the query's region of competence."""
-        idx = query.indices
-        return RegionView(
-            hits=self.hits[:, idx],
-            profiles=self.predictions[:, idx],
-            labels=self.dsel.labels[idx],
-            predictions=query.predictions,
-            n_classes=self.n_classes,
-        )
 
     def rrc_csrc(self, draws: int = 1000, seed: int = 0) -> np.ndarray:
         """Centered correct-classification probability of the randomized
@@ -170,32 +160,18 @@ class SelectionResult:
         return (supports * w[:, None]).sum(axis=0) / w.sum()
 
 
-def majority_vote(predictions, n_classes: int) -> int:
-    """Plurality class id; ties break to the lowest id."""
-    return int(np.argmax(np.bincount(predictions, minlength=n_classes)))
-
-
-def _vote(selected, predictions, n_classes: int) -> SelectionResult:
-    """Plurality vote of the selected classifiers; an empty selection falls
-    back to the whole pool."""
+def _vote(query: Query, selected) -> SelectionResult:
+    """Plurality vote of the selected classifiers, ties to the lowest class
+    id; an empty selection falls back to the whole pool."""
     if selected.size == 0:
-        selected = np.arange(predictions.shape[0])
-    return SelectionResult(
-        selected=selected,
-        predicted_class=majority_vote(predictions[selected], n_classes),
-    )
+        selected = np.arange(query.pool_size)
+    tally = np.bincount(query.predictions[selected], minlength=query.n_classes)
+    return SelectionResult(selected=selected, predicted_class=int(np.argmax(tally)))
 
 
-def _singleton(index: int, predictions) -> SelectionResult:
-    return SelectionResult(
-        selected=np.array([index]),
-        predicted_class=int(predictions[index]),
-    )
-
-
-def select_static(view: RegionView) -> SelectionResult:
+def select_static(query: Query) -> SelectionResult:
     """Plurality vote of the whole pool; ties break to the lowest class id."""
-    return _vote(np.arange(view.pool_size), view.predictions, view.n_classes)
+    return _vote(query, np.arange(query.pool_size))
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +197,24 @@ def _consecutive_hits(hits) -> np.ndarray:
     return np.argmax(~padded, axis=1)
 
 
-def select_rank(view: RegionView) -> SelectionResult:
+def select_rank(query: Query) -> SelectionResult:
     """Modified classifier rank: longest streak of correct nearest neighbours."""
-    runs = _consecutive_hits(view.hits)
-    return _singleton(int(np.argmax(runs)), view.predictions)
+    runs = _consecutive_hits(query.hits)
+    return _vote(query, np.array([np.argmax(runs)]))
 
 
-def select_lca(view: RegionView) -> SelectionResult:
+def select_lca(query: Query) -> SelectionResult:
     """Local class accuracy over the neighbours sharing the predicted label."""
-    same = view.labels[None, :] == view.predictions[:, None]  # (M, K)
+    same = query.labels[None, :] == query.predictions[:, None]  # (M, K)
     n_same = same.sum(axis=1)
     competence = np.divide(
-        (view.hits & same).sum(axis=1), n_same,
-        out=np.zeros(view.pool_size), where=n_same > 0,
+        (query.hits & same).sum(axis=1), n_same,
+        out=np.zeros(query.pool_size), where=n_same > 0,
     )
-    return _singleton(int(np.argmax(competence)), view.predictions)
+    return _vote(query, np.array([np.argmax(competence)]))
 
 
-def select_mcb(view: RegionView, t_s: float = 0.7, t_c: float = 0.1) -> SelectionResult:
+def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionResult:
     """Multiple classifier behaviour.
 
     Neighbours whose output profiles resemble the query's (similarity above
@@ -246,13 +222,13 @@ def select_mcb(view: RegionView, t_s: float = 0.7, t_c: float = 0.1) -> Selectio
     region size, is the competence. A single classifier wins only when it
     beats the runner-up by more than t_c, otherwise the whole pool votes.
     """
-    sims = _agreement(view.profiles, view.predictions)
-    competence = view.hits[:, sims > t_s].sum(axis=1) / view.hits.shape[1]
+    sims = query.agrees.mean(axis=0)
+    competence = query.hits[:, sims > t_s].sum(axis=1) / query.hits.shape[1]
     best = int(np.argmax(competence))
     others = np.delete(competence, best)
     if others.size == 0 or competence[best] - others.max() > t_c:
-        return _singleton(best, view.predictions)
-    return select_static(view)
+        return _vote(query, np.array([best]))
+    return select_static(query)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +236,7 @@ def select_mcb(view: RegionView, t_s: float = 0.7, t_c: float = 0.1) -> Selectio
 # ---------------------------------------------------------------------------
 
 
-def select_kne(view: RegionView) -> SelectionResult:
+def select_kne(query: Query) -> SelectionResult:
     """KNORA-Eliminate: local oracles over the largest feasible region.
 
     Equivalent to shrinking the region one neighbour at a time: the longest
@@ -268,19 +244,19 @@ def select_kne(view: RegionView) -> SelectionResult:
     region size, and every classifier reaching it is selected. With no streak
     at all every classifier ties at zero, so the whole pool votes.
     """
-    runs = _consecutive_hits(view.hits)
-    return _vote(np.flatnonzero(runs == runs.max()), view.predictions, view.n_classes)
+    runs = _consecutive_hits(query.hits)
+    return _vote(query, np.flatnonzero(runs == runs.max()))
 
 
-def select_knu(view: RegionView) -> SelectionResult:
+def select_knu(query: Query) -> SelectionResult:
     """KNORA-Union: one vote per correctly recognized neighbour."""
-    votes = view.hits.sum(axis=1)
+    votes = query.hits.sum(axis=1)
     selected = np.flatnonzero(votes > 0)
     if selected.size == 0:
-        return select_static(view)
+        return select_static(query)
     weights = votes[selected]
     tally = np.bincount(
-        view.predictions[selected], weights=weights, minlength=view.n_classes
+        query.predictions[selected], weights=weights, minlength=query.n_classes
     )
     return SelectionResult(
         selected=selected,
@@ -289,7 +265,7 @@ def select_knu(view: RegionView) -> SelectionResult:
     )
 
 
-def select_desknn(view: RegionView, n: int | None = None,
+def select_desknn(query: Query, n: int | None = None,
                   j: int | None = None) -> SelectionResult:
     """Accuracy pre-selection of N classifiers, then the J most diverse.
 
@@ -298,24 +274,24 @@ def select_desknn(view: RegionView, n: int | None = None,
     integer both-wrong (double-fault) counts (the shared 1/K factor cannot
     change the order) so exact ties stay exact.
     """
-    M = view.pool_size
+    M = query.pool_size
     n = max(1, min(int(np.ceil(0.5 * M)) if n is None else n, M))
     j = max(1, min(int(np.ceil(0.3 * M)) if j is None else j, n))
     # hit counts order identically to accuracies and tie exactly
-    by_accuracy = np.lexsort((np.arange(M), -view.hits.sum(axis=1)))
+    by_accuracy = np.lexsort((np.arange(M), -query.hits.sum(axis=1)))
     candidates = by_accuracy[:n]
-    wrong = (~view.hits[candidates]).astype(int)
+    wrong = (~query.hits[candidates]).astype(int)
     pair_faults = wrong @ wrong.T
     div_sum = pair_faults.sum(axis=1) - np.diag(pair_faults)
     by_diversity = np.lexsort((candidates, div_sum))  # ascending = most diverse
     selected = np.sort(candidates[by_diversity[:j]])
-    return _vote(selected, view.predictions, view.n_classes)
+    return _vote(query, selected)
 
 
-def select_desp(view: RegionView) -> SelectionResult:
+def select_desp(query: Query) -> SelectionResult:
     """Keep classifiers whose local accuracy beats a random guesser (1/L)."""
-    competence = view.hits.mean(axis=1) - 1.0 / view.n_classes
-    return _vote(np.flatnonzero(competence > 0), view.predictions, view.n_classes)
+    competence = query.hits.mean(axis=1) - 1.0 / query.n_classes
+    return _vote(query, np.flatnonzero(competence > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +340,7 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Sel
         nearest = np.arange(dists.shape[0])
     weights = np.exp(-dists[nearest] ** 2)
     competence = csrc[:, nearest] @ weights
-    return _vote(np.flatnonzero(competence > 0), query.predictions, ctx.n_classes)
+    return _vote(query, np.flatnonzero(competence > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +474,7 @@ def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Se
         cfg.meta_kp,
     )[0]
     competence = ctx.meta.posterior_competent(features)
-    return _vote(np.flatnonzero(competence > threshold), query.predictions, ctx.n_classes)
+    return _vote(query, np.flatnonzero(competence > threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +482,7 @@ def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Se
 # ---------------------------------------------------------------------------
 
 
-def dfp_prune(view: RegionView) -> np.ndarray:
+def dfp_prune(query: Query) -> np.ndarray:
     """Dynamic frienemy pruning: keep classifiers that recognize the border.
 
     A classifier survives when its correctly labelled region samples span at
@@ -514,23 +490,23 @@ def dfp_prune(view: RegionView) -> np.ndarray:
     pair correctly). Single-class regions and empty survivor sets keep the
     whole pool.
     """
-    everyone = np.arange(view.pool_size)
-    classes, member = np.unique(view.labels, return_inverse=True)
+    everyone = np.arange(query.pool_size)
+    classes, member = np.unique(query.labels, return_inverse=True)
     if classes.size < 2:
         return everyone
     # (M, C): does the classifier label some neighbour of class c correctly
-    hit_classes = view.hits @ (member[:, None] == np.arange(classes.size))
+    hit_classes = query.hits @ (member[:, None] == np.arange(classes.size))
     survivors = np.flatnonzero(hit_classes.sum(axis=1) >= 2)
     return survivors if survivors.size else everyone
 
 
-def select_fire(base, view: RegionView) -> SelectionResult:
-    """Run the scheme `base(view)` on the DFP-pruned pool; the chosen indices
+def select_fire(base, query: Query) -> SelectionResult:
+    """Run the scheme `base(query)` on the DFP-pruned pool; the chosen indices
     map back to the whole pool."""
-    survivors = dfp_prune(view)
-    if survivors.size == view.pool_size:
-        return base(view)
-    local = base(view.rows(survivors))
+    survivors = dfp_prune(query)
+    if survivors.size == query.pool_size:
+        return base(query)
+    local = base(query.rows(survivors))
     return replace(local, selected=survivors[local.selected])
 
 
@@ -540,9 +516,9 @@ def select_fire(base, view: RegionView) -> SelectionResult:
 
 
 def _on_region(scheme):
-    """`scheme(view)` as a table entry `fn(ctx, query, cfg)`."""
+    """`scheme(query)` as a table entry `fn(ctx, query, cfg)`."""
     def run(ctx, query, cfg):
-        return scheme(ctx.view(query))
+        return scheme(query)
     return run
 
 

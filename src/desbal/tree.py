@@ -29,7 +29,7 @@ class DecisionTree:
 
     `feature[i] == -1` marks a leaf; internal nodes route `x[feature] <=
     threshold` to `left`, otherwise to `right`. Every node keeps its training
-    class counts; leaf counts drive prediction and class supports.
+    class counts; leaf counts give the class supports.
     """
 
     def __init__(self, feature, threshold, left, right, counts, n_classes, arity):
@@ -70,13 +70,6 @@ class DecisionTree:
         counts = self.counts[self.apply(X)]
         support = counts / counts.sum(axis=1, keepdims=True)
         return support[0] if single else support
-
-    def predict(self, x):
-        """Class id with the largest leaf count; ties go to the lowest id."""
-        support = self.predict_support(x)
-        if support.ndim == 1:
-            return int(np.argmax(support))
-        return np.argmax(support, axis=1)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ def random_instance(rng):
     """One small random selection problem: stump pool, random DSEL, one query.
 
     Pool <= 10 depth-1 trees, 2-4 classes, K <= 7. Returns the prepared
-    context, query and region view plus the raw ingredients the reference
+    context and query plus the raw ingredients the reference
     implementations work from.
     """
     n_dsel = int(rng.integers(10, 41))
@@ -47,7 +47,6 @@ def random_instance(rng):
         "ctx": ctx,
         "x": x_q,
         "query": query,
-        "view": ctx.view(query),
         "k": min(k, n_dsel),
         "n_classes": n_classes,
         "pool_size": pool_size,

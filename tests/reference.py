@@ -5,8 +5,8 @@ Python loops and no shared code with the library (beyond the documented tie
 rules: lowest classifier index, lowest class id, lowest DSEL index). They are
 the oracles the library's vectorized selectors are checked against. The
 output-profile similarity, the META-DES meta-features, the double-fault
-measure, the single-support RRC probability and the trapezoidal ROC AUC are
-kept here as oracles too, and so are the per-feature CART split search and
+measure, the single-support RRC probability, the trapezoidal ROC AUC and the
+mid-rank multi-class AUC are kept here as oracles too, and so are the per-feature CART split search and
 the per-row SMOTE interpolation that the library computes as arrays. The
 resampling orchestration is kept here with one branch per variant family; it
 calls the library's per-class primitives, which have their own tests. The
@@ -17,6 +17,7 @@ set tests and per-cell loops.
 import logging
 
 import numpy as np
+from scipy.stats import rankdata
 
 
 def region_ref(dsel_features, x_q, k):
@@ -233,6 +234,32 @@ def auc_trapezoid_ref(labels, scores):
         (x1 - x0) * (y0 + y1) / 2.0
         for (x0, y0), (x1, y1) in zip(points, points[1:])
     )
+
+
+def auc_rank_ref(scores, labels):
+    """Multi-class AUC from mid-ranks, pair by pair.
+
+    Each directed AUC ranks the pair's members on the positive class's score
+    column: (rank sum of the positives - n_pos (n_pos + 1) / 2) / (n_pos
+    n_neg). A pair scores the mean of its two directions, and the AUC is the
+    mean over the pairs whose classes are both present.
+    """
+    def directed(column, positive, negative):
+        mask = (labels == positive) | (labels == negative)
+        ranks = rankdata(column[mask])  # mean ranks on ties
+        n_pos = int(np.sum(labels[mask] == positive))
+        n_neg = mask.sum() - n_pos
+        rank_sum = ranks[labels[mask] == positive].sum()
+        return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+    n_classes = scores.shape[1]
+    present = np.bincount(labels, minlength=n_classes) > 0
+    values = [
+        (directed(scores[:, i], i, j) + directed(scores[:, j], j, i)) / 2
+        for i in range(n_classes) for j in range(i + 1, n_classes)
+        if present[i] and present[j]
+    ]
+    return float(np.mean(values))
 
 
 def _gini_from_counts(counts, n):

@@ -50,7 +50,7 @@ def test_criterion_01_kne_oracle(oracle_instances):
     mismatches = 0
     for inst in oracle_instances:
         ctx, query = inst["ctx"], inst["query"]
-        got = select_kne(inst["view"])
+        got = select_kne(query)
         want_sel, want_pred = ref.kne_ref(
             ctx.hits, query.indices.tolist(), query.predictions, ctx.n_classes
         )
@@ -66,28 +66,28 @@ def test_criterion_01_kne_oracle(oracle_instances):
 def test_criterion_02_selector_oracles(oracle_instances):
     failures = []
     for n, inst in enumerate(oracle_instances):
-        ctx, query, view = inst["ctx"], inst["query"], inst["view"]
+        ctx, query = inst["ctx"], inst["query"]
         hits, preds_q = ctx.hits, query.predictions
         roc = query.indices.tolist()
         L = ctx.n_classes
 
-        got = select_rank(view)
+        got = select_rank(query)
         want = ref.rank_ref(hits, roc, preds_q)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "RANK"))
 
-        got = select_lca(view)
+        got = select_lca(query)
         want = ref.lca_ref(hits, roc, ctx.dsel.labels, preds_q)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "LCA"))
 
         t_s, t_c = inst["mcb_ts"], inst["mcb_tc"]
-        got = select_mcb(view, t_s=t_s, t_c=t_c)
+        got = select_mcb(query, t_s=t_s, t_c=t_c)
         want = ref.mcb_ref(hits, roc, ctx.predictions, preds_q, t_s, t_c, L)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "MCB"))
 
-        got = select_knu(view)
+        got = select_knu(query)
         want_sel, want_w, want_pred = ref.knu_ref(hits, roc, preds_q, L)
         got_w = None if got.vote_weights is None else got.vote_weights.tolist()
         if (got.selected.tolist(), got_w, got.predicted_class) != (
@@ -95,18 +95,18 @@ def test_criterion_02_selector_oracles(oracle_instances):
         ):
             failures.append((n, "KNU"))
 
-        got = select_desp(view)
+        got = select_desp(query)
         want = ref.desp_ref(hits, roc, preds_q, L)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "DESP"))
 
         nn, jj = inst["desknn_n"], inst["desknn_j"]
-        got = select_desknn(view, n=nn, j=jj)
+        got = select_desknn(query, n=nn, j=jj)
         want = ref.desknn_ref(hits, roc, preds_q, nn, jj, L)
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "DES-KNN"))
 
-        if dfp_prune(view).tolist() != ref.dfp_ref(hits, roc, ctx.dsel.labels):
+        if dfp_prune(query).tolist() != ref.dfp_ref(hits, roc, ctx.dsel.labels):
             failures.append((n, "DFP"))
     _verdict(2, "selector oracle equivalence", not failures)
 
@@ -358,7 +358,7 @@ def test_criterion_09_fire_composition(oracle_instances):
     failures = 0
     for inst in oracle_instances:
         ctx, query = inst["ctx"], inst["query"]
-        got = select_fire(select_knu, inst["view"])
+        got = select_fire(select_knu, query)
         want_sel, want_w, want_pred = ref.fire_knu_ref(
             ctx.hits, query.indices.tolist(), query.predictions,
             ctx.dsel.labels, ctx.n_classes,
@@ -379,7 +379,6 @@ def _support_stub(support_fn, n_classes, arity):
     tree.predict_support = lambda X: np.vstack(
         [support_fn(row) for row in np.atleast_2d(X)]
     )
-    tree.predict = lambda X: np.argmax(tree.predict_support(X), axis=1)
     return tree
 
 

@@ -1,8 +1,10 @@
 """The names the benchmark in perfbench/ wraps and calls, checked in tier 1.
 
 perfbench/layers.py wraps desbal functions and methods by name, and
-perfbench/workloads.py calls them with fixed argument shapes. A rename or a
-changed signature shows up here instead of only when the benchmark runs.
+perfbench/workloads.py calls them with fixed argument shapes and checks the
+shape of every selection decision with perfbench/measure.py. A rename, a
+changed signature or a changed decision shape shows up here instead of only
+when the benchmark runs.
 """
 
 import inspect
@@ -17,15 +19,16 @@ def _perfbench():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
+        import measure
         import spans
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return layers, spans, workloads
+    return layers, measure, spans, workloads
 
 
 def test_benchmark_wraps_and_calls_resolve():
-    layers, spans, workloads = _perfbench()
+    layers, _, spans, workloads = _perfbench()
     from desbal import data, experiment, pool, selection
     from desbal.tree import TreeConfig
 
@@ -75,7 +78,7 @@ def test_traced_run_opens_every_span(tmp_path, monkeypatch):
     """A traced run on one CPU (`taskset -c 0`) still reaches every wrapped
     call site of the runner; on more, the spans of the cells a worker ran
     stay in the worker."""
-    layers, spans, _ = _perfbench()
+    layers, _, spans, _ = _perfbench()
     from desbal import experiment
 
     def traced_run(cpus):
@@ -108,7 +111,7 @@ def test_traced_run_opens_every_span(tmp_path, monkeypatch):
 def test_traced_report_opens_every_stats_span(tmp_path):
     """A traced report still calls the stats functions the benchmark wraps,
     so report-grid keeps its `stats.*` and `experiment.report` metrics."""
-    layers, spans, _ = _perfbench()
+    layers, _, spans, _ = _perfbench()
     from desbal import experiment
 
     cfg = experiment.RunConfig(
@@ -127,3 +130,29 @@ def test_traced_report_opens_every_stats_span(tmp_path):
     assert set(tracer.names) == {
         "experiment.report", "stats.ranks", "stats.finner", "stats.sign_test",
     }
+
+
+def test_every_decision_has_the_shape_the_sweep_checks():
+    """selector-sweep times one `run_selector` plus `aggregate_score` per
+    query and counts a decision whose shape `measure.decision_ok` refuses as
+    a failed operation."""
+    _, measure, _, _ = _perfbench()
+    from desbal import data, pool, selection
+    from desbal.benchmarks import load_benchmark
+    from desbal.tree import TreeConfig
+
+    glass = load_benchmark("glass")
+    _, _, train_idx, test_idx = next(iter(data.stratified_5x2(glass, 1).folds()))
+    train, (test,), _ = data.standardize(glass.subset(train_idx), [glass.subset(test_idx)])
+    bagged = pool.generate_pool(train, "Ba-RM", 5, TreeConfig(), 1)
+    ctx = selection.SelectionContext(bagged, pool.build_dsel(train, "Ba-RM", 1))
+    ctx.meta = selection.train_meta_classifier(ctx, train, k=7, kp=5)
+    cfg = selection.SelectorConfig(k=7, seed=1)
+    queries = ctx.make_queries(test.features, 7)
+    M, L = ctx.pool_size, ctx.n_classes
+    for name in selection.SELECTOR_NAMES:
+        for q in queries:
+            result = selection.run_selector(name, ctx, q, cfg)
+            assert measure.decision_ok(
+                result.selected, result.predicted_class, result.aggregate_score(q), M, L
+            ), (name, result)

@@ -69,6 +69,22 @@ class TestAuc:
             if roc_auc_score is not None:
                 assert roc_auc_score(labels, scores[:, 1]) == pytest.approx(want, abs=1e-9)
 
+    def test_matches_mid_rank_oracle_bitwise(self):
+        """Heavily tied supports, as a pool of small trees gives them, with
+        some classes absent: the counted U statistics equal the mid-rank
+        AUC to the last bit."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            L = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 151))
+            labels = rng.integers(0, int(rng.integers(2, L + 1)), size=n)
+            labels[:2] = [0, 1]
+            raw = rng.integers(0, 4, size=(n, L)).astype(float)
+            raw[raw.sum(axis=1) == 0] = 1.0
+            scores = raw / raw.sum(axis=1, keepdims=True)
+            got = auc_multiclass(scores, labels)
+            assert got.hex() == ref.auc_rank_ref(scores, labels).hex()
+
     def test_absent_pair_skipped(self, caplog):
         labels = np.array([0, 0, 1, 1])
         scores = _simplex_scores(np.random.default_rng(3), 4, 3)

@@ -54,7 +54,8 @@ class TestGeneratePool:
         )
         probe = np.random.default_rng(9).normal(size=(40, 3))
         assert np.array_equal(
-            pool.classifiers[0].predict(probe), manual.predict(probe)
+            pool.classifiers[0].predict_support(probe).argmax(-1),
+            manual.predict_support(probe).argmax(-1),
         )
 
     def test_deterministic(self):

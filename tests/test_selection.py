@@ -1,5 +1,6 @@
 """Selection schemes: rule-level contracts, properties, and oracle checks."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,6 @@ from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     MetaClassifier,
     Query,
-    RegionView,
     SelectionContext,
     SelectorConfig,
     _agreement,
@@ -36,15 +36,20 @@ from desbal.selection import (
 from desbal.tree import DecisionTree, LEAF
 
 
-def _view(hits, profiles, labels, n_classes, preds_q):
-    """A hand-crafted region: hits and output profiles on the K neighbours,
-    the neighbours' labels, and the pool's labels for the query."""
-    return RegionView(
-        hits=np.asarray(hits, dtype=bool),
-        profiles=np.asarray(profiles, dtype=int),
+def _query(hits, profiles, labels, n_classes, preds_q):
+    """A hand-crafted query: hits and output profiles on its K neighbours,
+    the neighbours' labels, and the pool's labels (as one-hot supports) for
+    the query itself."""
+    hits = np.asarray(hits, dtype=bool)
+    preds_q = np.asarray(preds_q, dtype=int)
+    return Query(
+        indices=np.arange(hits.shape[1]),
+        distances=np.zeros(hits.shape[1]),
+        predictions=preds_q,
+        supports=np.eye(n_classes)[preds_q],
+        hits=hits,
+        agrees=np.asarray(profiles, dtype=int) == preds_q[:, None],
         labels=np.asarray(labels, dtype=int),
-        predictions=np.asarray(preds_q, dtype=int),
-        n_classes=n_classes,
     )
 
 
@@ -131,22 +136,22 @@ class TestRank:
     def test_consecutive_run(self):
         hits = np.array([[1, 1, 0, 1, 1, 1, 1]])
         # pad with a weaker classifier so the run of 2 must win
-        view = _view(
+        query = _query(
             np.vstack([hits, [[0, 1, 1, 1, 1, 1, 1]]]),
             np.zeros((2, 7)), np.zeros(7), 2, [1, 0],
         )
-        result = select_rank(view)
+        result = select_rank(query)
         assert result.selected.tolist() == [0]
 
     def test_perfect_run_selected(self):
         hits = np.array([[1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 1, 1, 1]])
-        result = select_rank(_view(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 0]))
+        result = select_rank(_query(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 0]))
         assert result.selected.tolist() == [0]
         assert result.predicted_class == 1
 
     def test_all_miss_first_neighbour_tie(self):
         hits = np.zeros((3, 7))
-        result = select_rank(_view(hits, np.zeros((3, 7)), np.zeros(7), 2, [1, 1, 1]))
+        result = select_rank(_query(hits, np.zeros((3, 7)), np.zeros(7), 2, [1, 1, 1]))
         assert result.selected.tolist() == [0]
 
 
@@ -155,11 +160,11 @@ class TestLca:
         # neighbours 0-2 belong to the predicted class 1; hits on 2 of them
         dsel_labels = np.array([1, 1, 1, 0, 0, 0, 0])
         hits = np.array([[1, 1, 0, 1, 1, 1, 1]])
-        result = select_lca(_view(hits, np.ones((1, 7)), dsel_labels, 2, [1]))
+        result = select_lca(_query(hits, np.ones((1, 7)), dsel_labels, 2, [1]))
         assert result.selected.tolist() == [0]
         # competence never exposed directly; check through a rival
         rival_hits = np.array([[1, 1, 0, 1, 1, 1, 1], [1, 1, 1, 0, 0, 0, 0]])
-        result2 = select_lca(_view(rival_hits, np.ones((2, 7)), dsel_labels, 2, [1, 1]))
+        result2 = select_lca(_query(rival_hits, np.ones((2, 7)), dsel_labels, 2, [1, 1]))
         assert result2.selected.tolist() == [1]  # 3/3 beats 2/3
 
     def test_no_neighbour_of_predicted_class(self):
@@ -167,11 +172,11 @@ class TestLca:
         # classifier 0 predicts class 2 (absent from the region) -> competence
         # 0 despite perfect hits; classifier 1 has real hits on class 0
         hits = np.array([[1] * 7, [1, 0, 0, 0, 0, 0, 0]])
-        result = select_lca(_view(hits, np.zeros((2, 7)), dsel_labels, 3, [2, 0]))
+        result = select_lca(_query(hits, np.zeros((2, 7)), dsel_labels, 3, [2, 0]))
         assert result.selected.tolist() == [1]
         # when everyone lands on 0, the tie goes to the lowest index
         tie = select_lca(
-            _view(np.array([[1] * 7, [0] * 7]), np.zeros((2, 7)), dsel_labels, 3, [2, 0])
+            _query(np.array([[1] * 7, [0] * 7]), np.zeros((2, 7)), dsel_labels, 3, [2, 0])
         )
         assert tie.selected.tolist() == [0]
 
@@ -181,8 +186,8 @@ class TestMcb:
         hits = np.array([[1] * 7, [0] * 7])
         preds_dsel = np.ones((2, 7), dtype=int)
         # profiles of neighbours are (1,1); query profile (0,0): similarity 0
-        view = _view(hits, preds_dsel, np.ones(7), 2, [0, 0])
-        result = select_mcb(view, t_s=0.7, t_c=0.1)
+        query = _query(hits, preds_dsel, np.ones(7), 2, [0, 0])
+        result = select_mcb(query, t_s=0.7, t_c=0.1)
         assert result.selected.size == 2  # whole pool
 
     def test_clear_winner_selected(self):
@@ -191,35 +196,35 @@ class TestMcb:
             [[1, 1, 1, 1, 1, 1, 0], [1, 1, 1, 1, 1, 0, 0], [0] * 7]
         )
         preds_dsel = np.zeros((3, 7), dtype=int)
-        view = _view(hits, preds_dsel, np.zeros(7), 2, [0, 0, 0])
-        result = select_mcb(view, t_s=0.5, t_c=0.1)
+        query = _query(hits, preds_dsel, np.zeros(7), 2, [0, 0, 0])
+        result = select_mcb(query, t_s=0.5, t_c=0.1)
         assert result.selected.tolist() == [0]  # 6/7 - 5/7 > 0.1
 
     def test_close_competences_fall_back(self):
         hits = np.array([[1, 1, 1, 1, 1, 1, 0], [1, 1, 1, 1, 1, 1, 0]])
         preds_dsel = np.zeros((2, 7), dtype=int)
-        view = _view(hits, preds_dsel, np.zeros(7), 2, [0, 0])
-        result = select_mcb(view, t_s=0.5, t_c=0.1)
+        query = _query(hits, preds_dsel, np.zeros(7), 2, [0, 0])
+        result = select_mcb(query, t_s=0.5, t_c=0.1)
         assert result.selected.size == 2
 
 
 class TestKne:
     def test_single_local_oracle(self):
         hits = np.array([[1] * 7, [1, 1, 1, 0, 1, 1, 1]])
-        result = select_kne(_view(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 0]))
+        result = select_kne(_query(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 0]))
         assert result.selected.tolist() == [0]
         assert result.predicted_class == 1
 
     def test_nobody_hits_closest_neighbour(self):
         hits = np.zeros((3, 7))
-        result = select_kne(_view(hits, np.zeros((3, 7)), np.zeros(7), 2, [0, 1, 1]))
+        result = select_kne(_query(hits, np.zeros((3, 7)), np.zeros(7), 2, [0, 1, 1]))
         assert result.selected.size == 3
         assert result.predicted_class == 1  # majority of the whole pool
 
     def test_oracle_on_random_instances(self, oracle_instances):
         for inst in oracle_instances[:50]:
             ctx, query = inst["ctx"], inst["query"]
-            got = select_kne(inst["view"])
+            got = select_kne(query)
             want_sel, want_pred = ref.kne_ref(
                 ctx.hits, query.indices.tolist(), query.predictions,
                 ctx.n_classes,
@@ -231,19 +236,19 @@ class TestKne:
 class TestKnu:
     def test_votes_equal_hit_counts(self):
         hits = np.array([[1, 0, 1, 0, 1, 0, 0]])
-        result = select_knu(_view(hits, np.zeros((1, 7)), np.zeros(7), 2, [1]))
+        result = select_knu(_query(hits, np.zeros((1, 7)), np.zeros(7), 2, [1]))
         assert result.vote_weights.tolist() == [3]
 
     def test_all_wrong_falls_back(self):
         hits = np.zeros((2, 7))
-        result = select_knu(_view(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 1]))
+        result = select_knu(_query(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 1]))
         assert result.selected.size == 2
         assert result.vote_weights is None
 
     def test_weighted_tally_recount(self, oracle_instances):
         for inst in oracle_instances[:50]:
             ctx, query = inst["ctx"], inst["query"]
-            got = select_knu(inst["view"])
+            got = select_knu(query)
             want_sel, want_w, want_pred = ref.knu_ref(
                 ctx.hits, query.indices.tolist(), query.predictions,
                 ctx.n_classes,
@@ -270,15 +275,15 @@ class TestDesKnn:
         rng = np.random.default_rng(0)
         hits = rng.integers(0, 2, size=(6, 7))
         preds_q = rng.integers(0, 3, size=6)
-        view = _view(hits, np.zeros((6, 7)), np.zeros(7), 3, preds_q)
-        result = select_desknn(view, n=6, j=6)
+        query = _query(hits, np.zeros((6, 7)), np.zeros(7), 3, preds_q)
+        result = select_desknn(query, n=6, j=6)
         assert result.selected.tolist() == list(range(6))
         assert result.predicted_class == ref.vote_ref(preds_q, 3)
 
     def test_j_one_boundary(self):
         hits = np.array([[1] * 7, [1] * 7, [0] * 7])
-        view = _view(hits, np.zeros((3, 7)), np.zeros(7), 2, [0, 0, 1])
-        result = select_desknn(view, n=2, j=1)
+        query = _query(hits, np.zeros((3, 7)), np.zeros(7), 2, [0, 0, 1])
+        result = select_desknn(query, n=2, j=1)
         assert result.selected.size == 1
 
     def test_two_stage_oracle(self, oracle_instances):
@@ -287,7 +292,7 @@ class TestDesKnn:
             ctx, query = inst["ctx"], inst["query"]
             n = int(rng.integers(1, ctx.pool_size + 1))
             j = int(rng.integers(1, n + 1))
-            got = select_desknn(inst["view"], n=n, j=j)
+            got = select_desknn(query, n=n, j=j)
             want_sel, want_pred = ref.desknn_ref(
                 ctx.hits, query.indices.tolist(), query.predictions,
                 n, j, ctx.n_classes,
@@ -301,19 +306,19 @@ class TestDesp:
         # 4/7 accuracy, 3 classes: competence = 4/7 - 1/3 = 0.238095
         assert 4 / 7 - 1 / 3 == pytest.approx(0.238095, abs=1e-6)
         hits = np.array([[1, 1, 1, 1, 0, 0, 0]])
-        result = select_desp(_view(hits, np.zeros((1, 7)), np.zeros(7), 3, [1]))
+        result = select_desp(_query(hits, np.zeros((1, 7)), np.zeros(7), 3, [1]))
         assert result.selected.tolist() == [0]
 
     def test_exact_random_accuracy_excluded(self):
         # accuracy exactly 1/L is NOT above the random classifier
         hits = np.array([[1, 0, 1, 0]])  # 2/4 with L = 2
-        result = select_desp(_view(hits, np.zeros((1, 4)), np.zeros(4), 2, [1]))
+        result = select_desp(_query(hits, np.zeros((1, 4)), np.zeros(4), 2, [1]))
         assert result.selected.size == 1  # fallback to the whole pool of 1
 
     def test_selected_set_is_exactly_above_random(self, oracle_instances):
         for inst in oracle_instances[:80]:
             ctx, query = inst["ctx"], inst["query"]
-            got = select_desp(inst["view"])
+            got = select_desp(query)
             acc = ctx.hits[:, query.indices].mean(axis=1)
             expected = np.flatnonzero(acc > 1.0 / ctx.n_classes)
             if expected.size:
@@ -358,11 +363,7 @@ def _stub_tree(support_fn, n_classes, arity):
         X = np.atleast_2d(X)
         return np.vstack([support_fn(row) for row in X])
 
-    def predict(X):
-        return np.argmax(predict_support(X), axis=1)
-
     tree.predict_support = predict_support
-    tree.predict = predict
     return tree
 
 
@@ -567,20 +568,20 @@ class TestMetaDes:
 class TestDfp:
     def test_single_class_region_keeps_pool(self):
         hits = np.array([[1] * 5, [0] * 5])
-        view = _view(hits, np.zeros((2, 5)), np.zeros(5), 2, [0, 0])
-        assert dfp_prune(view).tolist() == [0, 1]
+        query = _query(hits, np.zeros((2, 5)), np.zeros(5), 2, [0, 0])
+        assert dfp_prune(query).tolist() == [0, 1]
 
     def test_majority_only_classifier_pruned(self):
         dsel_labels = np.array([0, 0, 0, 1, 1])
         # classifier 0 only ever right on class 0; classifier 1 crosses
         hits = np.array([[1, 1, 1, 0, 0], [1, 0, 0, 1, 0]])
-        view = _view(hits, np.zeros((2, 5)), dsel_labels, 2, [0, 0])
-        assert dfp_prune(view).tolist() == [1]
+        query = _query(hits, np.zeros((2, 5)), dsel_labels, 2, [0, 0])
+        assert dfp_prune(query).tolist() == [1]
 
     def test_oracle(self, oracle_instances):
         for inst in oracle_instances[:50]:
             ctx, query = inst["ctx"], inst["query"]
-            got = dfp_prune(inst["view"])
+            got = dfp_prune(query)
             want = ref.dfp_ref(
                 ctx.hits, query.indices.tolist(), ctx.dsel.labels
             )
@@ -590,28 +591,28 @@ class TestDfp:
 class TestFire:
     def test_noop_prune_equals_base(self, oracle_instances):
         for inst in oracle_instances[:30]:
-            view = inst["view"]
-            survivors = dfp_prune(view)
-            if survivors.size != view.pool_size:
+            query = inst["query"]
+            survivors = dfp_prune(query)
+            if survivors.size != query.pool_size:
                 continue
-            fire = select_fire(select_knu, view)
-            base = select_knu(view)
+            fire = select_fire(select_knu, query)
+            base = select_knu(query)
             assert fire.selected.tolist() == base.selected.tolist()
             assert fire.predicted_class == base.predicted_class
 
     def test_single_survivor_decides(self):
         dsel_labels = np.array([0, 0, 0, 1, 1])
         hits = np.array([[1, 1, 1, 0, 0], [1, 0, 0, 1, 0]])
-        view = _view(hits, np.zeros((2, 5)), dsel_labels, 2, [0, 1])
+        query = _query(hits, np.zeros((2, 5)), dsel_labels, 2, [0, 1])
         for base in (select_lca, select_kne, select_knu):
-            result = select_fire(base, view)
+            result = select_fire(base, query)
             assert result.selected.tolist() == [1]
             assert result.predicted_class == 1
 
     def test_fire_knu_two_step_oracle(self, oracle_instances):
         for inst in oracle_instances[:50]:
             ctx, query = inst["ctx"], inst["query"]
-            got = select_fire(select_knu, inst["view"])
+            got = select_fire(select_knu, query)
             want_sel, want_w, want_pred = ref.fire_knu_ref(
                 ctx.hits, query.indices.tolist(), query.predictions,
                 ctx.dsel.labels, ctx.n_classes,
@@ -685,7 +686,7 @@ class TestProperties:
         )
         ctx = SelectionContext(pool, dsel)
         query = ctx.make_query(rng.normal(size=2), k=7)
-        assert 1 in select_kne(ctx.view(query)).selected.tolist()
+        assert 1 in select_kne(query).selected.tolist()
 
     def test_common_rescaling_leaves_selections_unchanged(self, oracle_instances):
         for inst in oracle_instances[:10]:
@@ -694,12 +695,7 @@ class TestProperties:
             dists = cdist(inst["x"][None] * factor, ctx.dsel.features * factor)[0]
             indices = _nearest(dists, len(query.indices))
             assert indices.tolist() == query.indices.tolist()
-            scaled_query = Query(
-                indices=indices, distances=dists,
-                predictions=query.predictions, supports=query.supports,
-            )
+            # the region's hits, agreements and labels follow from its indices
+            scaled_query = replace(query, indices=indices, distances=dists)
             for fn in (select_rank, select_lca, select_kne, select_knu, select_desp):
-                assert (
-                    fn(ctx.view(query)).selected.tolist()
-                    == fn(ctx.view(scaled_query)).selected.tolist()
-                )
+                assert fn(query).selected.tolist() == fn(scaled_query).selected.tolist()

@@ -27,13 +27,13 @@ class TestFit:
     def test_single_class_single_leaf(self):
         tree = fit_tree(np.arange(6.0).reshape(3, 2), [1, 1, 1], n_classes=2)
         assert tree.n_nodes == 1
-        assert tree.predict(np.array([0.0, 0.0])) == 1
+        assert tree.predict_support(np.array([0.0, 0.0])).argmax(-1) == 1
 
     def test_xor_fully_separated(self):
         # independent check: a depth-2 tree can shatter XOR, so an unpruned
         # fit with zero stopping threshold must reach 100% training accuracy
         tree = fit_tree(XOR_X, XOR_Y, TreeConfig(min_impurity_decrease=0.0))
-        assert np.array_equal(tree.predict(XOR_X), XOR_Y)
+        assert np.array_equal(tree.predict_support(XOR_X).argmax(-1), XOR_Y)
 
     def test_impurity_threshold_stop(self):
         # best split peels 4 pure samples off a 5/5 parent:
@@ -51,7 +51,7 @@ class TestFit:
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, size=40)
         tree = fit_tree(X, y, TreeConfig(min_impurity_decrease=0.0), n_classes=3)
-        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(tree.predict_support(X).argmax(-1), y)
 
     def test_deterministic_and_feature_tiebreak(self):
         # feature 1 duplicates feature 0: ties must resolve to feature 0
@@ -158,7 +158,7 @@ class TestSplitOracle:
         assert (feature, threshold) == (0, x)
         tree = fit_tree(X, y)
         assert tree.threshold[0] == x
-        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(tree.predict_support(X).argmax(-1), y)
 
     @pytest.mark.parametrize("name", ["glass", "ecoli"])
     def test_fit_tree_with_oracle_split_gives_same_trees(self, name, monkeypatch):
@@ -180,10 +180,10 @@ class TestSplitOracle:
 
 class TestPredict:
     def test_argmax_of_leaf_counts(self):
-        assert _leaf_tree([3.0, 1.0, 0.0]).predict(np.zeros(2)) == 0
+        assert _leaf_tree([3.0, 1.0, 0.0]).predict_support(np.zeros(2)).argmax(-1) == 0
 
     def test_tie_breaks_to_lowest_class(self):
-        assert _leaf_tree([2.0, 2.0, 0.0]).predict(np.zeros(2)) == 0
+        assert _leaf_tree([2.0, 2.0, 0.0]).predict_support(np.zeros(2)).argmax(-1) == 0
 
     def test_support_normalization(self):
         support = _leaf_tree([3.0, 1.0]).predict_support(np.zeros(2))
@@ -202,20 +202,10 @@ class TestPredict:
         assert (support >= 0).all()
         assert np.allclose(support.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_predict_is_argmax_of_support(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(80, 3))
-        y = rng.integers(0, 3, size=80)
-        tree = fit_tree(X, y, TreeConfig(min_impurity_decrease=0.01), n_classes=3)
-        probe = rng.normal(size=(50, 3))
-        assert np.array_equal(
-            tree.predict(probe), np.argmax(tree.predict_support(probe), axis=1)
-        )
-
     def test_arity_mismatch(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeConfig(min_impurity_decrease=0.0))
         with pytest.raises(ValueError, match="arity"):
-            tree.predict(np.zeros(3))
+            tree.predict_support(np.zeros(3))
 
 
 class TestSerialization:
@@ -226,6 +216,8 @@ class TestSerialization:
         tree = fit_tree(X, y, n_classes=3)
         clone = DecisionTree.from_dict(tree.to_dict())
         probe = rng.normal(size=(30, 3))
-        assert np.array_equal(tree.predict(probe), clone.predict(probe))
+        assert np.array_equal(
+            tree.predict_support(probe).argmax(-1), clone.predict_support(probe).argmax(-1)
+        )
         assert np.allclose(tree.predict_support(probe), clone.predict_support(probe))
         assert clone.arity == tree.arity
