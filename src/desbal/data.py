@@ -4,6 +4,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +110,14 @@ def _nearest(dists, k: int) -> np.ndarray:
     if n < k:
         logger.warning("DSEL holds %d < k=%d samples; using the whole set", n, k)
     return np.argsort(dists, axis=-1, kind="stable")[..., :k]
+
+
+def _neighbors(features, of, k: int) -> np.ndarray:
+    """The k rows of `features` nearest to each row `of` names, nearest first,
+    that row itself excluded; k is clamped to the other rows, unwarned."""
+    dists = cdist(features[of], features)
+    dists[np.arange(len(of)), of] = np.inf
+    return _nearest(dists, min(k, features.shape[0] - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,9 @@ def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
 
 
 def _evaluate_held(cell) -> tuple:
-    """`evaluate_cell(*cell)` and the desbal log records it made, held back
-    from every handler so that the writer emits them in plan order. An
-    exception the cell raises carries its records as `held_records`."""
+    """The outcome of `evaluate_cell(*cell)`, its scores or the exception it
+    raised, and the desbal log records it made, held back from every handler
+    so that the writer emits them in plan order. Never raises."""
     package_logger = logging.getLogger(__package__)
     saved = package_logger.handlers, package_logger.propagate
     held = logging.handlers.BufferingHandler(capacity=float("inf"))  # never flushes
@@ -289,44 +289,26 @@ def _evaluate_held(cell) -> tuple:
     try:
         return evaluate_cell(*cell), held.buffer
     except Exception as exc:
-        exc.held_records = held.buffer
-        raise
+        return exc, held.buffer
     finally:
         package_logger.handlers, package_logger.propagate = saved
-
-
-def _next_scores(results) -> list:
-    """The next cell's scores from `results`, once the log records the cell
-    made are emitted; a cell that raised emits them, then raises."""
-    records = []
-    try:
-        scored, records = next(results)
-        return scored
-    except Exception as exc:
-        records = getattr(exc, "held_records", [])
-        raise
-    finally:
-        for record in records:
-            logging.getLogger(record.name).handle(record)
 
 
 def _shared_outcomes(executor, cells):
     """`map(_evaluate_held, cells)`, run by this process and `executor`'s
     workers together. Every cell is queued to the workers; this process
     takes each cell no worker has started yet, runs it, and then yields the
-    outcomes done so far in plan order. A cell that raises here stops it
-    taking more. Kept busy, this process holds a core of its own instead of
-    waking onto a worker's."""
+    outcomes done so far in plan order. An outcome holding an exception
+    stops it taking more. Kept busy, this process holds a core of its own
+    instead of waking onto a worker's."""
     futures = [executor.submit(_evaluate_held, cell) for cell in cells]
     yielded = 0
     for i, cell in enumerate(cells):
         if not futures[i].cancel():
             continue  # a worker has it
         futures[i] = Future()
-        try:
-            futures[i].set_result(_evaluate_held(cell))
-        except Exception as exc:
-            futures[i].set_exception(exc)
+        futures[i].set_result(_evaluate_held(cell))
+        if isinstance(futures[i].result()[0], Exception):
             break
         while yielded < len(futures) and futures[yielded].done():
             yield futures[yielded].result()
@@ -352,11 +334,12 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     each of their cells: in this process and forked workers, one process per
     usable CPU (`os.sched_getaffinity`), or in this process alone when one
     CPU or one cell is left. The loop below takes the cells back in plan
-    order, emits the log records each one made, appends its missing records
-    and flushes, so the file and the log are those of a serial run and a
-    crash leaves a prefix of them. The record key (dataset, variant,
-    selector, replication, fold, metric) makes resumption idempotent. The
-    `fold` column names the tested half.
+    order, emits the log records each one made, then re-raises the exception
+    it raised or appends its missing records and flushes, so the file and the
+    log are those of a serial run and a crash leaves a prefix of them. The
+    record key (dataset, variant, selector, replication, fold, metric) makes
+    resumption idempotent, and a dataset entry whose name an earlier entry
+    took fails. The `fold` column names the tested half.
     """
     problems = validate_config(cfg)
     if problems:
@@ -382,21 +365,23 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     with results_path.open("a") as out:
         if new_file:
             out.write(HEADER_LINE)
+        taken = {}  # dataset name -> the entry that took it
         for spec in cfg.datasets:
             try:
                 dataset = resolve_dataset(spec, cfg)
+                if taken.setdefault(dataset.name, spec) != spec:  # its keys would repeat
+                    raise ValueError(f"its name {dataset.name} is taken by {taken[dataset.name]}")
             except Exception as exc:  # isolate per-dataset failures
-                logger.error("dataset %s failed to load: %s", spec, exc)
+                logger.error("dataset %s skipped: %s", spec, exc)
                 summary.failed_datasets.append(spec)
                 continue
             logger.info("dataset %s: %d samples, %d classes",
                         dataset.name, dataset.n_samples, dataset.n_classes)
-            folds, cells = [], []
+            cells = []
             for rep, fold, train, test, params, fold_cells in _plan(cfg, dataset, done):
                 scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold}.txt"
                 if not scaling_path.exists():
                     _write_atomic(scaling_path, params.to_text())
-                folds.append((rep, fold, [variant for variant, _ in fold_cells]))
                 cells += [(cfg, train, test, variant, rep, fold, selectors)
                           for variant, selectors in fold_cells]
             workers = _worker_count(len(cells))
@@ -407,19 +392,24 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 executor = ProcessPoolExecutor(
                     workers - 1, mp_context=multiprocessing.get_context("fork"))
             try:
-                results = (_shared_outcomes(executor, cells) if executor
-                           else map(_evaluate_held, cells))
-                for rep, fold, variants in folds:
-                    for variant in variants:
-                        for selector, values, seconds in _next_scores(results):
-                            for metric in cfg.metrics:
-                                key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
-                                if key not in done:
-                                    out.write("\t".join(key)
-                                              + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
-                                    summary.records_written += 1
-                        out.flush()
-                    logger.info("%s replication %d fold %s done", dataset.name, rep + 1, fold)
+                outcomes = (_shared_outcomes(executor, cells) if executor
+                            else map(_evaluate_held, cells))
+                for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
+                    for record in records:
+                        logging.getLogger(record.name).handle(record)
+                    if isinstance(scored, Exception):
+                        raise scored
+                    variant, rep, fold = cell[3:6]
+                    for selector, values, seconds in scored:
+                        for metric in cfg.metrics:
+                            key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
+                            if key not in done:
+                                out.write("\t".join(key)
+                                          + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
+                                summary.records_written += 1
+                    out.flush()
+                    if n + 1 == len(cells) or cells[n + 1][4:6] != (rep, fold):  # fold's last
+                        logger.info("%s replication %d fold %s done", dataset.name, rep + 1, fold)
             finally:
                 if executor:  # cells not yet started are dropped, running ones finish
                     executor.shutdown(cancel_futures=True)

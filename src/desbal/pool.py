@@ -48,7 +48,7 @@ class Pool:
     def support_all(self, X) -> np.ndarray:
         """Support tensor of shape (n_classifiers, n_samples, n_classes)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([np.atleast_2d(tree.predict_support(X)) for tree in self.classifiers])
+        return np.stack([tree.predict_support(X) for tree in self.classifiers])
 
 
 def _bootstrap(train: Dataset, size: int, rng) -> tuple:
@@ -71,6 +71,8 @@ def generate_pool(train: Dataset, variant: str, pool_size: int = 100,
     """Train `pool_size` trees, each on a preprocessed 50% bootstrap."""
     if train.n_samples == 0:
         raise ValueError("cannot generate a pool from an empty training set")
+    if pool_size < 1:
+        raise ValueError("pool_size must be >= 1")
     variant = normalize_variant(variant)
     size = math.ceil(BOOTSTRAP_FRACTION * train.n_samples)
     trees = []

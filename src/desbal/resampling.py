@@ -14,9 +14,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .data import Dataset, _nearest
+from .data import Dataset, _neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -69,24 +68,17 @@ def rus(samples, target_size: int, rng) -> np.ndarray:
     return np.sort(rng.choice(samples, size=target_size, replace=False))
 
 
-def _neighbors(features, of, k: int) -> np.ndarray:
-    """The k rows of `features` nearest to each row `of` names, nearest first,
-    that row itself excluded (ties to the lower index)."""
-    dists = cdist(features[of], features)
-    dists[np.arange(len(of)), of] = np.inf
-    return _nearest(dists, k)
-
-
-def _interpolate(rows, seeds, neighbors, rng):
-    """One synthetic row per seed: pick one of its `neighbors` (a table of
-    row indices per seed row), slide a random gap."""
+def _synthesize(rows, seeds, k: int, rng) -> SyntheticBatch:
+    """One synthetic row per seed: pick one of the seed row's k nearest other
+    rows, then slide a random gap along the segment to it."""
+    neighbors = _neighbors(rows, np.arange(len(rows)), k)
     picks = np.empty_like(seeds)
     gaps = np.empty(len(seeds))
     for r, seed in enumerate(seeds):  # per-row draws keep the RNG stream
         picks[r] = neighbors[seed, rng.integers(neighbors.shape[1])]
         gaps[r] = rng.uniform()
     samples = rows[seeds] + gaps[:, None] * (rows[picks] - rows[seeds])
-    return samples, tuple(zip(seeds.tolist(), picks.tolist(), gaps.tolist()))
+    return SyntheticBatch(samples, tuple(zip(seeds.tolist(), picks.tolist(), gaps.tolist())))
 
 
 def smote_exact(rows, amount: int, k: int, rng) -> SyntheticBatch:
@@ -108,9 +100,7 @@ def smote_exact(rows, amount: int, k: int, rng) -> SyntheticBatch:
     seeds = np.repeat(np.arange(t), q)
     if r:
         seeds = np.concatenate([seeds, np.sort(rng.choice(t, size=r, replace=False))])
-    neighbors = _neighbors(rows, np.arange(t), min(k, t - 1))
-    samples, provenance = _interpolate(rows, seeds, neighbors, rng)
-    return SyntheticBatch(samples=samples, provenance=provenance)
+    return _synthesize(rows, seeds, k, rng)
 
 
 def logistic_weight(majority_count, alpha: float) -> np.ndarray:
@@ -130,7 +120,7 @@ def ramo_weights(minority_indices, features, labels, k1: int = 10,
     minority_indices = np.asarray(minority_indices, dtype=int)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    order = _neighbors(features, minority_indices, min(k1, features.shape[0] - 1))
+    order = _neighbors(features, minority_indices, k1)
     hostile = labels[order] != labels[minority_indices][:, None]
     return logistic_weight(hostile.sum(axis=1), alpha)
 
@@ -153,9 +143,7 @@ def ramo(minority_indices, features, labels, amount: int, rng,
         raise ValueError("SMOTE needs >= 2 seeds")
     weights = ramo_weights(minority_indices, features, labels, k1, alpha)
     seeds = rng.choice(rows.shape[0], size=amount, replace=True, p=weights / weights.sum())
-    neighbors = _neighbors(rows, np.arange(len(rows)), min(k2, len(rows) - 1))
-    samples, provenance = _interpolate(rows, seeds, neighbors, rng)
-    return SyntheticBatch(samples=samples, provenance=provenance)
+    return _synthesize(rows, seeds, k2, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset, _nearest
+from .data import Dataset, _nearest, _neighbors
 from .pool import Pool
 from .rng import make_rng
 
@@ -162,7 +162,7 @@ class SelectionResult:
 
 def _vote(query: Query, selected) -> SelectionResult:
     """Plurality vote of the selected classifiers, ties to the lowest class
-    id; an empty selection falls back to the whole pool."""
+    id. An empty selection votes the whole pool: every scheme's fallback."""
     if selected.size == 0:
         selected = np.arange(query.pool_size)
     tally = np.bincount(query.predictions[selected], minlength=query.n_classes)
@@ -228,7 +228,7 @@ def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionRes
     others = np.delete(competence, best)
     if others.size == 0 or competence[best] - others.max() > t_c:
         return _vote(query, np.array([best]))
-    return select_static(query)
+    return _vote(query, np.array([], dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def select_knu(query: Query) -> SelectionResult:
     votes = query.hits.sum(axis=1)
     selected = np.flatnonzero(votes > 0)
     if selected.size == 0:
-        return select_static(query)
+        return _vote(query, selected)
     weights = votes[selected]
     tally = np.bincount(
         query.predictions[selected], weights=weights, minlength=query.n_classes
@@ -363,10 +363,10 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
     hits_roc = ctx.hits[:, indices].transpose(1, 0, 2).astype(float)
     true_support = ctx.supports[:, indices, ctx.dsel.labels[indices]].transpose(1, 0, 2)
     accuracy = hits_roc.mean(axis=2, keepdims=True)
-    sims = _agreement(ctx.predictions, predictions)  # (Q, n)
+    dissimilarity = -_agreement(ctx.predictions, predictions)  # (Q, n)
     if exclude is not None:
-        sims[np.arange(len(exclude)), exclude] = -1.0
-    profile_idx = np.argsort(-sims, axis=1, kind="stable")[:, :kp]
+        dissimilarity[np.arange(len(exclude)), exclude] = np.inf
+    profile_idx = _nearest(dissimilarity, kp)
     hits_profiles = ctx.hits[:, profile_idx].transpose(1, 0, 2).astype(float)
     max_support = supports.max(axis=2, keepdims=True)
     return np.concatenate(
@@ -430,34 +430,24 @@ def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
                           kp: int = 5) -> MetaClassifier:
     """Fit the competence meta-model on every (training sample, classifier) pair.
 
-    Training samples are located inside the DSEL by prefix alignment (the
-    standard `build_dsel` layout) so each sample's own row is excluded from
-    its region and profile neighbours.
+    When the training set is a prefix of the DSEL (the standard `build_dsel`
+    layout) its supports are read from the context and each sample's own row
+    is kept out of its region and profile neighbours; otherwise the pool
+    predicts the training set once and nothing is excluded.
     """
-    n_train = train.features.shape[0]
-    aligned = ctx.dsel.n_samples >= n_train and np.array_equal(
-        ctx.dsel.features[:n_train], train.features
-    )
-    dists = cdist(train.features, ctx.dsel.features)
-    own = np.arange(n_train)
-    if aligned:
-        supports = ctx.supports[:, :n_train]
-        predictions = ctx.predictions[:, :n_train]
-        hits = ctx.hits[:, :n_train]
-        dists[own, own] = np.inf
+    n_train = train.n_samples
+    prefix = np.array_equal(ctx.dsel.features[:n_train], train.features)
+    supports = ctx.supports[:, :n_train] if prefix else ctx.pool.support_all(train.features)
+    predictions = supports.argmax(axis=2)  # (M, n_train)
+    own = np.arange(n_train) if prefix else None
+    if prefix:
+        order = _neighbors(ctx.dsel.features, own, k)
     else:
         logger.warning("training set is not a prefix of DSEL; no self-exclusion")
-        supports = ctx.pool.support_all(train.features)
-        predictions = supports.argmax(axis=2)
-        hits = predictions == train.labels[None, :]
-    order = _nearest(dists, min(k, ctx.dsel.n_samples - aligned))
-    features = _meta_features_all(
-        ctx, order, predictions.T, supports.transpose(1, 0, 2), kp,
-        exclude=own if aligned else None,
-    )
-    return MetaClassifier.fit(
-        features.reshape(-1, features.shape[2]), hits.T.ravel().astype(int)
-    )
+        order = _nearest(cdist(train.features, ctx.dsel.features), k)
+    features = _meta_features_all(ctx, order, predictions.T, supports.transpose(1, 0, 2), kp, own)
+    hits = (predictions == train.labels).T.ravel().astype(int)
+    return MetaClassifier.fit(features.reshape(-1, features.shape[2]), hits)
 
 
 def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),

@@ -85,6 +85,18 @@ def test_run_partial_failure_exit_code(workspace, capsys):
     assert main(["run", "--config", str(conf2)]) == 2
 
 
+def test_run_dataset_name_taken_exit_code(workspace, capsys):
+    tmp_path, config = workspace
+    (tmp_path / "again").mkdir()
+    twin = tmp_path / "again" / "toy.csv"  # the same dataset name, "toy"
+    twin.write_text((tmp_path / "toy.csv").read_text())
+    conf2 = tmp_path / "twin.conf"
+    text = config.read_text().replace("datasets = ", f"datasets = {twin}, ")
+    conf2.write_text(text.replace(str(tmp_path / "out"), str(tmp_path / "out2")))
+    assert main(["run", "--config", str(conf2)]) == 2
+    assert f"failed datasets: {tmp_path / 'toy.csv'}" in capsys.readouterr().err
+
+
 def test_run_refuses_foreign_results_file(workspace, capsys):
     tmp_path, config = workspace
     (tmp_path / "out").mkdir()

@@ -3,6 +3,7 @@
 import logging
 import multiprocessing
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,6 @@ def _config(csv_path, out_dir, **overrides) -> RunConfig:
         CONFIG_TEXT.format(path=csv_path, out=out_dir)
     )
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     return cfg
 
@@ -182,18 +181,33 @@ class TestRun:
 
     def test_failed_dataset_isolated(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "iso")
-        from dataclasses import replace
-
         cfg = replace(cfg, datasets=(str(tmp_path / "missing.csv"), str(csv_dataset)))
         summary = run_experiment(cfg)
         assert summary.failed_datasets == [str(tmp_path / "missing.csv")]
         assert summary.records_written == 180
 
+    def test_entry_reusing_a_dataset_name_fails(self, csv_dataset, tmp_path, caplog):
+        # a/toy.csv and b/toy.csv both name their dataset "toy", so the second
+        # entry's record keys would repeat the first's
+        specs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            specs.append(str(tmp_path / sub / "toy.csv"))
+            Path(specs[-1]).write_text(csv_dataset.read_text())
+        cfg = replace(_config(csv_dataset, tmp_path / "dup"), datasets=tuple(specs))
+        with caplog.at_level("ERROR", logger="desbal"):
+            summary = run_experiment(cfg)
+        assert summary.failed_datasets == [specs[1]]
+        assert summary.records_written == 180
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and specs[0] in errors[0] and specs[1] in errors[0]
+        keys = [line.split("\t")[:6] for line in
+                (tmp_path / "dup" / RESULTS_FILE).read_text().splitlines()[1:]]
+        assert len(keys) == 180 and len({tuple(k) for k in keys}) == 180
+
     def test_output_dir_config_clash(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "clash")
         run_experiment(cfg)
-        from dataclasses import replace
-
         other = replace(cfg, seed=99)
         with pytest.raises(ConfigError, match="different configuration"):
             run_experiment(other)

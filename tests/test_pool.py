@@ -34,6 +34,15 @@ class TestGeneratePool:
         pool = generate_pool(_train(), "Ba", pool_size=100, seed=1)
         assert len(pool) == 100
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_pool_refused_before_any_draw(self, size, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr("desbal.pool.make_rng", no_draw)
+        with pytest.raises(ValueError, match="pool_size must be >= 1"):
+            generate_pool(_train(), "Ba-SM", pool_size=size, seed=1)
+
     def test_all_trees_share_schema(self):
         train = _train()
         pool = generate_pool(train, "Ba-SM", pool_size=10, seed=2)

@@ -7,12 +7,11 @@ import pytest
 
 import reference as ref
 from desbal.benchmarks import load_benchmark
-from desbal.data import Dataset, standardize, stratified_5x2
+from desbal.data import Dataset, _neighbors, standardize, stratified_5x2
 from desbal.pool import BOOTSTRAP_FRACTION, _bootstrap
 from desbal.resampling import (
     VARIANTS,
-    _interpolate,
-    _neighbors,
+    _synthesize,
     apply_multiclass,
     logistic_weight,
     normalize_variant,
@@ -103,10 +102,10 @@ class TestInterpolateOracle:
         seeds = np.sort(rng.integers(0, 8, size=25))  # seeds repeat
         table = _neighbors(rows, np.arange(8), k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        samples, provenance = _interpolate(rows, seeds, table, got_rng)
+        batch = _synthesize(rows, seeds, k, got_rng)
         want_samples, want_provenance = ref.interpolate_ref(rows, seeds, table, want_rng)
-        assert np.array_equal(samples, want_samples)
-        assert provenance == want_provenance
+        assert np.array_equal(batch.samples, want_samples)
+        assert batch.provenance == want_provenance
         assert got_rng.random() == want_rng.random()  # same draws consumed
 
 

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 import reference as ref
 from desbal.benchmarks import load_benchmark
-from desbal.data import Dataset, standardize, stratified_5x2
+from desbal.data import Dataset, _neighbors, standardize, stratified_5x2
 from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     MetaClassifier,
@@ -31,6 +31,7 @@ from desbal.selection import (
     select_mcb,
     select_metades,
     select_rank,
+    select_static,
     train_meta_classifier,
 )
 from desbal.tree import DecisionTree, LEAF
@@ -51,6 +52,14 @@ def _query(hits, profiles, labels, n_classes, preds_q):
         agrees=np.asarray(profiles, dtype=int) == preds_q[:, None],
         labels=np.asarray(labels, dtype=int),
     )
+
+
+def _assert_static(result, query):
+    """`result` is the plain vote of `query`'s pool, as `select_static` gives it."""
+    static = select_static(query)
+    assert result.selected.tolist() == static.selected.tolist()
+    assert result.predicted_class == static.predicted_class
+    assert result.vote_weights is None
 
 
 def _stub_query(dsel_rows, x_q, k):
@@ -82,6 +91,13 @@ class TestRegionOfCompetence:
             order = _nearest(cdist([[0.5]], [[0.0], [1.0]]), 7)
         assert order.shape == (1, 2)
         assert "DSEL holds 2 < k=7" in caplog.text
+
+    def test_self_excluding_search_clamps_k_silently(self, caplog):
+        rows = np.array([[0.0], [1.0], [3.0]])
+        with caplog.at_level("DEBUG"):
+            order = _neighbors(rows, np.arange(3), 3)
+        assert order.tolist() == [[1, 2], [0, 2], [1, 0]]
+        assert caplog.records == []
 
     def test_distance_tie_breaks_low_index(self):
         query = _stub_query([[1.0], [-1.0], [1.0]], [0.0], k=2)
@@ -188,7 +204,7 @@ class TestMcb:
         # profiles of neighbours are (1,1); query profile (0,0): similarity 0
         query = _query(hits, preds_dsel, np.ones(7), 2, [0, 0])
         result = select_mcb(query, t_s=0.7, t_c=0.1)
-        assert result.selected.size == 2  # whole pool
+        _assert_static(result, query)  # whole pool
 
     def test_clear_winner_selected(self):
         # similarities 1 > t_s keep every neighbour; accuracies 0.9.. vs 0.7..
@@ -201,11 +217,11 @@ class TestMcb:
         assert result.selected.tolist() == [0]  # 6/7 - 5/7 > 0.1
 
     def test_close_competences_fall_back(self):
-        hits = np.array([[1, 1, 1, 1, 1, 1, 0], [1, 1, 1, 1, 1, 1, 0]])
-        preds_dsel = np.zeros((2, 7), dtype=int)
-        query = _query(hits, preds_dsel, np.zeros(7), 2, [0, 0])
-        result = select_mcb(query, t_s=0.5, t_c=0.1)
-        assert result.selected.size == 2
+        hits = np.array([[1, 1, 1, 1, 1, 1, 0], [1, 1, 1, 1, 1, 1, 0], [0] * 7])
+        preds_dsel = np.repeat([[1], [0], [1]], 7, axis=1)  # every neighbour agrees
+        query = _query(hits, preds_dsel, np.zeros(7), 2, [1, 0, 1])
+        _assert_static(select_mcb(query, t_s=0.5, t_c=0.1), query)
+        _assert_static(select_fire(select_mcb, query), query)  # one class: FIRE keeps all
 
 
 class TestKne:
@@ -240,10 +256,9 @@ class TestKnu:
         assert result.vote_weights.tolist() == [3]
 
     def test_all_wrong_falls_back(self):
-        hits = np.zeros((2, 7))
-        result = select_knu(_query(hits, np.zeros((2, 7)), np.zeros(7), 2, [1, 1]))
-        assert result.selected.size == 2
-        assert result.vote_weights is None
+        query = _query(np.zeros((3, 7)), np.zeros((3, 7)), np.arange(7) % 2, 2, [1, 0, 1])
+        _assert_static(select_knu(query), query)
+        _assert_static(select_fire(select_knu, query), query)  # no hits: FIRE keeps all
 
     def test_weighted_tally_recount(self, oracle_instances):
         for inst in oracle_instances[:50]:
@@ -608,6 +623,16 @@ class TestFire:
             result = select_fire(base, query)
             assert result.selected.tolist() == [1]
             assert result.predicted_class == 1
+
+    def test_fallback_votes_the_pruned_pool(self):
+        # classifiers 0 and 1 hit both classes, 2 only class 0 and is pruned;
+        # MCB then finds no clear winner between the survivors
+        dsel_labels = np.array([0, 0, 0, 1, 1])
+        hits = np.array([[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [1, 1, 1, 0, 0]])
+        query = _query(hits, np.zeros((3, 5)), dsel_labels, 2, [1, 0, 0])
+        survivors = dfp_prune(query)
+        assert survivors.tolist() == [0, 1]  # pool indices equal the pruned query's
+        _assert_static(select_fire(select_mcb, query), query.rows(survivors))
 
     def test_fire_knu_two_step_oracle(self, oracle_instances):
         for inst in oracle_instances[:50]:
