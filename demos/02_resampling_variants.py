@@ -2,7 +2,8 @@
 
 Every oversampler interpolates between a seed row and one of its nearest
 same-class neighbours, so synthetic rows stay inside the class's convex
-envelope; provenance records make each synthetic row auditable.
+envelope; each batch keeps the seed, neighbour and gap of every synthetic row
+as three arrays, so each row is auditable.
 """
 
 import numpy as np
@@ -32,10 +33,12 @@ minority = ds.features[ds.labels == 2]
 batch = smote_exact(minority, len(minority), 5, np.random.default_rng(1))
 print(f"\nSMOTE at 100% produced {len(batch)} synthetic rows for the rare class")
 print("provenance (row = seed + gap * (neighbour - seed)):")
-print(batch.provenance_csv()[:160] + "...")
+print("row seed neighbour gap")
+for r in range(5):
+    print(f"{r:3d} {batch.seeds[r]:4d} {batch.neighbours[r]:9d} {batch.gaps[r]:.6f}")
 
 # every synthetic point is a convex combination of two real rows
-seed, neighbour, gap = batch.provenance[0]
+seed, neighbour, gap = batch.seeds[0], batch.neighbours[0], batch.gaps[0]
 reconstructed = minority[seed] + gap * (minority[neighbour] - minority[seed])
 print(f"row 0 check: {batch.samples[0]} == {reconstructed}")
 

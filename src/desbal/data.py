@@ -68,15 +68,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=int)
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
-    def with_rows(self, features, labels, name=None) -> "Dataset":
-        """New dataset with the same schema but different rows."""
-        return replace(
-            self,
-            name=self.name if name is None else name,
-            features=np.asarray(features, dtype=float),
-            labels=np.asarray(labels, dtype=int),
-        )
-
 
 @dataclass(frozen=True)
 class ImbalanceProfile:

@@ -7,6 +7,7 @@ import logging.handlers
 import multiprocessing
 import os
 import time
+import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -54,6 +55,11 @@ class ConfigError(ValueError):
 
 class IncompleteGridError(ValueError):
     """Raised when a report is requested over a partial record grid."""
+
+
+class CellError(Exception):
+    """The traceback text of the exception a fold cell raised, set as its
+    cause when the run re-raises it, wherever the cell ran."""
 
 
 @dataclass(frozen=True)
@@ -281,7 +287,8 @@ def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
 def _evaluate_held(cell) -> tuple:
     """The outcome of `evaluate_cell(*cell)`, its scores or the exception it
     raised, and the desbal log records it made, held back from every handler
-    so that the writer emits them in plan order. Never raises."""
+    so that the writer emits them in plan order. Never raises. The exception
+    keeps its traceback text in `cell_traceback`: pickling drops the rest."""
     package_logger = logging.getLogger(__package__)
     saved = package_logger.handlers, package_logger.propagate
     held = logging.handlers.BufferingHandler(capacity=float("inf"))  # never flushes
@@ -289,6 +296,7 @@ def _evaluate_held(cell) -> tuple:
     try:
         return evaluate_cell(*cell), held.buffer
     except Exception as exc:
+        exc.cell_traceback = "".join(traceback.format_exception(exc))
         return exc, held.buffer
     finally:
         package_logger.handlers, package_logger.propagate = saved
@@ -397,8 +405,8 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
                     for record in records:
                         logging.getLogger(record.name).handle(record)
-                    if isinstance(scored, Exception):
-                        raise scored
+                    if isinstance(scored, Exception):  # its cause shows the cell's frames
+                        raise scored from CellError(scored.cell_traceback)
                     variant, rep, fold = cell[3:6]
                     for selector, values, seconds in scored:
                         for metric in cfg.metrics:

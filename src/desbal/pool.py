@@ -8,7 +8,7 @@ the chosen preprocessing variant; the DSEL is the full training set augmented
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +111,9 @@ def build_dsel(train: Dataset, variant: str, seed: int = 0) -> Dataset:
     variant = normalize_variant(variant)
     rng = make_rng(seed, "dsel")
     result = resample_dataset(train, variant, rng)
-    features = np.vstack([train.features, result.synthetic_features])
-    labels = np.concatenate([train.labels, result.synthetic_labels])
-    return train.with_rows(features, labels, name=f"{train.name}+{variant}")
+    return replace(train, name=f"{train.name}+{variant}",
+                   features=np.vstack([train.features, result.synthetic_features]),
+                   labels=np.concatenate([train.labels, result.synthetic_labels]))
 
 
 # ---------------------------------------------------------------------------

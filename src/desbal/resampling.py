@@ -11,7 +11,7 @@ sample is a convex combination of two real rows.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,26 +38,23 @@ def normalize_variant(name: str) -> str:
 class SyntheticBatch:
     """Synthetic rows for one class plus their interpolation provenance.
 
-    `provenance[r] = (seed, neighbour, gap)` positions index into the minority
-    row matrix the batch was generated from; row r equals
-    `minority[seed] + gap * (minority[neighbour] - minority[seed])`.
+    `seeds` and `neighbours` index the minority row matrix the batch was
+    generated from; row r equals
+    `minority[seeds[r]] + gaps[r] * (minority[neighbours[r]] - minority[seeds[r]])`.
     """
 
     samples: np.ndarray
-    provenance: tuple
+    seeds: np.ndarray
+    neighbours: np.ndarray
+    gaps: np.ndarray
 
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def provenance_csv(self) -> str:
-        lines = ["row,seed,neighbour,gap"]
-        for r, (seed, neighbour, gap) in enumerate(self.provenance):
-            lines.append(f"{r},{seed},{neighbour},{gap!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _empty_batch(n_features: int) -> SyntheticBatch:
-    return SyntheticBatch(samples=np.empty((0, n_features)), provenance=())
+    no_rows = np.empty(0, dtype=int)
+    return SyntheticBatch(np.empty((0, n_features)), no_rows, no_rows, np.empty(0))
 
 
 def rus(samples, target_size: int, rng) -> np.ndarray:
@@ -78,7 +75,7 @@ def _synthesize(rows, seeds, k: int, rng) -> SyntheticBatch:
         picks[r] = neighbors[seed, rng.integers(neighbors.shape[1])]
         gaps[r] = rng.uniform()
     samples = rows[seeds] + gaps[:, None] * (rows[picks] - rows[seeds])
-    return SyntheticBatch(samples, tuple(zip(seeds.tolist(), picks.tolist(), gaps.tolist())))
+    return SyntheticBatch(samples, seeds, picks, gaps)
 
 
 def smote_exact(rows, amount: int, k: int, rng) -> SyntheticBatch:
@@ -159,11 +156,6 @@ class ResampleResult:
     synthetic_features: np.ndarray
     synthetic_labels: np.ndarray
 
-    def assemble(self, dataset: Dataset) -> Dataset:
-        features = np.vstack([dataset.features[self.kept_indices], self.synthetic_features])
-        labels = np.concatenate([dataset.labels[self.kept_indices], self.synthetic_labels])
-        return dataset.with_rows(features, labels)
-
 
 def _targets(counts, variant: str, rng) -> np.ndarray:
     """Per-class target sizes of a (normalized) variant; empty classes stay 0.
@@ -229,4 +221,8 @@ def resample_dataset(dataset: Dataset, variant: str, rng,
 def apply_multiclass(dataset: Dataset, variant: str, rng,
                      warn_degenerate: bool = True) -> Dataset:
     """Resampled dataset per the variant catalogue (see `resample_dataset`)."""
-    return resample_dataset(dataset, variant, rng, warn_degenerate).assemble(dataset)
+    result = resample_dataset(dataset, variant, rng, warn_degenerate)
+    kept = result.kept_indices
+    return replace(dataset,
+                   features=np.vstack([dataset.features[kept], result.synthetic_features]),
+                   labels=np.concatenate([dataset.labels[kept], result.synthetic_labels]))

@@ -160,13 +160,14 @@ class SelectionResult:
         return (supports * w[:, None]).sum(axis=0) / w.sum()
 
 
-def _vote(query: Query, selected) -> SelectionResult:
-    """Plurality vote of the selected classifiers, ties to the lowest class
-    id. An empty selection votes the whole pool: every scheme's fallback."""
+def _vote(query: Query, selected, weights=None) -> SelectionResult:
+    """Plurality vote of the selected classifiers, weighted by `weights` when
+    given, ties to the lowest class id. An empty selection votes the whole
+    pool, unweighted: every scheme's fallback."""
     if selected.size == 0:
-        selected = np.arange(query.pool_size)
-    tally = np.bincount(query.predictions[selected], minlength=query.n_classes)
-    return SelectionResult(selected=selected, predicted_class=int(np.argmax(tally)))
+        selected, weights = np.arange(query.pool_size), None
+    tally = np.bincount(query.predictions[selected], weights=weights, minlength=query.n_classes)
+    return SelectionResult(selected, int(np.argmax(tally)), weights)
 
 
 def select_static(query: Query) -> SelectionResult:
@@ -252,17 +253,7 @@ def select_knu(query: Query) -> SelectionResult:
     """KNORA-Union: one vote per correctly recognized neighbour."""
     votes = query.hits.sum(axis=1)
     selected = np.flatnonzero(votes > 0)
-    if selected.size == 0:
-        return _vote(query, selected)
-    weights = votes[selected]
-    tally = np.bincount(
-        query.predictions[selected], weights=weights, minlength=query.n_classes
-    )
-    return SelectionResult(
-        selected=selected,
-        predicted_class=int(np.argmax(tally)),
-        vote_weights=weights,
-    )
+    return _vote(query, selected, votes[selected])
 
 
 def select_desknn(query: Query, n: int | None = None,
@@ -366,7 +357,7 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
     dissimilarity = -_agreement(ctx.predictions, predictions)  # (Q, n)
     if exclude is not None:
         dissimilarity[np.arange(len(exclude)), exclude] = np.inf
-    profile_idx = _nearest(dissimilarity, kp)
+    profile_idx = _nearest(dissimilarity, min(kp, ctx.dsel.n_samples))  # training warns
     hits_profiles = ctx.hits[:, profile_idx].transpose(1, 0, 2).astype(float)
     max_support = supports.max(axis=2, keepdims=True)
     return np.concatenate(
@@ -436,6 +427,9 @@ def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
     predicts the training set once and nothing is excluded.
     """
     n_train = train.n_samples
+    if ctx.dsel.n_samples < kp:
+        logger.warning("DSEL holds %d < kp=%d samples; META-DES profiles use the whole set",
+                       ctx.dsel.n_samples, kp)
     prefix = np.array_equal(ctx.dsel.features[:n_train], train.features)
     supports = ctx.supports[:, :n_train] if prefix else ctx.pool.support_all(train.features)
     predictions = supports.argmax(axis=2)  # (M, n_train)

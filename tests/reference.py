@@ -306,15 +306,16 @@ def best_split_ref(X, y_onehot, counts, n_total):
 
 def interpolate_ref(rows, seeds, neighbors, rng):
     """One SMOTE row per seed, row by row: draw a neighbour from the seed's
-    row of `neighbors`, then a uniform gap."""
+    row of `neighbors`, then a uniform gap. Returns the samples and their
+    seeds, neighbours and gaps."""
     samples = np.empty((len(seeds), rows.shape[1]))
-    provenance = []
+    neighbours = np.empty(len(seeds), dtype=int)
+    gaps = np.empty(len(seeds))
     for r, seed in enumerate(seeds):
-        neighbour = int(neighbors[seed, rng.integers(neighbors.shape[1])])
-        gap = float(rng.uniform())
-        samples[r] = rows[seed] + gap * (rows[neighbour] - rows[seed])
-        provenance.append((int(seed), neighbour, gap))
-    return samples, tuple(provenance)
+        neighbours[r] = neighbors[seed, rng.integers(neighbors.shape[1])]
+        gaps[r] = rng.uniform()
+        samples[r] = rows[seed] + gaps[r] * (rows[neighbours[r]] - rows[seed])
+    return samples, np.array(seeds, dtype=int), neighbours, gaps
 
 
 def _oversample_amounts(counts, majority, double):

@@ -142,7 +142,8 @@ def test_criterion_03_resampling_contracts():
         rows = features[labels == cls]
         batch = smote_exact(rows, int(rng.integers(1, 9)), 5, rng)
         lo, hi = rows.min(axis=0), rows.max(axis=0)
-        for sample, (seed, neighbour, gap) in zip(batch.samples, batch.provenance):
+        for sample, seed, neighbour, gap in zip(batch.samples, batch.seeds,
+                                                batch.neighbours, batch.gaps):
             expected = rows[seed] + gap * (rows[neighbour] - rows[seed])
             if not np.allclose(sample, expected, atol=1e-9):
                 failures += 1

@@ -3,6 +3,7 @@
 import logging
 import multiprocessing
 import os
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -452,6 +453,20 @@ class TestParallelCells:
         monkeypatch.setattr(experiment, "evaluate_cell", evaluate_cell)
         run_experiment(cfg)
         assert _first_seven(Path(cfg.output) / RESULTS_FILE) == clean
+
+    def test_worker_cell_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        evaluate_cell, parent = experiment.evaluate_cell, os.getpid()
+
+        def fails_in_worker(*cell):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker's cell failed")
+            return evaluate_cell(*cell)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiment, "evaluate_cell", fails_in_worker)  # forks inherit it
+        with pytest.raises(RuntimeError, match="a worker's cell failed") as raised:
+            run_experiment(_glass_cells(tmp_path / "out"))
+        assert "in fails_in_worker" in "".join(traceback.format_exception(raised.value))
 
     def test_resume_and_one_cell_start_no_process(self, parallel_run, tmp_path, monkeypatch):
         out = tmp_path / "resume"

@@ -61,21 +61,21 @@ class TestSmote:
         rng = np.random.default_rng(3)
         batch = smote_exact(np.random.default_rng(0).normal(size=(5, 2)), 5, 5, rng)
         assert len(batch) == 5
-        assert [p[0] for p in batch.provenance] == list(range(5))  # each row once
+        assert batch.seeds.tolist() == list(range(5))  # each row once
 
     def test_under_100_subset_branch(self):
         rng = np.random.default_rng(4)
         batch = smote_exact(np.random.default_rng(0).normal(size=(4, 2)), 2, 5, rng)
         assert len(batch) == 2
-        seeds = {p[0] for p in batch.provenance}
-        assert len(seeds) == 2  # two distinct randomly chosen seeds
+        assert len(set(batch.seeds.tolist())) == 2  # two distinct randomly chosen seeds
 
     def test_convexity_on_segment(self):
         minority = np.array([[0.0, 0.0], [1.0, 1.0]])
         rng = np.random.default_rng(5)
         for _ in range(1000):
             batch = smote_exact(minority, 2, 1, rng)
-            for row, (seed, neighbour, gap) in zip(batch.samples, batch.provenance):
+            for row, seed, neighbour, gap in zip(batch.samples, batch.seeds,
+                                                 batch.neighbours, batch.gaps):
                 assert row[0] == pytest.approx(row[1], abs=1e-12)
                 assert 0.0 <= row[0] <= 1.0
                 expected = minority[seed] + gap * (minority[neighbour] - minority[seed])
@@ -91,6 +91,10 @@ class TestSmote:
         for amount in (0, 1, 6, 7, 13, 29):
             batch = smote_exact(rows, amount, 5, rng)
             assert len(batch) == amount
+            assert batch.samples.shape == (amount, 3)
+            for index in (batch.seeds, batch.neighbours):
+                assert index.shape == (amount,) and index.dtype.kind == "i"
+            assert batch.gaps.shape == (amount,)
 
 
 class TestInterpolateOracle:
@@ -103,9 +107,11 @@ class TestInterpolateOracle:
         table = _neighbors(rows, np.arange(8), k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = _synthesize(rows, seeds, k, got_rng)
-        want_samples, want_provenance = ref.interpolate_ref(rows, seeds, table, want_rng)
-        assert np.array_equal(batch.samples, want_samples)
-        assert batch.provenance == want_provenance
+        want = ref.interpolate_ref(rows, seeds, table, want_rng)
+        got = (batch.samples, batch.seeds, batch.neighbours, batch.gaps)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            assert np.array_equal(got_array, want_array)
         assert got_rng.random() == want_rng.random()  # same draws consumed
 
 
@@ -145,7 +151,7 @@ class TestRamo:
         labels = np.array([1] * 8 + [0] * 20)
         rng = np.random.default_rng(7)
         batch = ramo(np.flatnonzero(labels == 1), features, labels, 10000, rng, k1=5)
-        counts = np.bincount([p[0] for p in batch.provenance], minlength=8)
+        counts = np.bincount(batch.seeds, minlength=8)
         assert chisquare(counts).pvalue > 0.01
 
     def test_zero_amount(self):
@@ -153,6 +159,9 @@ class TestRamo:
         labels = np.array([1] * 5 + [0] * 5)
         batch = ramo(np.arange(5), features, labels, 0, rng=np.random.default_rng(0))
         assert len(batch) == 0
+        assert batch.samples.shape == (0, 2)
+        for index in (batch.seeds, batch.neighbours):
+            assert index.shape == (0,) and index.dtype.kind == "i"
 
     def test_draw_frequency_proportional_to_weights(self):
         # point A sits among 4 majority samples (m = 4 at k1 = 4), the tight
@@ -167,7 +176,7 @@ class TestRamo:
         expected = w_a / (w_a + 5 * 0.5)
         rng = np.random.default_rng(8)
         batch = ramo(np.arange(6), features, labels, 10000, rng, k1=4, k2=3)
-        freq = np.mean([p[0] == 0 for p in batch.provenance])
+        freq = np.mean(batch.seeds == 0)
         assert freq == pytest.approx(expected, abs=0.02)
 
 

@@ -573,6 +573,19 @@ class TestMetaDes:
         for name in ("priors", "means", "variances"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    def test_small_dsel_warns_once_naming_kp(self, caplog):
+        rng = np.random.default_rng(5)
+        train = Dataset("t", rng.normal(size=(4, 2)), np.array([0, 0, 1, 1]), ("a", "b"))
+        ctx = SelectionContext(generate_pool(train, "Ba", pool_size=3, seed=0),
+                               build_dsel(train, "Ba", seed=0))
+        cfg = SelectorConfig(k=3, meta_kp=5)
+        with caplog.at_level("WARNING"):
+            ctx.meta = train_meta_classifier(ctx, train, k=cfg.k, kp=cfg.meta_kp)
+            for query in ctx.make_queries(rng.normal(size=(6, 2)), cfg.k):
+                select_metades(ctx, query, cfg)
+        assert [r.getMessage() for r in caplog.records if "DSEL holds" in r.getMessage()] == [
+            "DSEL holds 4 < kp=5 samples; META-DES profiles use the whole set"]
+
     def test_requires_trained_meta(self):
         ctx, train = self._real_ctx()
         query = ctx.make_query(train.features[0], k=3)
