@@ -130,6 +130,8 @@ class SelectionContext:
         Only the table of the last (draws, seed) is kept: a run uses one seed
         per context, and a table per seed would grow with every new seed.
         """
+        if draws < 1:
+            raise ValueError(f"DES-RRC needs draws >= 1, got draws={draws}")
         key = (draws, seed)
         if self._rrc[0] != key:
             self._rrc = (key, _rrc_csrc_matrix(
@@ -299,18 +301,26 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
     The reference model of a support is a Dirichlet draw with concentration
     L * support + 1e-3, won by its largest gamma variate. Distinct supports
     are few (one per leaf), so Monte-Carlo runs once per unique support with
-    a generator seeded by its content, independent of sample order.
+    a generator seeded by its content, independent of sample order. The
+    rounded rows are deduplicated by one lexicographic sort, and only the
+    true-class column of each win row is read, so the table's cost is its
+    gamma draws.
     """
     M, n, L = supports.shape
     flat = np.round(supports.reshape(-1, L), 12)
-    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
+    order = np.lexsort(flat.T[::-1])
+    ordered = flat[order]
+    first = np.ones(len(ordered), dtype=bool)  # the first row of each run of equal rows
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    unique = ordered[first]
     win = np.empty((unique.shape[0], L))
     for u, support in enumerate(unique):
         rng = make_rng(seed, "rrc", support.tobytes().hex())
         gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
         win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
-    prob = win[inverse].reshape(M, n, L)
-    return prob[:, np.arange(n), labels] - 1.0 / n_classes
+    return win[inverse.reshape(M, n), labels] - 1.0 / n_classes
 
 
 def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),

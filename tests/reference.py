@@ -5,7 +5,8 @@ Python loops and no shared code with the library (beyond the documented tie
 rules: lowest classifier index, lowest class id, lowest DSEL index). They are
 the oracles the library's vectorized selectors are checked against. The
 output-profile similarity, the META-DES meta-features, the double-fault
-measure, the single-support RRC probability, the trapezoidal ROC AUC and the
+measure, the single-support RRC probability and the whole DES-RRC table (as
+`np.unique` plus a full gather), the trapezoidal ROC AUC and the
 mid-rank multi-class AUC are kept here as oracles too, and so are the per-feature CART split search and
 the per-row SMOTE interpolation that the library computes as arrays. The
 resampling orchestration is kept here with one branch per variant family; it
@@ -215,6 +216,25 @@ def rrc_correct_probability(support, true_class, draws=1000, rng=None):
         rng = np.random.default_rng(0)
     gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
     return float(np.mean(np.argmax(gammas, axis=1) == true_class))
+
+
+def rrc_csrc_ref(supports, labels, n_classes, draws, seed):
+    """The centred RRC table as `np.unique` over the rounded support rows and a
+    gather of the whole (M, n, L) win tensor: one seeded Monte-Carlo per
+    distinct support, the true class's win rate minus 1/L per (classifier,
+    DSEL sample)."""
+    from desbal.rng import make_rng
+
+    M, n, L = supports.shape
+    flat = np.round(supports.reshape(-1, L), 12)
+    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
+    win = np.empty((unique.shape[0], L))
+    for u, support in enumerate(unique):
+        rng = make_rng(seed, "rrc", support.tobytes().hex())
+        gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
+        win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
+    prob = win[inverse].reshape(M, n, L)
+    return prob[:, np.arange(n), labels] - 1.0 / n_classes
 
 
 def auc_trapezoid_ref(labels, scores):

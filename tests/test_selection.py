@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import reference as ref
+from desbal import selection as selection_module
 from desbal.benchmarks import load_benchmark
 from desbal.data import Dataset, _neighbors, standardize, stratified_5x2
 from desbal.pool import Pool, build_dsel, generate_pool
@@ -428,6 +429,104 @@ class TestDesRrc:
         two = select_desrrc(ctx_b, q_b, SelectorConfig(seed=11), draws=500)
         assert one.selected.tolist() == two.selected.tolist()
         assert one.predicted_class == two.predicted_class
+
+
+def _fold_ctx(name, variant):
+    """The first fold of `name` under `variant`, pool 100."""
+    dataset = load_benchmark(name)
+    _, _, train_idx, test_idx = next(iter(stratified_5x2(dataset, 3).folds()))
+    train, _, _ = standardize(dataset.subset(train_idx), [dataset.subset(test_idx)])
+    pool = generate_pool(train, variant, 100, seed=3)
+    return SelectionContext(pool, build_dsel(train, variant, 3))
+
+
+def _assert_table_matches_oracle(ctx):
+    got = ctx.rrc_csrc(draws=64, seed=5)
+    want = ref.rrc_csrc_ref(ctx.supports, ctx.dsel.labels, ctx.n_classes, 64, 5)
+    assert got.shape == (ctx.pool_size, ctx.dsel.n_samples)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+class TestRrcTable:
+    """The DES-RRC table against `np.unique` plus the whole (M, n, L) gather."""
+
+    def test_glass_ba_rm_pool_100(self):
+        ctx = _fold_ctx("glass", "Ba-RM")
+        assert ctx.n_classes == 6
+        _assert_table_matches_oracle(ctx)
+
+    def test_ecoli_ba_with_incomplete_bootstraps(self, caplog):
+        with caplog.at_level("WARNING"):
+            ctx = _fold_ctx("ecoli", "Ba")
+        assert "bootstraps still missed a class" in caplog.text
+        assert ctx.n_classes == 8
+        _assert_table_matches_oracle(ctx)
+
+    def test_supports_equal_to_12_decimals_share_one_draw(self):
+        n_classes = 3
+        base = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
+        nudge = np.array([1e-14, -3e-14, 4e-14])
+        features = np.arange(12.0)[:, None]
+        labels = np.arange(12) % n_classes
+        dsel = Dataset("stub", features, labels, ("a", "b", "c"))
+
+        def exact(row):
+            return base[int(row[0]) % 3]
+
+        def nudged(row):
+            return base[int(row[0]) % 3] + nudge
+
+        pool = Pool(classifiers=(_stub_tree(exact, n_classes, 2), _stub_tree(nudged, n_classes, 2)),
+                    variant="Ba", generation_seed=0, n_classes=n_classes)
+        ctx = SelectionContext(pool, dsel)
+        assert not np.array_equal(ctx.supports[0], ctx.supports[1])
+        table = _assert_table_matches_oracle(ctx)
+        assert table[0].tobytes() == table[1].tobytes()
+
+
+class TestRrcCache:
+    @staticmethod
+    def _counting(monkeypatch):
+        builds = []
+        build = selection_module._rrc_csrc_matrix
+
+        def counted(*args):
+            builds.append(args[-2:])  # (draws, seed)
+            return build(*args)
+
+        monkeypatch.setattr(selection_module, "_rrc_csrc_matrix", counted)
+        return builds
+
+    def test_repeated_key_reuses_the_table(self, monkeypatch):
+        ctx, _ = _rrc_pool_ctx()
+        builds = self._counting(monkeypatch)
+        table = ctx.rrc_csrc(draws=64, seed=1)
+        assert ctx.rrc_csrc(draws=64, seed=1) is table
+        assert builds == [(64, 1)]
+
+    def test_new_key_replaces_the_only_table(self, monkeypatch):
+        ctx, _ = _rrc_pool_ctx()
+        builds = self._counting(monkeypatch)
+        one = ctx.rrc_csrc(draws=64, seed=1)
+        two = ctx.rrc_csrc(draws=64, seed=2)
+        assert two is not one
+        assert ctx.rrc_csrc(draws=64, seed=2) is two
+        again = ctx.rrc_csrc(draws=64, seed=1)  # seed 1's table was dropped
+        assert again is not one and again.tobytes() == one.tobytes()
+        assert ctx.rrc_csrc(draws=32, seed=1) is not again
+        assert builds == [(64, 1), (64, 2), (64, 1), (32, 1)]
+
+
+class TestRrcDraws:
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_draws_below_one_are_refused(self, draws):
+        ctx, features = _rrc_pool_ctx()
+        query = ctx.make_query(features[0], k=5)
+        with pytest.raises(ValueError, match="draws"):
+            ctx.rrc_csrc(draws=draws, seed=1)
+        with pytest.raises(ValueError, match="draws"):
+            select_desrrc(ctx, query, SelectorConfig(seed=1), draws=draws)
 
 
 class TestMetaDes:
