@@ -35,10 +35,6 @@ CATALOG = {
 }
 
 
-def available_benchmarks() -> tuple:
-    return tuple(CATALOG)
-
-
 def _load_wine_real() -> Dataset | None:
     try:
         from sklearn.datasets import load_wine
@@ -84,7 +80,7 @@ def load_benchmark(name: str, data_dir=None) -> Dataset:
     """Resolve a catalogue name to real data when possible, else synthetic."""
     key = name.strip().lower()
     if key not in CATALOG:
-        raise ValueError(f"unknown benchmark {name!r}; choose from {available_benchmarks()}")
+        raise ValueError(f"unknown benchmark {name!r}; choose from {tuple(CATALOG)}")
     if data_dir is not None:
         candidate = Path(data_dir) / f"{key}.dat"
         if candidate.exists():

@@ -45,13 +45,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        problems = validate_config(cfg)
-        if problems:
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
-            return 1
-        summary = run_experiment(cfg)
+        summary = run_experiment(load_config(args.config))
     except (ConfigError, IncompleteGridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

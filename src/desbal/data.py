@@ -289,11 +289,12 @@ class ScalingParams:
     """Per-feature affine map fitted on a training set."""
 
     mean: np.ndarray
-    std: np.ndarray  # zero-variance features carry std 0 and map to 0
+    std: np.ndarray  # constant features carry std 0 and map to 0
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        safe = np.where(self.std > 0, self.std, 1.0)
-        return (np.asarray(features, dtype=float) - self.mean) / safe
+        live = self.std > 0
+        scaled = (np.asarray(features, dtype=float) - self.mean) / np.where(live, self.std, 1.0)
+        return np.where(live, scaled, 0.0)
 
     def to_text(self) -> str:
         fmt = lambda v: ",".join(repr(float(x)) for x in v)
@@ -320,7 +321,8 @@ def standardize(train: Dataset, others=()):
     if train.n_samples == 0:
         raise ValueError("cannot standardize an empty training set")
     mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    # a constant column's mean may round off its value and leave a std of 1e-17
+    std = np.where(np.ptp(train.features, axis=0) > 0, train.features.std(axis=0), 0.0)
     params = ScalingParams(mean=mean, std=std)
     scaled_train = replace(train, features=params.transform(train.features))
     scaled_others = [replace(d, features=params.transform(d.features)) for d in others]

@@ -89,9 +89,10 @@ class RunConfig:
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse the plain key/value run-configuration format; each key reads as
-    the type of its `RunConfig` field (tuple: a comma-separated list)."""
+    the type of its `RunConfig` field (tuple: a comma-separated list) and may
+    appear once."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,6 +105,9 @@ def parse_config_text(text: str) -> RunConfig:
         kind = kinds.get(key)
         if kind is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         if kind is tuple:
             items = tuple(v.strip() for v in rest.split(",") if v.strip())
             if key == "metrics":
@@ -147,6 +151,8 @@ def validate_config(cfg: RunConfig) -> list:
             problems.append(f"{key} lists {', '.join(repeated)} more than once")
     if not cfg.datasets:
         problems.append("no datasets configured")
+    if not cfg.output.strip():
+        problems.append("output is empty; name the directory to write into")
     if cfg.pool_size < 1:
         problems.append("pool_size must be >= 1")
     if cfg.k < 1:

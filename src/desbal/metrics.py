@@ -60,41 +60,38 @@ def auc_multiclass(scores, labels) -> float:
     return float(np.mean(values))
 
 
-def _confusion(predictions, labels, n_classes):
-    cm = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(cm, (labels, predictions), 1)
-    return cm
-
-
-def f_measure_weighted(predictions, labels) -> float:
-    """Per-class one-vs-rest F1 combined by class prevalence."""
+def _confusion(predictions, labels) -> np.ndarray:
+    """(L, L) counts of (true class, predicted class) pairs, L spanning every
+    class id in either input."""
     predictions = np.asarray(predictions, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise ValueError("empty input")
     L = int(max(predictions.max(), labels.max())) + 1
-    cm = _confusion(predictions, labels, L)
+    return np.bincount(labels * L + predictions, minlength=L * L).reshape(L, L)
+
+
+def f_measure_weighted(predictions, labels) -> float:
+    """Per-class one-vs-rest F1 combined by class prevalence."""
+    cm = _confusion(predictions, labels)
     tp = np.diag(cm).astype(float)
     predicted = cm.sum(axis=0).astype(float)
     actual = cm.sum(axis=1).astype(float)
-    precision = np.divide(tp, predicted, out=np.zeros(L), where=predicted > 0)
-    recall = np.divide(tp, actual, out=np.zeros(L), where=actual > 0)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
     pr = precision + recall
-    f1 = np.divide(2 * precision * recall, pr, out=np.zeros(L), where=pr > 0)
-    weights = actual / labels.size
+    f1 = np.divide(2 * precision * recall, pr, out=np.zeros_like(tp), where=pr > 0)
+    weights = actual / cm.sum()
     return float((f1 * weights).sum())
 
 
 def g_mean(predictions, labels) -> float:
-    """Geometric mean of per-class sensitivities; 0 if any class has recall 0."""
-    predictions = np.asarray(predictions, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if labels.size == 0:
-        raise ValueError("empty input")
-    classes = np.unique(labels)
-    recalls = np.array(
-        [np.mean(predictions[labels == c] == c) for c in classes]
-    )
+    """Geometric mean of per-class sensitivities over the classes present in
+    `labels`, each its confusion diagonal over its row sum; 0 if any of them
+    has recall 0."""
+    cm = _confusion(predictions, labels)
+    actual = cm.sum(axis=1)
+    recalls = np.diag(cm)[actual > 0] / actual[actual > 0]
     if (recalls == 0).any():
         return 0.0
     return float(np.exp(np.log(recalls).mean()))

@@ -36,10 +36,6 @@ class Pool:
     def __len__(self) -> int:
         return len(self.classifiers)
 
-    @property
-    def arity(self) -> int:
-        return self.classifiers[0].arity
-
     def predict_all(self, X) -> np.ndarray:
         """Label matrix of shape (n_classifiers, n_samples): the argmax of
         `support_all`, so each tree is walked once."""
@@ -130,7 +126,7 @@ def save_pool(pool: Pool, directory, scaling_ref: str = "") -> None:
         "generation_seed": pool.generation_seed,
         "pool_size": len(pool),
         "n_classes": pool.n_classes,
-        "arity": pool.arity,
+        "arity": pool.classifiers[0].arity,
         "scaling_params": scaling_ref,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))

@@ -264,8 +264,10 @@ def select_desknn(query: Query, n: int | None = None,
 
     Unset sizes resolve against the effective pool: N = ceil(0.5 * M),
     J = ceil(0.3 * M), both clamped to valid ranges. Diversity is ranked on
-    integer both-wrong (double-fault) counts (the shared 1/K factor cannot
-    change the order) so exact ties stay exact.
+    each candidate's integer both-wrong (double-fault) count over the other
+    candidates, so exact ties stay exact (the shared 1/K factor cannot change
+    the order): its faults dotted with the per-neighbour fault counts, less
+    its own faults (the pair it makes with itself).
     """
     M = query.pool_size
     n = max(1, min(int(np.ceil(0.5 * M)) if n is None else n, M))
@@ -274,8 +276,7 @@ def select_desknn(query: Query, n: int | None = None,
     by_accuracy = np.lexsort((np.arange(M), -query.hits.sum(axis=1)))
     candidates = by_accuracy[:n]
     wrong = (~query.hits[candidates]).astype(int)
-    pair_faults = wrong @ wrong.T
-    div_sum = pair_faults.sum(axis=1) - np.diag(pair_faults)
+    div_sum = wrong @ wrong.sum(axis=0) - wrong.sum(axis=1)
     by_diversity = np.lexsort((candidates, div_sum))  # ascending = most diverse
     selected = np.sort(candidates[by_diversity[:j]])
     return _vote(query, selected)
@@ -400,14 +401,10 @@ class MetaClassifier:
             )
             return cls(None, None, None, constant=float(classes[0]))
         smoothing = 1e-9 * max(features.var(axis=0).max(), 1.0)
-        priors = np.empty(2)
-        means = np.empty((2, features.shape[1]))
-        variances = np.empty((2, features.shape[1]))
-        for c in (0, 1):
-            rows = features[labels == c]
-            priors[c] = rows.shape[0] / features.shape[0]
-            means[c] = rows.mean(axis=0)
-            variances[c] = rows.var(axis=0) + smoothing
+        groups = [features[labels == c] for c in (0, 1)]
+        priors = np.array([rows.shape[0] for rows in groups]) / features.shape[0]
+        means = np.array([rows.mean(axis=0) for rows in groups])  # (2, F)
+        variances = np.array([rows.var(axis=0) for rows in groups]) + smoothing
         return cls(priors, means, variances)
 
     def posterior_competent(self, features) -> np.ndarray:
@@ -415,16 +412,12 @@ class MetaClassifier:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         if self.constant is not None:
             return np.full(features.shape[0], self.constant)
-        log_like = np.empty((features.shape[0], 2))
-        for c in (0, 1):
-            log_like[:, c] = np.log(self.priors[c]) - 0.5 * np.sum(
-                np.log(2 * np.pi * self.variances[c])
-                + (features - self.means[c]) ** 2 / self.variances[c],
-                axis=1,
-            )
-        shifted = log_like - log_like.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        return probs[:, 1] / probs.sum(axis=1)
+        var = self.variances[:, None]  # (2, 1, F)
+        log_like = np.log(self.priors)[:, None] - 0.5 * np.sum(
+            np.log(2 * np.pi * var) + (features - self.means[:, None]) ** 2 / var, axis=2
+        )  # (2, Q)
+        probs = np.exp(log_like - log_like.max(axis=0))
+        return probs[1] / probs.sum(axis=0)
 
 
 def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LEAF = -1
+# a saved tree's keys, in file order
+SAVED_FIELDS = ("n_classes", "arity", "feature", "threshold", "left", "right", "counts")
 
 
 @dataclass(frozen=True)
@@ -72,27 +74,11 @@ class DecisionTree:
         return support[0] if single else support
 
     def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "arity": self.arity,
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "counts": self.counts.tolist(),
-        }
+        return {name: np.asarray(getattr(self, name)).tolist() for name in SAVED_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecisionTree":
-        return cls(
-            feature=payload["feature"],
-            threshold=payload["threshold"],
-            left=payload["left"],
-            right=payload["right"],
-            counts=payload["counts"],
-            n_classes=payload["n_classes"],
-            arity=payload["arity"],
-        )
+        return cls(**{name: payload[name] for name in SAVED_FIELDS})
 
 
 def _best_split(X, y_onehot, counts, n_total):

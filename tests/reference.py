@@ -4,15 +4,16 @@ These follow the published algorithm descriptions line by line with plain
 Python loops and no shared code with the library (beyond the documented tie
 rules: lowest classifier index, lowest class id, lowest DSEL index). They are
 the oracles the library's vectorized selectors are checked against. The
-output-profile similarity, the META-DES meta-features, the double-fault
-measure, the single-support RRC probability and the whole DES-RRC table (as
-`np.unique` plus a full gather), the trapezoidal ROC AUC and the
-mid-rank multi-class AUC are kept here as oracles too, and so are the per-feature CART split search and
-the per-row SMOTE interpolation that the library computes as arrays. The
-resampling orchestration is kept here with one branch per variant family; it
-calls the library's per-class primitives, which have their own tests. The
-bootstrap completeness rule and the parsers' cell decoding are kept here as
-set tests and per-cell loops.
+output-profile similarity, the META-DES meta-features and its per-class
+naive Bayes, the double-fault measure, the single-support RRC probability
+and the whole DES-RRC table (as `np.unique` plus a full gather), the
+trapezoidal ROC AUC, the mid-rank multi-class AUC and the per-class-mask
+G-mean are kept here as oracles too, and so are the per-feature CART split
+search and the per-row SMOTE interpolation that the library computes as
+arrays. The resampling orchestration is kept here with one branch per
+variant family; it calls the library's per-class primitives, which have
+their own tests. The bootstrap completeness rule and the parsers' cell
+decoding are kept here as set tests and per-cell loops.
 """
 
 import logging
@@ -196,6 +197,31 @@ def meta_features_ref(hits, dsel_supports, dsel_preds, dsel_labels, roc,
     return np.array(rows)
 
 
+def meta_classifier_ref(features, labels, queries):
+    """The META-DES Gaussian naive Bayes one class at a time: the priors (2,),
+    means (2, F) and smoothed variances (2, F) fitted on `features`, and the
+    posterior of class 1 for each row of `queries`."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    smoothing = 1e-9 * max(features.var(axis=0).max(), 1.0)
+    priors = np.empty(2)
+    means = np.empty((2, features.shape[1]))
+    variances = np.empty((2, features.shape[1]))
+    for c in (0, 1):
+        rows = features[labels == c]
+        priors[c] = rows.shape[0] / features.shape[0]
+        means[c] = rows.mean(axis=0)
+        variances[c] = rows.var(axis=0) + smoothing
+    log_like = np.empty((queries.shape[0], 2))
+    for c in (0, 1):
+        log_like[:, c] = np.log(priors[c]) - 0.5 * np.sum(
+            np.log(2 * np.pi * variances[c]) + (queries - means[c]) ** 2 / variances[c],
+            axis=1,
+        )
+    probs = np.exp(log_like - log_like.max(axis=1, keepdims=True))
+    return priors, means, variances, probs[:, 1] / probs.sum(axis=1)
+
+
 def double_fault(hits_i, hits_j):
     """Fraction of region samples misclassified by both classifiers."""
     both_wrong = [not a and not b for a, b in zip(hits_i, hits_j)]
@@ -235,6 +261,14 @@ def rrc_csrc_ref(supports, labels, n_classes, draws, seed):
         win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
     prob = win[inverse].reshape(M, n, L)
     return prob[:, np.arange(n), labels] - 1.0 / n_classes
+
+
+def g_mean_ref(predictions, labels):
+    """G-mean from one boolean mask per class present in `labels`."""
+    recalls = np.array([np.mean(predictions[labels == c] == c) for c in np.unique(labels)])
+    if (recalls == 0).any():
+        return 0.0
+    return float(np.exp(np.log(recalls).mean()))
 
 
 def auc_trapezoid_ref(labels, scores):

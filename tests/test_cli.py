@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from desbal.cli import main
+from desbal.experiment import load_config, validate_config
 
 CONFIG = """datasets = {path}
 variants = Ba, Ba-SM
@@ -50,6 +51,29 @@ def test_validate_missing_dataset(workspace, capsys):
     bad = tmp_path / "bad2.conf"
     bad.write_text(config.read_text().replace("toy.csv", "absent.csv"))
     assert main(["validate", "--config", str(bad)]) == 1
+
+
+def test_validate_empty_output(workspace, capsys):
+    tmp_path, config = workspace
+    bad = tmp_path / "bad3.conf"
+    bad.write_text(config.read_text().replace(f"output = {tmp_path / 'out'}", "output ="))
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert "error: output is empty" in capsys.readouterr().err
+
+
+def test_run_invalid_config_names_every_problem(workspace, capsys):
+    # run checks the config once, before it creates anything
+    tmp_path, config = workspace
+    bad = tmp_path / "bad4.conf"
+    text = config.read_text().replace("KNU", "WRONG").replace("pool_size = 4", "pool_size = 0")
+    bad.write_text(text)
+    problems = validate_config(load_config(bad))
+    assert len(problems) == 2
+    assert problems[0].startswith("unknown selector 'WRONG'")
+    assert problems[1] == "pool_size must be >= 1"
+    assert main(["run", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_then_report(workspace, capsys):

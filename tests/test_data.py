@@ -364,6 +364,21 @@ class TestStandardize:
         scaled, _, _ = standardize(ds)
         assert np.array_equal(scaled.features, np.zeros((3, 1)))
 
+    def test_constant_train_column_maps_to_zero_on_every_set(self):
+        # a column of 0.1s has a rounded mean and a numpy std of about 1e-17
+        train = Dataset("t", np.array([[5.0, 0.1, 1.0]] * 7 + [[5.0, 0.1, 3.0]]),
+                        [0, 1] * 4, ("a", "b"))
+        other = Dataset("o", np.array([[105.0, 0.2, 1.0], [5.0, 0.1, 3.0]]),
+                        [0, 1], ("a", "b"))
+        scaled_train, (scaled_other,), params = standardize(train, [other])
+        assert params.std[:2].tolist() == [0.0, 0.0]
+        assert np.array_equal(scaled_train.features[:, :2], np.zeros((8, 2)))
+        assert np.array_equal(scaled_other.features[:, :2], np.zeros((2, 2)))
+        assert np.array_equal(params.transform(other.features), scaled_other.features)
+        assert scaled_other.features[:, 2].tolist() == [
+            (v - params.mean[2]) / params.std[2] for v in (1.0, 3.0)
+        ]
+
     def test_others_use_train_parameters(self):
         train = Dataset("t", np.array([[0.0], [10.0]]), [0, 1], ("a", "b"))
         other = Dataset("o", np.array([[5.0], [20.0]]), [0, 1], ("a", "b"))

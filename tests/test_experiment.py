@@ -91,8 +91,9 @@ class TestConfig:
         # a repeated variant would be run and ranked twice in the report
         text = CONFIG_TEXT.format(path=csv_dataset, out=tmp_path / "r").replace(
             "variants = Ba, Ba-SM", "variants = Ba, ba, Ba-SM"
-        ).replace("selectors = STATIC, KNU, RANK", "selectors = STATIC, knu, KNU")
-        text += "metrics = auc, AUC\n"
+        ).replace("selectors = STATIC, KNU, RANK", "selectors = STATIC, knu, KNU").replace(
+            "metrics = auc, fmeasure, gmean", "metrics = auc, AUC"
+        )
         problems = validate_config(parse_config_text(text))
         assert "variants lists Ba more than once" in problems
         assert "selectors lists KNU more than once" in problems
@@ -102,6 +103,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="more than once"):
             run_experiment(cfg)
         assert not (tmp_path / "r").exists()
+
+    def test_key_given_twice_rejected(self):
+        text = "datasets = x\nseed = 1\noutput = y\n\n# again\nSeed = 2\n"
+        with pytest.raises(ConfigError, match=r"^line 6: key 'seed' already set on line 2$"):
+            parse_config_text(text)
+
+    def test_empty_output_rejected(self, csv_dataset, tmp_path):
+        text = CONFIG_TEXT.format(path=csv_dataset, out="")
+        problems = validate_config(parse_config_text(text))
+        assert problems == ["output is empty; name the directory to write into"]
+        cfg = _config(csv_dataset, tmp_path / "r", output="  ")
+        assert validate_config(cfg) == problems
+        with pytest.raises(ConfigError, match="output is empty"):
+            run_experiment(cfg)
 
     def test_config_hash_is_pinned(self):
         # the hash names an output directory: a new RunConfig field, or any

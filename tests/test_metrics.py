@@ -167,6 +167,22 @@ class TestGMean:
         preds = np.array([0, 0, 0, 0])
         assert g_mean(preds, labels) == 0.0
 
+    def test_matches_per_class_mask_oracle(self):
+        # absent classes, predictions of classes never labelled, one sample
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            L = int(rng.integers(1, 7))
+            labels = rng.integers(0, L, size=n)
+            preds = np.where(rng.random(n) < 0.7, labels, rng.integers(0, L + 2, size=n))
+            assert g_mean(preds, labels) == ref.g_mean_ref(preds, labels)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            g_mean([], [])
+        with pytest.raises(ValueError, match="empty"):
+            f_measure_weighted([], [])
+
     def test_bounds_and_zero_iff(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

@@ -1,5 +1,6 @@
 """Pool generation, DSEL construction and persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -161,3 +162,17 @@ class TestPersistence:
         probe = np.random.default_rng(2).normal(size=(25, 3))
         assert np.array_equal(loaded.predict_all(probe), pool.predict_all(probe))
         assert np.allclose(loaded.support_all(probe), pool.support_all(probe))
+
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path):
+        pool = generate_pool(_train(), "Ba-RM", pool_size=3, seed=2)
+        save_pool(pool, tmp_path / "a", scaling_ref="scaling.txt")
+        save_pool(load_pool(tmp_path / "a"), tmp_path / "b", scaling_ref="scaling.txt")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["manifest.json", "tree_000.json", "tree_001.json", "tree_002.json"]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert list(manifest) == ["variant", "generation_seed", "pool_size", "n_classes",
+                                  "arity", "scaling_params"]
+        assert manifest["arity"] == 3

@@ -597,6 +597,28 @@ class TestMetaDes:
         meta = MetaClassifier.fit(features, y)
         assert meta.posterior_competent(point[None, :])[0] > 0.5
 
+    def test_meta_model_matches_per_class_oracle(self):
+        # scales from 1e-6 to 1e3, rounded (tied) columns and 1-40 features
+        rng = np.random.default_rng(15)
+        for trial in range(400):
+            F = int(rng.integers(1, 41))
+            n = int(rng.integers(2, 120))
+            scale = 10.0 ** rng.uniform(-6, 3, size=F)
+            features = rng.normal(size=(n, F)) * scale
+            queries = rng.normal(size=(int(rng.integers(1, 30)), F)) * scale
+            if trial % 3 == 0:
+                features = np.round(features / scale) * scale
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            meta = MetaClassifier.fit(features, labels)
+            priors, means, variances, posteriors = ref.meta_classifier_ref(
+                features, labels, queries
+            )
+            assert np.array_equal(meta.priors, priors)
+            assert np.array_equal(meta.means, means)
+            assert np.array_equal(meta.variances, variances)
+            assert np.array_equal(meta.posterior_competent(queries), posteriors)
+
     def test_threshold_selection_set(self):
         ctx, train = self._real_ctx(seed=4)
         ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)

@@ -1,5 +1,7 @@
 """CART induction and prediction contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,15 @@ class TestSerialization:
         )
         assert np.allclose(tree.predict_support(probe), clone.predict_support(probe))
         assert clone.arity == tree.arity
+
+    def test_saved_json_is_pinned(self):
+        # keys in file order, counts as floats, sizes as plain integers
+        tree = fit_tree(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]),
+                        TreeConfig(min_impurity_decrease=0.0), n_classes=3)
+        text = json.dumps(tree.to_dict())
+        assert text == (
+            '{"n_classes": 3, "arity": 1, "feature": [0, -1, -1], '
+            '"threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1], '
+            '"counts": [[1.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]}'
+        )
+        assert json.dumps(DecisionTree.from_dict(json.loads(text)).to_dict()) == text
