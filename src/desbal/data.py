@@ -343,7 +343,6 @@ class SplitPlan:
     """Five stratified shuffles, each split into two disjoint covering folds."""
 
     replications: tuple  # of (foldA indices, foldB indices)
-    seed: int
     singleton_classes: tuple = ()
 
     def folds(self):
@@ -391,6 +390,4 @@ def stratified_5x2(dataset: Dataset, seed: int) -> SplitPlan:
         a = np.sort(np.concatenate(fold_a))
         b = np.sort(np.concatenate(fold_b)) if fold_b else np.array([], dtype=int)
         replications.append((a, b))
-    return SplitPlan(
-        replications=tuple(replications), seed=seed, singleton_classes=singletons
-    )
+    return SplitPlan(replications=tuple(replications), singleton_classes=singletons)

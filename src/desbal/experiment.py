@@ -146,11 +146,11 @@ def validate_config(cfg: RunConfig) -> list:
         if m not in METRIC_NAMES:
             problems.append(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
     for key, names in entries.items():
+        if not getattr(cfg, key):
+            problems.append(f"no {key} configured")
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             problems.append(f"{key} lists {', '.join(repeated)} more than once")
-    if not cfg.datasets:
-        problems.append("no datasets configured")
     if not cfg.output.strip():
         problems.append("output is empty; name the directory to write into")
     if cfg.pool_size < 1:

@@ -39,7 +39,8 @@ class SelectorConfig:
 
     `k` is the region size callers build queries and the META-DES training set
     with; the schemes themselves read the region from the query. `meta_kp` is
-    the number of META-DES output-profile neighbours and `seed` seeds DES-RRC.
+    the kp callers train META-DES with (its model keeps the sizes it was
+    trained with), and `seed` seeds DES-RRC.
     """
 
     k: int = 7
@@ -96,7 +97,7 @@ class SelectionContext:
         self.predictions = self.supports.argmax(axis=2)  # (M, n)
         self.hits = self.predictions == dsel.labels[None, :]
         self.meta = None
-        self._rrc = (None, None)  # (draws, seed) of the last RRC table, the table
+        self._rrc = (None, None)  # seed of the last RRC table, the table
 
     @property
     def pool_size(self) -> int:
@@ -123,20 +124,17 @@ class SelectionContext:
             for q in range(X.shape[0])
         ]
 
-    def rrc_csrc(self, draws: int = 1000, seed: int = 0) -> np.ndarray:
+    def rrc_csrc(self, seed: int = 0) -> np.ndarray:
         """Centered correct-classification probability of the randomized
-        reference model for every (classifier, DSEL sample) pair.
+        reference model for every (classifier, DSEL sample) pair, from
+        `RRC_DRAWS` draws per distinct support.
 
-        Only the table of the last (draws, seed) is kept: a run uses one seed
-        per context, and a table per seed would grow with every new seed.
+        Only the table of the last seed is kept: a run uses one seed per
+        context, and a table per seed would grow with every new seed.
         """
-        if draws < 1:
-            raise ValueError(f"DES-RRC needs draws >= 1, got draws={draws}")
-        key = (draws, seed)
-        if self._rrc[0] != key:
-            self._rrc = (key, _rrc_csrc_matrix(
-                self.supports, self.dsel.labels, self.n_classes, draws, seed
-            ))
+        if self._rrc[0] != seed:
+            self._rrc = seed, _rrc_csrc_matrix(self.supports, self.dsel.labels,
+                                               self.n_classes, RRC_DRAWS, seed)
         return self._rrc[1]
 
 
@@ -294,6 +292,7 @@ def select_desp(query: Query) -> SelectionResult:
 
 
 RRC_REGION_FACTOR = 30
+RRC_DRAWS = 1000  # Monte-Carlo draws per distinct support
 
 
 def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
@@ -324,8 +323,8 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
     return win[inverse.reshape(M, n), labels] - 1.0 / n_classes
 
 
-def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),
-                  draws: int = 1000) -> SelectionResult:
+def select_desrrc(ctx: SelectionContext, query: Query,
+                  cfg: SelectorConfig = SelectorConfig()) -> SelectionResult:
     """Gaussian-weighted sum of centred RRC probabilities over the DSEL.
 
     The sum runs over the `RRC_REGION_FACTOR * K` nearest DSEL samples; farther
@@ -333,7 +332,6 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Sel
     with positive competence are selected, otherwise the whole pool votes.
     The Monte-Carlo draws are seeded by `cfg.seed`.
     """
-    csrc = ctx.rrc_csrc(draws=draws, seed=cfg.seed)
     dists = query.distances
     limit = RRC_REGION_FACTOR * max(len(query.indices), 1)
     if limit < dists.shape[0]:
@@ -341,7 +339,7 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig = Sel
     else:  # DSEL order, which fixes the summation order of the product below
         nearest = np.arange(dists.shape[0])
     weights = np.exp(-dists[nearest] ** 2)
-    competence = csrc[:, nearest] @ weights
+    competence = ctx.rrc_csrc(cfg.seed)[:, nearest] @ weights
     return _vote(query, np.flatnonzero(competence > 0))
 
 
@@ -360,7 +358,7 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
     neighbours. Layout per classifier: hit/miss on each region neighbour,
     support assigned to each neighbour's true class, local accuracy, hit/miss
     on the kp DSEL samples with the most similar output profiles, and the
-    maximum support for the point itself.
+    maximum support for the point itself. `kp` is at most the DSEL size.
     """
     hits_roc = ctx.hits[:, indices].transpose(1, 0, 2).astype(float)
     true_support = ctx.supports[:, indices, ctx.dsel.labels[indices]].transpose(1, 0, 2)
@@ -368,7 +366,7 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
     dissimilarity = -_agreement(ctx.predictions, predictions)  # (Q, n)
     if exclude is not None:
         dissimilarity[np.arange(len(exclude)), exclude] = np.inf
-    profile_idx = _nearest(dissimilarity, min(kp, ctx.dsel.n_samples))  # training warns
+    profile_idx = _nearest(dissimilarity, kp)
     hits_profiles = ctx.hits[:, profile_idx].transpose(1, 0, 2).astype(float)
     max_support = supports.max(axis=2, keepdims=True)
     return np.concatenate(
@@ -381,6 +379,8 @@ class MetaClassifier:
 
     Predicts the probability that a base classifier will label a query
     correctly. Degenerate single-class training collapses to a constant.
+    `train_meta_classifier` records on the model the region size `k` and
+    profile size `kp` its features were built with.
     """
 
     def __init__(self, priors, means, variances, constant: float | None = None):
@@ -424,44 +424,48 @@ def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
                           kp: int = 5) -> MetaClassifier:
     """Fit the competence meta-model on every (training sample, classifier) pair.
 
-    When the training set is a prefix of the DSEL (the standard `build_dsel`
-    layout) its supports are read from the context and each sample's own row
-    is kept out of its region and profile neighbours; otherwise the pool
-    predicts the training set once and nothing is excluded.
+    `train` must be the DSEL's leading rows, the `build_dsel` layout: its
+    supports are read from the context, and each sample's own row is kept out
+    of its region and profile neighbours. The region is clamped to the other
+    DSEL rows and the profile to the DSEL; the model records both sizes.
     """
-    n_train = train.n_samples
-    if ctx.dsel.n_samples < kp:
-        logger.warning("DSEL holds %d < kp=%d samples; META-DES profiles use the whole set",
-                       ctx.dsel.n_samples, kp)
-    prefix = np.array_equal(ctx.dsel.features[:n_train], train.features)
-    supports = ctx.supports[:, :n_train] if prefix else ctx.pool.support_all(train.features)
-    predictions = supports.argmax(axis=2)  # (M, n_train)
-    own = np.arange(n_train) if prefix else None
-    if prefix:
-        order = _neighbors(ctx.dsel.features, own, k)
-    else:
-        logger.warning("training set is not a prefix of DSEL; no self-exclusion")
-        order = _nearest(cdist(train.features, ctx.dsel.features), k)
-    features = _meta_features_all(ctx, order, predictions.T, supports.transpose(1, 0, 2), kp, own)
-    hits = (predictions == train.labels).T.ravel().astype(int)
-    return MetaClassifier.fit(features.reshape(-1, features.shape[2]), hits)
+    n_train, n = train.n_samples, ctx.dsel.n_samples
+    if not (np.array_equal(ctx.dsel.features[:n_train], train.features)
+            and np.array_equal(ctx.dsel.labels[:n_train], train.labels)):
+        raise ValueError("META-DES trains on the DSEL's leading rows (the build_dsel "
+                         "layout); the training set is not a prefix of the DSEL")
+    if n < kp:
+        logger.warning("DSEL holds %d < kp=%d samples; META-DES profiles use the whole set", n, kp)
+        kp = n
+    own = np.arange(n_train)
+    order = _neighbors(ctx.dsel.features, own, k)
+    features = _meta_features_all(ctx, order, ctx.predictions[:, :n_train].T,
+                                  ctx.supports[:, :n_train].transpose(1, 0, 2), kp, own)
+    hits = ctx.hits[:, :n_train].T.ravel().astype(int)
+    meta = MetaClassifier.fit(features.reshape(-1, features.shape[2]), hits)
+    meta.k, meta.kp = order.shape[1], kp
+    return meta
 
 
-def select_metades(ctx: SelectionContext, query: Query, cfg: SelectorConfig = SelectorConfig(),
-                   threshold: float = 0.5) -> SelectionResult:
-    """Select classifiers the meta-model deems competent for this query,
-    with `cfg.meta_kp` output-profile neighbours in the meta-features."""
-    if ctx.meta is None:
+META_THRESHOLD = 0.5  # a classifier is selected when P(correct) exceeds this
+
+
+def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
+    """Select classifiers the meta-model deems competent for this query, from
+    the meta-features of its first `ctx.meta.k` neighbours and `ctx.meta.kp`
+    output-profile neighbours, the sizes the model was trained with."""
+    meta = ctx.meta
+    if meta is None:
         raise RuntimeError(
             "META-DES needs a trained meta-classifier; call train_meta_classifier "
             "and assign it to ctx.meta"
         )
-    features = _meta_features_all(
-        ctx, query.indices[None], query.predictions[None], query.supports[None],
-        cfg.meta_kp,
-    )[0]
-    competence = ctx.meta.posterior_competent(features)
-    return _vote(query, np.flatnonzero(competence > threshold))
+    if len(query.indices) < meta.k:
+        raise ValueError(f"META-DES was trained with k={meta.k}; the query has "
+                         f"{len(query.indices)} neighbours")
+    features = _meta_features_all(ctx, query.indices[None, :meta.k], query.predictions[None],
+                                  query.supports[None], meta.kp)[0]
+    return _vote(query, np.flatnonzero(meta.posterior_competent(features) > META_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +508,7 @@ def select_fire(base, query: Query) -> SelectionResult:
 
 def _on_region(scheme):
     """`scheme(query)` as a table entry `fn(ctx, query, cfg)`."""
-    def run(ctx, query, cfg):
-        return scheme(query)
-    return run
+    return lambda ctx, query, cfg: scheme(query)
 
 
 SELECTORS = {
@@ -519,7 +521,7 @@ SELECTORS = {
     "DES-KNN": _on_region(select_desknn),
     "DESP": _on_region(select_desp),
     "DES-RRC": select_desrrc,
-    "META-DES": select_metades,
+    "META-DES": lambda ctx, query, cfg: select_metades(ctx, query),
     "F-LCA": _on_region(partial(select_fire, select_lca)),
     "F-MCB": _on_region(partial(select_fire, select_mcb)),
     "F-KNE": _on_region(partial(select_fire, select_kne)),

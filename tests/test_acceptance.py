@@ -21,6 +21,7 @@ from desbal.metrics import auc_multiclass, f_measure_weighted, g_mean
 from desbal.pool import Pool
 from desbal.resampling import apply_multiclass, logistic_weight, ramo_weights, smote_exact
 from desbal.selection import (
+    RRC_DRAWS,
     SelectionContext,
     SelectorConfig,
     dfp_prune,
@@ -331,24 +332,28 @@ def test_criterion_08_preprocessing_headline(headline_run):
     datasets = sorted({k[0] for k in gmeans})
     assert len(datasets) == 4
 
-    gmean_wins = sum(
-        gmeans[(d, "Ba-RM", "KNU")] >= gmeans[(d, "Ba", "STATIC")] for d in datasets
+    def wins_and_ties(pairs):
+        # a tie (an ecoli G-mean of 0 on both sides, say) is no win, but passes
+        pairs = list(pairs)
+        return sum(a > b for a, b in pairs), sum(a == b for a, b in pairs)
+
+    gmean_wins, gmean_ties = wins_and_ties(
+        (gmeans[(d, "Ba-RM", "KNU")], gmeans[(d, "Ba", "STATIC")]) for d in datasets
     )
     preprocessing = ("Ba-RM100", "Ba-RM", "Ba-SM100", "Ba-SM", "Ba-RB")
-    auc_wins = sum(
-        max(aucs[(d, v, "STATIC")] for v in preprocessing)
-        >= aucs[(d, "Ba", "STATIC")]
+    auc_wins, auc_ties = wins_and_ties(
+        (max(aucs[(d, v, "STATIC")] for v in preprocessing), aucs[(d, "Ba", "STATIC")])
         for d in datasets
     )
     print(
-        f"\n  G-mean Ba-RM+KNU >= Ba+STATIC on {gmean_wins}/4; "
-        f"best-preprocessing static AUC >= plain on {auc_wins}/4; "
+        f"\n  G-mean Ba-RM+KNU vs Ba+STATIC: {gmean_wins} wins, {gmean_ties} ties of 4; "
+        f"best-preprocessing static AUC vs plain: {auc_wins} wins, {auc_ties} ties of 4; "
         f"runtime {elapsed:.0f}s"
     )
     _verdict(
         8,
         "preprocessing improves AUC and G-mean at desk scale",
-        gmean_wins >= 3 and auc_wins >= 3 and elapsed < 600.0,
+        gmean_wins + gmean_ties >= 3 and auc_wins + auc_ties >= 3 and elapsed < 600.0,
     )
 
 
@@ -384,7 +389,7 @@ def _support_stub(support_fn, n_classes, arity):
 
 
 def test_criterion_10_rrc_sanity():
-    L, d, n, draws = 3, 2, 25, 1000
+    L, d, n, draws = 3, 2, 25, RRC_DRAWS
     rng = np.random.default_rng(101)
     features = rng.normal(size=(n, d))
     labels = rng.integers(0, L, size=n)
@@ -417,10 +422,10 @@ def test_criterion_10_rrc_sanity():
     perfect_always_selected = True
     for trial in range(100):
         ctx = SelectionContext(pool, dsel)
-        csrc = ctx.rrc_csrc(draws=draws, seed=9000 + trial)
+        csrc = ctx.rrc_csrc(seed=9000 + trial)
         deltas.append(float(csrc[1] @ w))
         query = ctx.make_query(x_q, k=7)
-        result = select_desrrc(ctx, query, SelectorConfig(seed=9000 + trial), draws=draws)
+        result = select_desrrc(ctx, query, SelectorConfig(seed=9000 + trial))
         if 0 not in result.selected.tolist():
             perfect_always_selected = False
     deltas = np.array(deltas)

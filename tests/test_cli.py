@@ -61,6 +61,14 @@ def test_validate_empty_output(workspace, capsys):
     assert "error: output is empty" in capsys.readouterr().err
 
 
+def test_validate_empty_selectors(workspace, capsys):
+    tmp_path, config = workspace
+    bad = tmp_path / "bad5.conf"
+    bad.write_text(config.read_text().replace("selectors = STATIC, KNU", "selectors ="))
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert "error: no selectors configured" in capsys.readouterr().err
+
+
 def test_run_invalid_config_names_every_problem(workspace, capsys):
     # run checks the config once, before it creates anything
     tmp_path, config = workspace

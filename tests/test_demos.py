@@ -1,4 +1,5 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/, and README's library quickstart, runs
+to completion."""
 
 import os
 import subprocess
@@ -15,17 +16,30 @@ def test_six_demos_found():
     assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
-def test_demo_exits_cleanly(script, tmp_path):
+def _run(args, tmp_path):
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp))
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, *args], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    return tmp, done.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_cleanly(script, tmp_path):
+    tmp, _ = _run([str(script)], tmp_path)
     # a fixed path is shared by concurrent runs: temporary files go under
     # a fresh tempfile directory, which every demo removes again
     assert "/tmp/" not in script.read_text()
     assert not any(tmp.iterdir())
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # the first python block under "Library quickstart", as a reader copies it
+    section = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    _, out = _run(["-c", code], tmp_path)
+    assert out.startswith("KNU [") and "\nMETA-DES [" in out

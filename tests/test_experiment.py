@@ -118,6 +118,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="output is empty"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("key", ["variants", "selectors", "metrics"])
+    def test_empty_list_rejected(self, csv_dataset, tmp_path, key):
+        # an empty list would run nothing and write no record
+        text = CONFIG_TEXT.format(path=csv_dataset, out=tmp_path / "r")
+        line = next(line for line in text.splitlines() if line.startswith(key))
+        cfg = parse_config_text(text.replace(line, f"{key} ="))
+        assert getattr(cfg, key) == ()
+        assert validate_config(cfg) == [f"no {key} configured"]
+        with pytest.raises(ConfigError, match=f"^no {key} configured$"):
+            run_experiment(cfg)
+        assert not (tmp_path / "r").exists()
+
     def test_config_hash_is_pinned(self):
         # the hash names an output directory: a new RunConfig field, or any
         # change to canonical_text, would lock every existing one out
@@ -194,6 +206,18 @@ class TestRun:
         assert path.read_text().splitlines()[-1].split("\t")[:7] == last.split("\t")[:7]
         for metric in ("auc", "fmeasure", "gmean"):
             make_report(tmp_path / "torn", metric)
+
+    @pytest.mark.parametrize("k", [110, 500])
+    def test_metades_region_beyond_the_dsel(self, tmp_path, k):
+        # glass's training halves hold 105 to 109 rows, and so does Ba's DSEL:
+        # META-DES trains on regions of the n - 1 other rows, a query reads as many
+        cfg = RunConfig(
+            datasets=("builtin:glass",), output=str(tmp_path / "r"), variants=("Ba",),
+            selectors=("META-DES",), pool_size=3, k=k,
+        )
+        assert run_experiment(cfg).records_written == 10 * len(cfg.metrics)
+        for metric in cfg.metrics:
+            assert "Average rank" in make_report(tmp_path / "r", metric)
 
     def test_failed_dataset_isolated(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "iso")

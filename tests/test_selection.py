@@ -13,6 +13,7 @@ from desbal.benchmarks import load_benchmark
 from desbal.data import Dataset, _neighbors, standardize, stratified_5x2
 from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
+    RRC_DRAWS,
     MetaClassifier,
     Query,
     SelectionContext,
@@ -416,7 +417,7 @@ class TestDesRrc:
     def test_perfect_classifier_selected_uniform_not(self):
         ctx, features = _rrc_pool_ctx()
         query = ctx.make_query(features[0], k=7)
-        result = select_desrrc(ctx, query, SelectorConfig(seed=3), draws=1000)
+        result = select_desrrc(ctx, query, SelectorConfig(seed=3))
         assert 0 in result.selected.tolist()
         assert 1 not in result.selected.tolist()
 
@@ -425,8 +426,8 @@ class TestDesRrc:
         ctx_b, _ = _rrc_pool_ctx(seed=5)
         q_a = ctx_a.make_query(features[3], k=5)
         q_b = ctx_b.make_query(features[3], k=5)
-        one = select_desrrc(ctx_a, q_a, SelectorConfig(seed=11), draws=500)
-        two = select_desrrc(ctx_b, q_b, SelectorConfig(seed=11), draws=500)
+        one = select_desrrc(ctx_a, q_a, SelectorConfig(seed=11))
+        two = select_desrrc(ctx_b, q_b, SelectorConfig(seed=11))
         assert one.selected.tolist() == two.selected.tolist()
         assert one.predicted_class == two.predicted_class
 
@@ -441,7 +442,7 @@ def _fold_ctx(name, variant):
 
 
 def _assert_table_matches_oracle(ctx):
-    got = ctx.rrc_csrc(draws=64, seed=5)
+    got = selection_module._rrc_csrc_matrix(ctx.supports, ctx.dsel.labels, ctx.n_classes, 64, 5)
     want = ref.rrc_csrc_ref(ctx.supports, ctx.dsel.labels, ctx.n_classes, 64, 5)
     assert got.shape == (ctx.pool_size, ctx.dsel.n_samples)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -499,34 +500,24 @@ class TestRrcCache:
         return builds
 
     def test_repeated_key_reuses_the_table(self, monkeypatch):
-        ctx, _ = _rrc_pool_ctx()
+        ctx, features = _rrc_pool_ctx()
         builds = self._counting(monkeypatch)
-        table = ctx.rrc_csrc(draws=64, seed=1)
-        assert ctx.rrc_csrc(draws=64, seed=1) is table
-        assert builds == [(64, 1)]
+        table = ctx.rrc_csrc(seed=1)
+        assert ctx.rrc_csrc(seed=1) is table
+        select_desrrc(ctx, ctx.make_query(features[0], k=5), SelectorConfig(seed=1))
+        assert builds == [(RRC_DRAWS, 1)]
 
     def test_new_key_replaces_the_only_table(self, monkeypatch):
-        ctx, _ = _rrc_pool_ctx()
-        builds = self._counting(monkeypatch)
-        one = ctx.rrc_csrc(draws=64, seed=1)
-        two = ctx.rrc_csrc(draws=64, seed=2)
-        assert two is not one
-        assert ctx.rrc_csrc(draws=64, seed=2) is two
-        again = ctx.rrc_csrc(draws=64, seed=1)  # seed 1's table was dropped
-        assert again is not one and again.tobytes() == one.tobytes()
-        assert ctx.rrc_csrc(draws=32, seed=1) is not again
-        assert builds == [(64, 1), (64, 2), (64, 1), (32, 1)]
-
-
-class TestRrcDraws:
-    @pytest.mark.parametrize("draws", [0, -3])
-    def test_draws_below_one_are_refused(self, draws):
         ctx, features = _rrc_pool_ctx()
-        query = ctx.make_query(features[0], k=5)
-        with pytest.raises(ValueError, match="draws"):
-            ctx.rrc_csrc(draws=draws, seed=1)
-        with pytest.raises(ValueError, match="draws"):
-            select_desrrc(ctx, query, SelectorConfig(seed=1), draws=draws)
+        builds = self._counting(monkeypatch)
+        one = ctx.rrc_csrc(seed=1)
+        two = ctx.rrc_csrc(seed=2)
+        assert two is not one
+        assert ctx.rrc_csrc(seed=2) is two
+        again = ctx.rrc_csrc(seed=1)  # seed 1's table was dropped
+        assert again is not one and again.tobytes() == one.tobytes()
+        select_desrrc(ctx, ctx.make_query(features[0], k=5), SelectorConfig(seed=3))
+        assert builds == [(RRC_DRAWS, 1), (RRC_DRAWS, 2), (RRC_DRAWS, 1), (RRC_DRAWS, 3)]
 
 
 class TestMetaDes:
@@ -626,7 +617,7 @@ class TestMetaDes:
         posteriors = ctx.meta.posterior_competent(_meta_features_all(
             ctx, query.indices[None], query.predictions[None], query.supports[None], 5
         )[0])
-        result = select_metades(ctx, query, SelectorConfig(meta_kp=5), threshold=0.5)
+        result = select_metades(ctx, query)
         expected = np.flatnonzero(posteriors > 0.5)
         if expected.size:
             assert result.selected.tolist() == expected.tolist()
@@ -665,34 +656,51 @@ class TestMetaDes:
         for name in ("priors", "means", "variances"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    def test_non_prefix_dsel_matches_oracle(self, caplog):
-        # reversed, the DSEL no longer starts with the training set, so no
-        # training row is kept out of its own region or profile neighbours
+    def test_non_prefix_training_raises(self):
+        # reversed, the DSEL no longer starts with the training set; a training
+        # set whose rows match but whose labels differ is no prefix either
         glass = load_benchmark("glass")
         _rep, _fold, train_idx, _test_idx = next(stratified_5x2(glass, 0).folds())
         train, _, _ = standardize(glass.subset(train_idx))
         pool = generate_pool(train, "Ba-SM", pool_size=10, seed=1)
         dsel = build_dsel(train, "Ba-SM", seed=1)
-        dsel = dsel.subset(np.arange(dsel.n_samples)[::-1])
-        ctx = SelectionContext(pool, dsel)
-        k, kp = 5, 10  # kp 3 would miss a self-exclusion applied here by mistake
-        with caplog.at_level("WARNING"):
-            got = train_meta_classifier(ctx, train, k=k, kp=kp)
-        assert "not a prefix" in caplog.text
-        supports = pool.support_all(train.features)
-        predictions = supports.argmax(axis=2)
-        rows = [
-            ref.meta_features_ref(
-                ctx.hits, ctx.supports, ctx.predictions, dsel.labels,
-                ref.region_ref(dsel.features, x, k), predictions[:, t], supports[:, t], kp,
-            )
-            for t, x in enumerate(train.features)
-        ]
-        hits = predictions == train.labels[None, :]
-        want = MetaClassifier.fit(np.vstack(rows), hits.T.ravel().astype(int))
-        assert got.constant is None and want.constant is None
-        for name in ("priors", "means", "variances"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        reversed_ctx = SelectionContext(pool, dsel.subset(np.arange(dsel.n_samples)[::-1]))
+        with pytest.raises(ValueError, match="not a prefix of the DSEL"):
+            train_meta_classifier(reversed_ctx, train, k=5, kp=10)
+        relabelled = Dataset(train.name, train.features, train.labels[::-1], train.class_names)
+        with pytest.raises(ValueError, match="not a prefix of the DSEL"):
+            train_meta_classifier(SelectionContext(pool, dsel), relabelled, k=5, kp=10)
+        assert train_meta_classifier(SelectionContext(pool, dsel), train, k=5, kp=10).k == 5
+
+    def test_model_records_the_clamped_sizes(self):
+        ctx, train = self._real_ctx()  # a DSEL of 32 rows
+        meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        assert (meta.k, meta.kp) == (7, 5)
+        ctx.meta = train_meta_classifier(ctx, train, k=40, kp=40)
+        assert (ctx.meta.k, ctx.meta.kp) == (31, 32)  # the other rows; the whole DSEL
+        # a query's region holds all 32 rows, and the model reads the first 31
+        for query in ctx.make_queries(train.features[:4] + 0.1, 40):
+            assert 0 <= select_metades(ctx, query).predicted_class < ctx.n_classes
+
+    def test_query_reads_the_trained_region_size(self):
+        ctx, train = self._real_ctx(seed=4)
+        ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        x = train.features[5] + 0.1
+        seven = select_metades(ctx, ctx.make_query(x, k=7))
+        nine = select_metades(ctx, ctx.make_query(x, k=9))
+        assert nine.selected.tolist() == seven.selected.tolist()
+        assert nine.predicted_class == seven.predicted_class
+        with pytest.raises(ValueError, match=r"k=7; the query has 5 neighbours"):
+            select_metades(ctx, ctx.make_query(x, k=5))
+
+    def test_model_kp_wins_over_the_run_settings(self):
+        ctx, train = self._real_ctx(seed=4)
+        ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        query = ctx.make_query(train.features[5], k=7)
+        want = select_metades(ctx, query)
+        for cfg in (SelectorConfig(meta_kp=3), SelectorConfig(meta_kp=9)):
+            got = run_selector("META-DES", ctx, query, cfg)
+            assert got.selected.tolist() == want.selected.tolist()
 
     def test_small_dsel_warns_once_naming_kp(self, caplog):
         rng = np.random.default_rng(5)
@@ -703,7 +711,7 @@ class TestMetaDes:
         with caplog.at_level("WARNING"):
             ctx.meta = train_meta_classifier(ctx, train, k=cfg.k, kp=cfg.meta_kp)
             for query in ctx.make_queries(rng.normal(size=(6, 2)), cfg.k):
-                select_metades(ctx, query, cfg)
+                select_metades(ctx, query)
         assert [r.getMessage() for r in caplog.records if "DSEL holds" in r.getMessage()] == [
             "DSEL holds 4 < kp=5 samples; META-DES profiles use the whole set"]
 
