@@ -221,7 +221,7 @@ def _read_records(path: Path) -> list:
         header = fh.readline()
         if header and tuple(header.rstrip("\n").split("\t")) != RECORD_COLUMNS:
             raise IncompleteGridError(f"unexpected results header in {path}")
-        rows = (line.rstrip("\n").split("\t") for line in fh)
+        rows = (line.split("\t") for line in fh.read().split("\n"))
         return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)]
 
 
@@ -493,7 +493,8 @@ def make_report(input_dir, metric: str) -> str:
     each selector's best variant against its plain-bagging baseline. Every
     section reads one (dataset, variant, selector) array of fold means.
     Brackets mark methods statistically equivalent to the best (Finner,
-    alpha = 0.05). The metric name is case-insensitive.
+    alpha = 0.05). The metric name is case-insensitive, and a metric the
+    run's config does not record is refused.
     """
     metric = metric.strip().lower()
     if metric not in METRIC_NAMES:
@@ -504,6 +505,8 @@ def make_report(input_dir, metric: str) -> str:
         raise IncompleteGridError(f"no {RESULTS_FILE} in {input_dir}")
     records = _read_records(results_path)
     cfg = _manifest_config(input_dir)
+    if metric not in cfg.metrics:
+        raise ValueError(f"this run records {', '.join(cfg.metrics)}, not {metric}")
     variants = tuple(normalize_variant(v) for v in cfg.variants)
     selectors = tuple(normalize_selector(s) for s in cfg.selectors)
     datasets = tuple(sorted({r[0] for r in records}))

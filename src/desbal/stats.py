@@ -2,20 +2,30 @@
 procedure against the best-ranked method, and the exact-binomial sign test."""
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 
 import numpy as np
-from scipy.stats import binom, norm, rankdata
+from scipy.special import ndtr
 
 
 def average_ranks(scores) -> np.ndarray:
     """Average rank of each method (column) over the datasets (rows) of a
     score table: rank 1 is the highest score, and ties get mean ranks."""
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2:
-        raise ValueError("scores must be a (n_datasets, n_methods) table")
+    if scores.ndim != 2 or not len(scores):
+        raise ValueError("scores must be a (n_datasets, n_methods) table, n_datasets >= 1")
     if np.isnan(scores).any():
         raise ValueError("score table has missing cells")
-    return rankdata(-scores, axis=1).mean(axis=0)
+    n, m = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ordered = np.take_along_axis(scores, order, axis=1)
+    starts = np.ones((n, m), dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    group = np.cumsum(starts) - 1  # tie groups, numbered across rows
+    positions = np.bincount(group, np.tile(np.arange(1.0, m + 1), n))
+    group_rank = positions / np.bincount(group)  # the mean position, an exact half
+    return np.bincount(order.ravel(), group_rank[group], minlength=m) / n
 
 
 def rank_test_pvalues(avg_ranks, n_datasets: int):
@@ -25,13 +35,15 @@ def rank_test_pvalues(avg_ranks, n_datasets: int):
     Returns (best index, p-values for the other methods in method order,
     indices of those methods).
     """
+    if n_datasets < 1:
+        raise ValueError(f"n_datasets must be >= 1, got {n_datasets}")
     avg_ranks = np.asarray(avg_ranks, dtype=float)
     m = avg_ranks.shape[0]
     best = int(np.argmin(avg_ranks))
     others = np.array([i for i in range(m) if i != best])
     scale = np.sqrt(m * (m + 1) / (6.0 * n_datasets))
     z = (avg_ranks[others] - avg_ranks[best]) / scale
-    return best, 2.0 * norm.sf(np.abs(z)), others
+    return best, 2.0 * ndtr(-np.abs(z)), others
 
 
 def finner_stepdown(p_values, alpha: float = 0.05) -> np.ndarray:
@@ -40,6 +52,8 @@ def finner_stepdown(p_values, alpha: float = 0.05) -> np.ndarray:
     Sorted p-values are adjusted to 1 - (1 - p_(j))^(h/j) with h hypotheses,
     monotonized by a running maximum, and rejected while adjusted <= alpha.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return finner_adjusted_pvalues(p_values) <= alpha
 
 
@@ -67,13 +81,18 @@ class SignTestResult:
 
 
 def sign_test_critical_value(n: int, alpha: float) -> int:
-    """Smallest w with P(W >= w | Binomial(n, 1/2)) <= alpha (n+1 if none)."""
+    """Smallest w with P(W >= w | Binomial(n, 1/2)) <= alpha (n+1 if none),
+    from the exact tail counts sum_{j >= w} C(n, j) against alpha * 2^n."""
     if n <= 0:
         raise ValueError("sign test needs n > 0")
-    w = np.arange(0, n + 2)
-    tail = binom.sf(w - 1, n, 0.5)  # P(W >= w)
-    hits = np.flatnonzero(tail <= alpha)
-    return int(w[hits[0]]) if hits.size else n + 1
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    bound, tail = Fraction(float(alpha)) * 2**n, 0
+    for w in range(n, 0, -1):
+        tail += comb(n, w)  # the outcomes with W >= w
+        if tail > bound:
+            return w + 1
+    return 1  # P(W >= 0) = 1 > alpha
 
 
 def sign_test(wins: int, ties: int, losses: int, alpha: float = 0.05) -> SignTestResult:
@@ -82,11 +101,8 @@ def sign_test(wins: int, ties: int, losses: int, alpha: float = 0.05) -> SignTes
     Ties are split evenly between the two sides; an odd tie goes to the
     losses (the conservative direction).
     """
-    n = wins + ties + losses
-    if n == 0:
-        raise ValueError("sign test needs n > 0")
     wins_adjusted = wins + ties // 2
-    critical = sign_test_critical_value(n, alpha)
+    critical = sign_test_critical_value(wins + ties + losses, alpha)
     return SignTestResult(
         significant=wins_adjusted >= critical,
         critical_value=critical,

@@ -13,13 +13,16 @@ search and the per-row SMOTE interpolation that the library computes as
 arrays. The resampling orchestration is kept here with one branch per
 variant family; it calls the library's per-class primitives, which have
 their own tests. The bootstrap completeness rule and the parsers' cell
-decoding are kept here as set tests and per-cell loops.
+decoding are kept here as set tests and per-cell loops. The report's
+statistics keep their scipy.stats formulas here: `rankdata` average ranks,
+`2 * norm.sf` rank-test p-values and the `binom.sf` search for the sign
+test's critical value.
 """
 
 import logging
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import binom, norm, rankdata
 
 
 def region_ref(dsel_features, x_q, k):
@@ -548,3 +551,26 @@ def decode_ref(rows, label_idx, label_name, specs=None):
     if missing:
         return f"classes with no samples: {missing}"
     return features, labels, class_names
+
+
+def average_ranks_ref(scores):
+    """Mean rank of each column (1 = highest score, ties averaged) by
+    `rankdata` row by row."""
+    return rankdata(-np.asarray(scores, dtype=float), axis=1).mean(axis=0)
+
+
+def rank_pvalues_ref(avg_ranks, n_datasets):
+    """Two-sided `norm.sf` p-values of the Friedman z of every method but
+    the best-ranked one, in method order."""
+    m = len(avg_ranks)
+    best = int(np.argmin(avg_ranks))
+    others = [i for i in range(m) if i != best]
+    z = (avg_ranks[others] - avg_ranks[best]) / np.sqrt(m * (m + 1) / (6.0 * n_datasets))
+    return 2.0 * norm.sf(np.abs(z))
+
+
+def sign_critical_ref(n, alpha):
+    """Smallest w with `binom.sf(w - 1, n, 1/2)` <= alpha (n + 1 if none)."""
+    w = np.arange(0, n + 2)
+    hits = np.flatnonzero(binom.sf(w - 1, n, 0.5) <= alpha)
+    return int(w[hits[0]]) if hits.size else n + 1

@@ -1,5 +1,10 @@
 """Command line verbs and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,6 +145,38 @@ def test_run_refuses_foreign_results_file(workspace, capsys):
 
 def test_report_missing_input(tmp_path, capsys):
     assert main(["report", "--input", str(tmp_path / "nope"), "--metric", "gmean"]) == 1
+
+
+def test_report_unrecorded_metric(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--input", str(tmp_path / "out"), "--metric", "auc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: this run records gmean, not auc\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "report_auc.txt").exists()
+
+
+def test_fresh_process_never_loads_scipy_stats(workspace):
+    # scipy.stats costs about half a second and 30 MB per process; desbal
+    # needs only scipy.spatial and scipy.special
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    code = (
+        "import sys\n"
+        "import desbal, desbal.cli\n"
+        f"assert desbal.cli.main(['report', '--input', {str(tmp_path / 'out')!r},"
+        " '--metric', 'gmean']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "Average rank" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_report_unknown_metric(workspace, capsys):

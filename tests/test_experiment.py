@@ -608,6 +608,13 @@ class TestReport:
             for rep, fold in (("4", "B"), ("5", "A"), ("5", "B"))
         ]
 
+    def test_unrecorded_metric_refused(self, tmp_path):
+        # a resume could never write auc records into a gmean-only run
+        out = _craft_records(tmp_path / "g", {("d1", "Ba", "KNU"): 0.5, ("d2", "Ba", "KNU"): 0.7})
+        with pytest.raises(ValueError) as info:
+            make_report(out, "AUC")
+        assert str(info.value) == "this run records gmean, not auc"
+
     def test_end_to_end_with_runner(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "e2e")
         run_experiment(cfg)

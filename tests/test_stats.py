@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+import reference as ref
 from desbal.stats import (
     average_ranks,
     finner_adjusted_pvalues,
@@ -36,6 +37,24 @@ class TestAverageRanks:
     def test_missing_cells_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             average_ranks(np.array([[1.0, np.nan]]))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"table, n_datasets >= 1"):
+            average_ranks(np.empty((0, 3)))
+
+    def test_rankdata_oracle_bitwise(self):
+        # quarter-step scores force ties; -0.0 must tie with 0.0
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            shape = (int(rng.integers(1, 31)), int(rng.integers(1, 16)))
+            scores = rng.integers(-4, 5, size=shape) / 4.0 * rng.choice([-1.0, 1.0], size=shape)
+            if rng.uniform() < 0.5:
+                scores = np.where(rng.uniform(size=shape) < 0.5, scores, rng.uniform(size=shape))
+            got = average_ranks(scores)
+            assert got.tobytes() == ref.average_ranks_ref(scores).tobytes()
+            if shape[1] > 1:
+                pvals = rank_test_pvalues(got, shape[0])[1]
+                assert pvals.tobytes() == ref.rank_pvalues_ref(got, shape[0]).tobytes()
 
 
 class TestFinner:
@@ -86,6 +105,11 @@ class TestFinner:
         with pytest.raises(ValueError):
             finner_stepdown([])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            finner_stepdown([0.01, 0.2], alpha=alpha)
+
 
 class TestRankPvalues:
     def test_z_statistic(self):
@@ -97,7 +121,12 @@ class TestRankPvalues:
         from scipy.stats import norm
 
         want = 2 * norm.sf((avg[1] - avg[0]) / scale)
-        assert pvals[0] == pytest.approx(want)
+        assert pvals[0] == want
+
+    @pytest.mark.parametrize("n_datasets", [0, -1])
+    def test_no_datasets_rejected(self, n_datasets):
+        with pytest.raises(ValueError, match="n_datasets must be >= 1"):
+            rank_test_pvalues(np.array([1.0, 2.0]), n_datasets=n_datasets)
 
 
 class TestSignTest:
@@ -115,6 +144,25 @@ class TestSignTest:
             assert binom.sf(crit - 1, n, 0.5) <= alpha
             if crit > 0:
                 assert binom.sf(crit - 2, n, 0.5) > alpha
+
+    def test_binom_sf_search_oracle(self):
+        rng = np.random.default_rng(5)
+        alphas = [0.1, 0.05, 0.01, *rng.uniform(1e-4, 0.5, size=20)]
+        for n in range(1, 81):
+            for alpha in alphas:
+                assert sign_test_critical_value(n, alpha) == ref.sign_critical_ref(n, alpha)
+
+    def test_exact_tail_at_one_half(self):
+        # n = 35: P(W >= 18) is exactly 1/2, which binom.sf rounds above 0.5
+        assert sign_test_critical_value(35, 0.5) == 18
+        assert ref.sign_critical_ref(35, 0.5) == 19
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            sign_test_critical_value(10, alpha)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            sign_test(6, 2, 2, alpha=alpha)
 
     def test_maximal_wins_significant(self):
         assert sign_test(26, 0, 0, alpha=0.01).significant
