@@ -10,6 +10,7 @@ import time
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -451,11 +452,13 @@ def _fold_means(records, metric: str, axes):
     misses a record."""
     grid = (*axes, tuple(str(rep) for rep in range(1, REPLICATIONS + 1)), FOLDS)
     codes = [{name: i for i, name in enumerate(axis)} for axis in grid]
-    rows = [r for r in records if r[5] == metric]
-    index = np.array([[c.get(cell, -1) for c, cell in zip(codes, r)] for r in rows], dtype=int)
-    index = index.reshape(-1, len(grid))  # (records, 5); -1 off an axis
+    columns = list(zip(*[r for r in records if r[5] == metric])) or [()] * len(RECORD_COLUMNS)
+    index = np.array([  # (5, records); -1 off an axis
+        np.fromiter(map(code.get, column, repeat(-1)), np.intp, len(column))
+        for code, column in zip(codes, columns)
+    ])
     present = np.zeros(tuple(map(len, grid)), dtype=bool)
-    present[tuple(index[(index >= 0).all(axis=1)].T)] = True
+    present[tuple(index[:, (index >= 0).all(axis=0)])] = True
     missing = np.argwhere(~present)
     if len(missing):
         head = "\n".join(
@@ -464,24 +467,24 @@ def _fold_means(records, metric: str, axes):
         )
         more = f"\n  ... and {len(missing) - 20} more" if len(missing) > 20 else ""
         raise IncompleteGridError(f"missing {len(missing)} cells:\n{head}{more}")
-    values = np.array([float(r[6]) for r in rows])
-    in_axes = (index[:, :3] >= 0).all(axis=1)
+    values = np.fromiter(map(float, columns[6]), float, len(columns[6]))
+    in_axes = (index[:3] >= 0).all(axis=0)
     shape = present.shape[:3]
-    cells = np.ravel_multi_index(index[in_axes, :3].T, shape)
+    cells = np.ravel_multi_index(index[:3, in_axes], shape)
     sums = np.bincount(cells, weights=values[in_axes], minlength=np.prod(shape))
     return (sums / np.bincount(cells, minlength=np.prod(shape))).reshape(shape)
 
 
-def _ranked(table, alpha=0.05):
-    """Average ranks of the columns of a (datasets, methods) table, the
-    best-ranked column, and True where a column is statistically equivalent
-    to the best (Finner step-down at `alpha`)."""
-    ranks = average_ranks(table)
-    best = int(np.argmin(ranks))
-    equivalent = np.ones(len(ranks), dtype=bool)
-    if len(ranks) > 1:
-        _, pvals, others = rank_test_pvalues(ranks, len(table))
-        equivalent[others] = ~finner_stepdown(pvals, alpha)
+def _ranked(tables, alpha=0.05):
+    """Average ranks of the columns of a (datasets, methods) table, or of each
+    table of a stack, the best-ranked column, and True where a column is
+    statistically equivalent to the best (Finner step-down at `alpha`)."""
+    ranks = average_ranks(tables)
+    best = np.argmin(ranks, axis=-1)
+    equivalent = np.ones(ranks.shape, dtype=bool)
+    if ranks.shape[-1] > 1:
+        _, pvals, others = rank_test_pvalues(ranks, tables.shape[-2])
+        np.put_along_axis(equivalent, others, ~finner_stepdown(pvals, alpha), axis=-1)
     return ranks, best, equivalent
 
 
@@ -519,12 +522,12 @@ def make_report(input_dir, metric: str) -> str:
     lines.append("(a) Average rank of each preprocessing variant per selector")
     lines.append("    ([x.xx] = equivalent to the row's best, Finner alpha=0.05)")
     lines.append(f"{'selector':<12}" + "".join(f"{v:>12}" for v in variants))
-    best_variant = np.empty(len(selectors), dtype=int)
-    for s, selector in enumerate(selectors):
-        ranks, best, equivalent = _ranked(means[:, :, s])
-        best_variant[s] = best
-        cells = [f"[{r:.2f}]" if flag else f"{r:.2f}" for r, flag in zip(ranks, equivalent)]
-        cells[best] = f"*{ranks[best]:.2f}"
+    ranks, best_variant, equivalent = _ranked(means.transpose(2, 0, 1))
+    for selector, row, best, flags in zip(
+        selectors, ranks.tolist(), best_variant.tolist(), equivalent.tolist()
+    ):
+        cells = [f"[{r:.2f}]" if flag else f"{r:.2f}" for r, flag in zip(row, flags)]
+        cells[best] = f"*{row[best]:.2f}"
         lines.append(f"{selector:<12}" + "".join(f"{cell:>12}" for cell in cells))
     lines.append("")
 

@@ -1,9 +1,12 @@
 """Nonparametric comparison machinery: average ranks, the Finner step-down
-procedure against the best-ranked method, and the exact-binomial sign test."""
+procedure against the best-ranked method, and the exact-binomial sign test.
+Ranks, rank-test p-values and Finner flags also take a stack of tables and
+work on each one, so a report ranks all its tables in one call."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, prod
 
 import numpy as np
 from scipy.special import ndtr
@@ -11,21 +14,26 @@ from scipy.special import ndtr
 
 def average_ranks(scores) -> np.ndarray:
     """Average rank of each method (column) over the datasets (rows) of a
-    score table: rank 1 is the highest score, and ties get mean ranks."""
+    score table: rank 1 is the highest score, and ties get mean ranks. A
+    stack (..., datasets, methods) of tables gives (..., methods)."""
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or not len(scores):
+    if scores.ndim < 2 or not scores.shape[-2]:
         raise ValueError("scores must be a (n_datasets, n_methods) table, n_datasets >= 1")
     if np.isnan(scores).any():
         raise ValueError("score table has missing cells")
-    n, m = scores.shape
-    order = np.argsort(-scores, axis=1, kind="stable")
-    ordered = np.take_along_axis(scores, order, axis=1)
-    starts = np.ones((n, m), dtype=bool)
+    *stack, n, m = scores.shape
+    tables = prod(stack)
+    rows = scores.reshape(tables * n, m)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
     starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     group = np.cumsum(starts) - 1  # tie groups, numbered across rows
-    positions = np.bincount(group, np.tile(np.arange(1.0, m + 1), n))
+    positions = np.bincount(group, np.tile(np.arange(1.0, m + 1), len(rows)))
     group_rank = positions / np.bincount(group)  # the mean position, an exact half
-    return np.bincount(order.ravel(), group_rank[group], minlength=m) / n
+    column = order + (np.arange(len(rows)) // n * m)[:, None]  # numbered across tables
+    sums = np.bincount(column.ravel(), group_rank[group], minlength=tables * m)
+    return (sums / n).reshape(*stack, m)  # exact sums of halves, so any order
 
 
 def rank_test_pvalues(avg_ranks, n_datasets: int):
@@ -33,17 +41,22 @@ def rank_test_pvalues(avg_ranks, n_datasets: int):
 
     Uses the Friedman z statistic z = (R_i - R_best) / sqrt(m(m+1) / (6 n)).
     Returns (best index, p-values for the other methods in method order,
-    indices of those methods).
+    indices of those methods). For a stack (..., methods) of rank vectors
+    the best indices are an array and every output keeps the stack axes.
     """
     if n_datasets < 1:
         raise ValueError(f"n_datasets must be >= 1, got {n_datasets}")
     avg_ranks = np.asarray(avg_ranks, dtype=float)
-    m = avg_ranks.shape[0]
-    best = int(np.argmin(avg_ranks))
-    others = np.array([i for i in range(m) if i != best])
+    m = avg_ranks.shape[-1]
+    best = np.argmin(avg_ranks, axis=-1)
+    at_best = np.expand_dims(best, -1)
+    others = np.arange(m - 1) + (np.arange(m - 1) >= at_best)  # every index but best
     scale = np.sqrt(m * (m + 1) / (6.0 * n_datasets))
-    z = (avg_ranks[others] - avg_ranks[best]) / scale
-    return best, 2.0 * ndtr(-np.abs(z)), others
+    z = (
+        np.take_along_axis(avg_ranks, others, axis=-1)
+        - np.take_along_axis(avg_ranks, at_best, axis=-1)
+    ) / scale
+    return best if best.ndim else int(best), 2.0 * ndtr(-np.abs(z)), others
 
 
 def finner_stepdown(p_values, alpha: float = 0.05) -> np.ndarray:
@@ -58,18 +71,20 @@ def finner_stepdown(p_values, alpha: float = 0.05) -> np.ndarray:
 
 
 def finner_adjusted_pvalues(p_values) -> np.ndarray:
-    """Monotonized adjusted p-values, returned in the original order."""
+    """Monotonized adjusted p-values, returned in the original order; each
+    row of a stack (..., hypotheses) is adjusted on its own."""
     p_values = np.asarray(p_values, dtype=float)
     if p_values.size == 0:
         raise ValueError("empty input")
-    h = p_values.size
-    order = np.argsort(p_values, kind="stable")
+    h = p_values.shape[-1]
+    order = np.argsort(p_values, axis=-1, kind="stable")
     ranks = np.arange(1, h + 1)
+    ordered = np.take_along_axis(p_values, order, axis=-1)
     adjusted = np.minimum(
-        np.maximum.accumulate(1.0 - (1.0 - p_values[order]) ** (h / ranks)), 1.0
+        np.maximum.accumulate(1.0 - (1.0 - ordered) ** (h / ranks), axis=-1), 1.0
     )
-    out = np.empty(h)
-    out[order] = adjusted
+    out = np.empty_like(adjusted)
+    np.put_along_axis(out, order, adjusted, axis=-1)
     return out
 
 
@@ -80,9 +95,11 @@ class SignTestResult:
     wins_adjusted: int
 
 
+@cache
 def sign_test_critical_value(n: int, alpha: float) -> int:
     """Smallest w with P(W >= w | Binomial(n, 1/2)) <= alpha (n+1 if none),
-    from the exact tail counts sum_{j >= w} C(n, j) against alpha * 2^n."""
+    from the exact tail counts sum_{j >= w} C(n, j) against alpha * 2^n.
+    Each (n, alpha) is computed once per process."""
     if n <= 0:
         raise ValueError("sign test needs n > 0")
     if not 0 < alpha < 1:

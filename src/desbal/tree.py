@@ -81,6 +81,11 @@ class DecisionTree:
         return cls(**{name: payload[name] for name in SAVED_FIELDS})
 
 
+def _gini(counts, n):
+    """Gini impurity of a node with class `counts` over `n` rows."""
+    return 1.0 - ((counts / n) ** 2).sum()
+
+
 def _best_split(X, y_onehot, counts, n_total):
     """Best (feature, threshold, weighted decrease) for one node.
 
@@ -99,7 +104,7 @@ def _best_split(X, y_onehot, counts, n_total):
     right_counts = counts - left_counts
     n_left = np.arange(1.0, n)[:, None]
     n_right = n - n_left
-    parent_gini = 1.0 - ((counts / n) ** 2).sum()
+    parent_gini = _gini(counts, n)
     gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
     gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
     child = (n_left * gini_left + n_right * gini_right) / n
@@ -151,6 +156,8 @@ def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> Decisio
             idx.size < 2
             or np.count_nonzero(node_counts) == 1
             or (config.max_depth is not None and depth >= config.max_depth)
+            # child impurities are >= 0, so no split gains more than this bound
+            or (idx.size / n_total) * _gini(node_counts, idx.size) < config.min_impurity_decrease
         ):
             continue
         feat, thr, gain = _best_split(X[idx], node_onehot, node_counts, n_total)

@@ -9,8 +9,8 @@ naive Bayes, the double-fault measure, the single-support RRC probability
 and the whole DES-RRC table (as `np.unique` plus a full gather), the
 trapezoidal ROC AUC, the mid-rank multi-class AUC and the per-class-mask
 G-mean are kept here as oracles too, and so are the per-feature CART split
-search and the per-row SMOTE interpolation that the library computes as
-arrays. The resampling orchestration is kept here with one branch per
+search, a recursive tree growth that searches every node, and the per-row
+SMOTE interpolation that the library computes as arrays. The resampling orchestration is kept here with one branch per
 variant family; it calls the library's per-class primitives, which have
 their own tests. The bootstrap completeness rule and the parsers' cell
 decoding are kept here as set tests and per-cell loops. The report's
@@ -359,6 +359,39 @@ def best_split_ref(X, y_onehot, counts, n_total):
             best_feature = j
             best_threshold = float(mid)
     return best_feature, best_threshold, best_gain
+
+
+def fit_tree_ref(X, y, n_classes, min_impurity_decrease):
+    """CART growth by recursion, searching a split at every node that is
+    impure and holds 2+ rows, with no bound to skip a search. Returns the
+    node arrays (feature, threshold, left, right, counts) in creation order:
+    a split numbers both children, then grows the left subtree first."""
+    n_total = X.shape[0]
+    onehot = np.eye(n_classes)[y]
+    nodes = []
+
+    def new_node():
+        nodes.append([-1, 0.0, -1, -1, None])
+        return len(nodes) - 1
+
+    def grow(node, idx):
+        counts = onehot[idx].sum(axis=0)
+        nodes[node][4] = counts
+        if len(idx) < 2 or np.count_nonzero(counts) == 1:
+            return
+        feat, thr, gain = best_split_ref(X[idx], onehot[idx], counts, n_total)
+        if feat is None or gain < min_impurity_decrease:
+            return
+        go_left = X[idx, feat] <= thr
+        left, right = new_node(), new_node()
+        nodes[node][:4] = feat, thr, left, right
+        grow(left, idx[go_left])
+        grow(right, idx[~go_left])
+
+    grow(new_node(), np.arange(n_total))
+    feature, threshold, left, right, counts = zip(*nodes)
+    return (np.array(feature), np.array(threshold), np.array(left), np.array(right),
+            np.vstack(counts))
 
 
 def interpolate_ref(rows, seeds, neighbors, rng):

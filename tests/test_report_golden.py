@@ -58,6 +58,11 @@ def _off_grid(lines):
     return lines + ["\t".join(parts)]
 
 
+def _four_datasets(lines):
+    extra = [_grid_lines(name, seed) for name, seed in (("zoo", 2), ("abalone", 3), ("iris", 4))]
+    return lines + [line for block in extra for line in block]
+
+
 CASES = {
     "complete": lambda lines: lines,
     "rounded": _rounded,  # ties between fold means are common
@@ -69,6 +74,12 @@ CASES = {
     "dropped_selector": lambda lines: [l for l in lines if "\tKNU\t" not in l],
     # a dataset named by one record of one metric is on every metric's axis
     "extra_dataset": lambda lines: lines + [lines[0].replace("glass-synthetic", "zoo")],
+    # a case that returns text sets the file's last bytes itself: a whole
+    # unterminated record is read, and one short of a field is not
+    "unterminated_kept": lambda lines: _results_text(lines) + lines[0],
+    "unterminated_short": lambda lines: _results_text(lines[:-1]) + lines[-1].rsplit("\t", 1)[0],
+    # four complete datasets: the sorted dataset axis, and sign tests of n = 4
+    "four_datasets": _four_datasets,
 }
 
 # sha256 of each report text or error message: a change here is a change
@@ -116,6 +127,24 @@ DIGESTS = {
         "21607c47e461c538fbd7ed64ad1045faa0b353f9f020ae84a3982831e202b33f",
     ("extra_dataset", "gmean"):
         "2e10d39e807edc189ed41d43c68e5697713bec73b915ea33d650e718e5b9f468",
+    ("unterminated_kept", "auc"):
+        "f0569e2926d77fa0896fbde31ebf9bbbe77d1b48d26ecd6d409fd64357b2ba13",
+    ("unterminated_kept", "fmeasure"):
+        "1cc76ae3d18f858d725b4467eaca942e02f567ea54c1473a944a667d828aaf0e",
+    ("unterminated_kept", "gmean"):
+        "e06f662f439f64aa85340218e7d0f4658b908cc81b32474072bc8595c5d65e51",
+    ("unterminated_short", "auc"):
+        "55c6484bf96023524438b8701fcf7f839aba1b1f42b717acac7f3f8531a66257",
+    ("unterminated_short", "fmeasure"):
+        "1cc76ae3d18f858d725b4467eaca942e02f567ea54c1473a944a667d828aaf0e",
+    ("unterminated_short", "gmean"):
+        "f3d0c13af93ebca3b17c2c3d28af42d7477f77ba3c6e38dbc2a52f73b82ca432",
+    ("four_datasets", "auc"):
+        "142f16426b4fbacb27297546e18db382d609b422731c5f5afbf02ea441f5adbd",
+    ("four_datasets", "fmeasure"):
+        "30f8e3e84a0cbde0c90816ec2ca43574d3b67d4d6ce1555b0cbc86a97929cefa",
+    ("four_datasets", "gmean"):
+        "88828d1538bb21cdd899f760011ecca57a3d7d9553792276398cb25f81a12464",
 }
 
 
@@ -141,7 +170,9 @@ def render_digests(root, seed=SEED) -> dict:
     digests = {}
     for case, edit in CASES.items():
         lines, _ = _resumed_grid(root / case, seed)
-        (root / case / RESULTS_FILE).write_text(_results_text(edit(lines)))
+        edited = edit(lines)
+        text = edited if isinstance(edited, str) else _results_text(edited)
+        (root / case / RESULTS_FILE).write_text(text)
         for metric in METRICS:
             try:
                 text = make_report(root / case, metric)

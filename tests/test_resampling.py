@@ -98,12 +98,12 @@ class TestSmote:
 
 
 class TestInterpolateOracle:
-    @pytest.mark.parametrize("k", [1, 5])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_row_loop(self, k, seed):
+    # the oracle draws its gaps with uniform() and the library with random()
+    @staticmethod
+    def _check(k, seed, size):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(8, 3))
-        seeds = np.sort(rng.integers(0, 8, size=25))  # seeds repeat
+        seeds = np.sort(rng.integers(0, 8, size=size))  # seeds repeat
         table = _neighbors(rows, np.arange(8), k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = _synthesize(rows, seeds, k, got_rng)
@@ -113,6 +113,16 @@ class TestInterpolateOracle:
             assert got_array.dtype == want_array.dtype
             assert np.array_equal(got_array, want_array)
         assert got_rng.random() == want_rng.random()  # same draws consumed
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_row_loop(self, k, seed):
+        self._check(k, seed, 25)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_row_loop_many_draws(self, k, seed):
+        self._check(k, seed, 5000)
 
 
 class TestRamoWeights:

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binom
 
 import reference as ref
+from desbal import experiment
 from desbal.stats import (
     average_ranks,
     finner_adjusted_pvalues,
@@ -13,6 +14,18 @@ from desbal.stats import (
     sign_test,
     sign_test_critical_value,
 )
+
+
+def _fuzz_tables(seed=4, count=2000):
+    """Seeded score tables of 1-30 datasets by 1-15 methods; quarter-step
+    scores force ties, and -0.0 must tie with 0.0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = (int(rng.integers(1, 31)), int(rng.integers(1, 16)))
+        scores = rng.integers(-4, 5, size=shape) / 4.0 * rng.choice([-1.0, 1.0], size=shape)
+        if rng.uniform() < 0.5:
+            scores = np.where(rng.uniform(size=shape) < 0.5, scores, rng.uniform(size=shape))
+        yield scores
 
 
 class TestAverageRanks:
@@ -43,18 +56,77 @@ class TestAverageRanks:
             average_ranks(np.empty((0, 3)))
 
     def test_rankdata_oracle_bitwise(self):
-        # quarter-step scores force ties; -0.0 must tie with 0.0
-        rng = np.random.default_rng(4)
-        for _ in range(2000):
-            shape = (int(rng.integers(1, 31)), int(rng.integers(1, 16)))
-            scores = rng.integers(-4, 5, size=shape) / 4.0 * rng.choice([-1.0, 1.0], size=shape)
-            if rng.uniform() < 0.5:
-                scores = np.where(rng.uniform(size=shape) < 0.5, scores, rng.uniform(size=shape))
+        for scores in _fuzz_tables():
+            shape = scores.shape
             got = average_ranks(scores)
             assert got.tobytes() == ref.average_ranks_ref(scores).tobytes()
             if shape[1] > 1:
                 pvals = rank_test_pvalues(got, shape[0])[1]
                 assert pvals.tobytes() == ref.rank_pvalues_ref(got, shape[0]).tobytes()
+
+
+class TestStacked:
+    """A stack of tables gives, byte for byte, what each table gives alone."""
+
+    def test_stack_equals_per_table_calls(self):
+        rng = np.random.default_rng(6)
+        for scores in _fuzz_tables():
+            n, m = scores.shape
+            stack = np.stack([  # rows and columns reordered, and rounded to halves
+                scores, scores[rng.permutation(n)], scores[:, rng.permutation(m)],
+                np.round(scores * 2) / 2,
+            ])
+            ranks = average_ranks(stack)
+            assert ranks.shape == (4, m)
+            for table, row in zip(stack, ranks):
+                assert row.tobytes() == average_ranks(table).tobytes()
+            if m == 1:
+                continue
+            best, pvals, others = rank_test_pvalues(ranks, n)
+            flags = finner_stepdown(pvals, alpha=0.05)
+            adjusted = finner_adjusted_pvalues(pvals)
+            for s, row in enumerate(ranks):
+                want = rank_test_pvalues(row, n)
+                assert best[s] == want[0]
+                assert pvals[s].tobytes() == want[1].tobytes()
+                assert others[s].tobytes() == want[2].tobytes()
+                assert flags[s].tobytes() == finner_stepdown(want[1], alpha=0.05).tobytes()
+                assert adjusted[s].tobytes() == finner_adjusted_pvalues(want[1]).tobytes()
+
+    def test_two_stack_axes(self):
+        scores = np.random.default_rng(7).uniform(size=(2, 3, 5, 4))
+        ranks = average_ranks(scores)
+        assert ranks.shape == (2, 3, 4)
+        assert np.array_equal(ranks[1, 2], average_ranks(scores[1, 2]))
+
+    def test_single_table_outputs_keep_their_types(self):
+        best, pvals, others = rank_test_pvalues(np.array([2.0, 1.0, 3.0]), 4)
+        assert type(best) is int and best == 1
+        assert pvals.shape == (2,) and others.tolist() == [0, 2]
+
+    def test_one_method_has_no_others(self):
+        best, pvals, others = rank_test_pvalues(np.array([1.0]), 3)
+        assert (best, pvals.size, others.size, others.dtype) == (0, 0, 0, np.intp)
+
+    def test_one_variant_stack_skips_the_rank_test(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rank test run on one method")
+
+        monkeypatch.setattr(experiment, "rank_test_pvalues", refuse)
+        monkeypatch.setattr(experiment, "finner_stepdown", refuse)
+        tables = np.random.default_rng(8).uniform(size=(15, 4, 1))
+        ranks, best, equivalent = experiment._ranked(tables)
+        assert ranks.tolist() == [[1.0]] * 15
+        assert best.tolist() == [0] * 15 and equivalent.all()
+
+    def test_stack_equals_per_table_ranked(self):
+        tables = np.round(np.random.default_rng(9).uniform(size=(15, 6, 6)) * 4) / 4
+        ranks, best, equivalent = experiment._ranked(tables)
+        for s, table in enumerate(tables):
+            one = experiment._ranked(table)
+            assert ranks[s].tobytes() == one[0].tobytes()
+            assert best[s] == one[1]
+            assert equivalent[s].tolist() == one[2].tolist()
 
 
 class TestFinner:
@@ -163,6 +235,13 @@ class TestSignTest:
             sign_test_critical_value(10, alpha)
         with pytest.raises(ValueError, match="alpha must lie in"):
             sign_test(6, 2, 2, alpha=alpha)
+
+    def test_critical_value_computed_once(self):
+        sign_test_critical_value(41, 0.07)
+        before = sign_test_critical_value.cache_info()
+        assert sign_test_critical_value(41, 0.07) == ref.sign_critical_ref(41, 0.07)
+        after = sign_test_critical_value.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_maximal_wins_significant(self):
         assert sign_test(26, 0, 0, alpha=0.01).significant

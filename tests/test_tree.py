@@ -180,6 +180,48 @@ class TestSplitOracle:
                     assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
+class TestSearchBound:
+    """`fit_tree` skips the split search of a node whose share of the rows
+    times its Gini is below `min_impurity_decrease`."""
+
+    def test_trees_equal_an_unbounded_growth(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 70))
+            d = int(rng.integers(1, 6))
+            n_classes = int(rng.integers(2, 14))
+            if rng.random() < 0.5:  # few levels: tied values everywhere
+                X = rng.integers(0, 3, size=(n, d)).astype(float)
+            else:
+                X = rng.normal(size=(n, d))
+            X[:, rng.random(d) < 0.3] = 1.5  # constant columns
+            y = rng.integers(0, n_classes, size=n)
+            mid = float(rng.choice([0.0, 0.01, 0.05, 0.3]))
+            tree = fit_tree(X, y, TreeConfig(min_impurity_decrease=mid), n_classes)
+            want = ref.fit_tree_ref(X, y, n_classes, mid)
+            for field, expected in zip(("feature", "threshold", "left", "right", "counts"), want):
+                got = getattr(tree, field)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_hopeless_nodes_are_not_searched(self, monkeypatch):
+        searched = []
+
+        def counting(X, *args):
+            searched.append(len(X))
+            return _best_split(X, *args)
+
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 3))
+        y = rng.integers(0, 3, size=200)  # noise: many small impure nodes
+        monkeypatch.setattr(tree_module, "_best_split", counting)
+        tree = fit_tree(X, y, TreeConfig(min_impurity_decrease=0.01))
+        impure = [
+            node for node in range(tree.n_nodes)
+            if np.count_nonzero(tree.counts[node]) > 1 and tree.counts[node].sum() >= 2
+        ]
+        assert 0 < len(searched) < len(impure)
+
+
 class TestPredict:
     def test_argmax_of_leaf_counts(self):
         assert _leaf_tree([3.0, 1.0, 0.0]).predict_support(np.zeros(2)).argmax(-1) == 0
