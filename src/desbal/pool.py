@@ -41,10 +41,11 @@ class Pool:
         `support_all`, so each tree is walked once."""
         return self.support_all(X).argmax(axis=2)
 
-    def support_all(self, X) -> np.ndarray:
-        """Support tensor of shape (n_classifiers, n_samples, n_classes)."""
+    def support_all(self, X, axis: int = 0) -> np.ndarray:
+        """Support tensor of shape (n_classifiers, n_samples, n_classes), or
+        (n_samples, n_classifiers, n_classes) with `axis=1`."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([tree.predict_support(X) for tree in self.classifiers])
+        return np.stack([tree.predict_support(X) for tree in self.classifiers], axis=axis)
 
 
 def _bootstrap(train: Dataset, size: int, rng) -> tuple:

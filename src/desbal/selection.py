@@ -11,7 +11,7 @@ lowest DSEL index.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -82,8 +82,8 @@ class Query:
 
     def rows(self, keep) -> "Query":
         """The same query as seen by the classifiers `keep` alone."""
-        return replace(self, predictions=self.predictions[keep], supports=self.supports[keep],
-                       hits=self.hits[keep], agrees=self.agrees[keep])
+        return Query(self.indices, self.distances, self.predictions[keep], self.supports[keep],
+                     self.hits[keep], self.agrees[keep], self.labels)
 
 
 class SelectionContext:
@@ -108,21 +108,21 @@ class SelectionContext:
 
     def make_queries(self, X, k: int = 7) -> list:
         """Queries for a whole test matrix with one pass of the pool over it
-        and one gather of the pool's behaviour on every region."""
+        and one gather of the pool's behaviour on every region, laid out
+        query-major: each query's fields are contiguous rows of C-ordered
+        (Q, M, L) supports, (Q, M) predictions and (Q, M, K) hits/agrees."""
+        if k < 1:
+            raise ValueError(f"region size k must be at least 1, got k={k}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         dists = cdist(X, self.dsel.features)
         order = _nearest(dists, k)  # (Q, K)
-        supports = self.pool.support_all(X)  # (M, Q, L)
+        supports = self.pool.support_all(X, axis=1)  # (Q, M, L)
         predictions = supports.argmax(axis=2)
-        hits = self.hits[:, order]  # (M, Q, K)
-        agrees = self.predictions[:, order] == predictions[:, :, None]
+        hits = self.hits[:, order].swapaxes(0, 1).copy()  # (Q, M, K)
+        agrees = (self.predictions[:, order] == predictions.T[:, :, None]).swapaxes(0, 1).copy()
         labels = self.dsel.labels[order]
-        return [
-            Query(indices=order[q], distances=dists[q], predictions=predictions[:, q],
-                  supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
-                  labels=labels[q])
-            for q in range(X.shape[0])
-        ]
+        return [Query(order[q], dists[q], predictions[q], supports[q], hits[q], agrees[q],
+                      labels[q]) for q in range(X.shape[0])]
 
     def rrc_csrc(self, seed: int = 0) -> np.ndarray:
         """Centered correct-classification probability of the randomized
@@ -152,10 +152,14 @@ class SelectionResult:
     vote_weights: np.ndarray | None = None
 
     def aggregate_score(self, query: Query) -> np.ndarray:
-        """Mean class support of the sub-ensemble (vote-weighted when given)."""
-        supports = query.supports[self.selected]
+        """Mean class support of the sub-ensemble (vote-weighted when given),
+        the unweighted one as `sum / n`, the bits of `np.mean`. A whole-pool
+        selection, which every scheme lists ascending as `arange(M)`, reads
+        the supports in place instead of copying them."""
+        n = len(self.selected)
+        supports = query.supports if n == query.pool_size else query.supports[self.selected]
         if self.vote_weights is None:
-            return supports.mean(axis=0)
+            return supports.sum(axis=0) / n
         w = self.vote_weights.astype(float)
         return (supports * w[:, None]).sum(axis=0) / w.sum()
 
@@ -167,24 +171,12 @@ def _vote(query: Query, selected, weights=None) -> SelectionResult:
     if selected.size == 0:
         selected, weights = np.arange(query.pool_size), None
     tally = np.bincount(query.predictions[selected], weights=weights, minlength=query.n_classes)
-    return SelectionResult(selected, int(np.argmax(tally)), weights)
+    return SelectionResult(selected, int(tally.argmax()), weights)
 
 
 def select_static(query: Query) -> SelectionResult:
     """Plurality vote of the whole pool; ties break to the lowest class id."""
     return _vote(query, np.arange(query.pool_size))
-
-
-# ---------------------------------------------------------------------------
-# Output profiles
-# ---------------------------------------------------------------------------
-
-
-def _agreement(profiles, predictions) -> np.ndarray:
-    """Output-profile similarity: the fraction of classifiers whose label for
-    each sample equals their label for the query. `profiles` (M, n) against
-    `predictions` (..., M) gives (..., n)."""
-    return (profiles == predictions[..., None]).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +187,13 @@ def _agreement(profiles, predictions) -> np.ndarray:
 def _consecutive_hits(hits) -> np.ndarray:
     """Length of each classifier's initial run of correct neighbours."""
     padded = np.concatenate([hits, np.zeros((hits.shape[0], 1), dtype=bool)], axis=1)
-    return np.argmax(~padded, axis=1)
+    return (~padded).argmax(axis=1)
 
 
 def select_rank(query: Query) -> SelectionResult:
     """Modified classifier rank: longest streak of correct nearest neighbours."""
     runs = _consecutive_hits(query.hits)
-    return _vote(query, np.array([np.argmax(runs)]))
+    return _vote(query, np.array([runs.argmax()]))
 
 
 def select_lca(query: Query) -> SelectionResult:
@@ -212,7 +204,7 @@ def select_lca(query: Query) -> SelectionResult:
         (query.hits & same).sum(axis=1), n_same,
         out=np.zeros(query.pool_size), where=n_same > 0,
     )
-    return _vote(query, np.array([np.argmax(competence)]))
+    return _vote(query, np.array([competence.argmax()]))
 
 
 def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionResult:
@@ -223,13 +215,11 @@ def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionRes
     region size, is the competence. A single classifier wins only when it
     beats the runner-up by more than t_c, otherwise the whole pool votes.
     """
-    sims = query.agrees.mean(axis=0)
+    sims = query.agrees.sum(axis=0) / query.pool_size  # the bits of a bool mean
     competence = query.hits[:, sims > t_s].sum(axis=1) / query.hits.shape[1]
-    best = int(np.argmax(competence))
-    others = np.delete(competence, best)
-    if others.size == 0 or competence[best] - others.max() > t_c:
-        return _vote(query, np.array([best]))
-    return _vote(query, np.array([], dtype=int))
+    best = competence.argmax()
+    clear = competence.size == 1 or competence[best] - np.partition(competence, -2)[-2] > t_c
+    return _vote(query, np.array([best] if clear else [], dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +261,7 @@ def select_desknn(query: Query, n: int | None = None,
     n = max(1, min(int(np.ceil(0.5 * M)) if n is None else n, M))
     j = max(1, min(int(np.ceil(0.3 * M)) if j is None else j, n))
     # hit counts order identically to accuracies and tie exactly
-    by_accuracy = np.lexsort((np.arange(M), -query.hits.sum(axis=1)))
+    by_accuracy = np.argsort(-query.hits.sum(axis=1), kind="stable")
     candidates = by_accuracy[:n]
     wrong = (~query.hits[candidates]).astype(int)
     div_sum = wrong @ wrong.sum(axis=0) - wrong.sum(axis=1)
@@ -282,7 +272,7 @@ def select_desknn(query: Query, n: int | None = None,
 
 def select_desp(query: Query) -> SelectionResult:
     """Keep classifiers whose local accuracy beats a random guesser (1/L)."""
-    competence = query.hits.mean(axis=1) - 1.0 / query.n_classes
+    competence = query.hits.sum(axis=1) / query.hits.shape[1] - 1.0 / query.n_classes
     return _vote(query, np.flatnonzero(competence > 0))
 
 
@@ -346,6 +336,13 @@ def select_desrrc(ctx: SelectionContext, query: Query,
 # ---------------------------------------------------------------------------
 # META-DES
 # ---------------------------------------------------------------------------
+
+
+def _agreement(profiles, predictions) -> np.ndarray:
+    """Output-profile similarity: the fraction of classifiers whose label for
+    each sample equals their label for the query. `profiles` (M, n) against
+    `predictions` (..., M) gives (..., n)."""
+    return (profiles == predictions[..., None]).mean(axis=-2)
 
 
 def _meta_features_all(ctx, indices, predictions, supports, kp: int,
@@ -429,6 +426,8 @@ def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
     of its region and profile neighbours. The region is clamped to the other
     DSEL rows and the profile to the DSEL; the model records both sizes.
     """
+    if k < 1 or kp < 1:
+        raise ValueError(f"META-DES sizes must be at least 1, got k={k}, kp={kp}")
     n_train, n = train.n_samples, ctx.dsel.n_samples
     if not (np.array_equal(ctx.dsel.features[:n_train], train.features)
             and np.array_equal(ctx.dsel.labels[:n_train], train.labels)):
@@ -482,12 +481,12 @@ def dfp_prune(query: Query) -> np.ndarray:
     whole pool.
     """
     everyone = np.arange(query.pool_size)
-    classes, member = np.unique(query.labels, return_inverse=True)
-    if classes.size < 2:
+    hits, labels = query.hits, query.labels
+    if (labels == labels[:1]).all():  # one class, or an empty region
         return everyone
-    # (M, C): does the classifier label some neighbour of class c correctly
-    hit_classes = query.hits @ (member[:, None] == np.arange(classes.size))
-    survivors = np.flatnonzero(hit_classes.sum(axis=1) >= 2)
+    # some correct neighbour's class differs from that of the first correct one
+    crosses = hits & (labels != labels[hits.argmax(axis=1)][:, None])
+    survivors = np.flatnonzero(crosses.any(axis=1))
     return survivors if survivors.size else everyone
 
 
@@ -498,7 +497,7 @@ def select_fire(base, query: Query) -> SelectionResult:
     if survivors.size == query.pool_size:
         return base(query)
     local = base(query.rows(survivors))
-    return replace(local, selected=survivors[local.selected])
+    return SelectionResult(survivors[local.selected], local.predicted_class, local.vote_weights)
 
 
 # ---------------------------------------------------------------------------

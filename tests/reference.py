@@ -16,12 +16,17 @@ their own tests. The bootstrap completeness rule and the parsers' cell
 decoding are kept here as set tests and per-cell loops. The report's
 statistics keep their scipy.stats formulas here: `rankdata` average ranks,
 `2 * norm.sf` rank-test p-values and the `binom.sf` search for the sign
-test's critical value.
+test's critical value. The query-level helpers keep their earlier array
+forms here too: the (M, Q, ·) batch slices of `make_queries_ref`, the
+`np.mean` sub-ensemble score, the `np.unique` frienemy rule, MCB's `np.delete`
+runner-up, and `dataclasses.replace` rows and FIRE results.
 """
 
 import logging
+from dataclasses import replace
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.stats import binom, norm, rankdata
 
 
@@ -154,6 +159,71 @@ def dfp_ref(hits, roc, dsel_labels):
         i for i in range(m) if any(hits[i, a] and hits[i, b] for a, b in pairs)
     ]
     return kept if kept else list(range(m))
+
+
+def dfp_unique_ref(query):
+    """DFP survivors by `np.unique(return_inverse=True)` class codes."""
+    everyone = np.arange(query.pool_size)
+    classes, member = np.unique(query.labels, return_inverse=True)
+    if classes.size < 2:
+        return everyone
+    hit_classes = query.hits @ (member[:, None] == np.arange(classes.size))
+    survivors = np.flatnonzero(hit_classes.sum(axis=1) >= 2)
+    return survivors if survivors.size else everyone
+
+
+def rows_ref(query, keep):
+    """`query` as seen by the classifiers `keep`, by `dataclasses.replace`."""
+    return replace(query, predictions=query.predictions[keep], supports=query.supports[keep],
+                   hits=query.hits[keep], agrees=query.agrees[keep])
+
+
+def fire_ref(base, query):
+    """FIRE through the `np.unique` rule, `replace` rows and a `replace`d result."""
+    survivors = dfp_unique_ref(query)
+    if survivors.size == query.pool_size:
+        return base(query)
+    local = base(rows_ref(query, survivors))
+    return replace(local, selected=survivors[local.selected])
+
+
+def mcb_choice_ref(query, t_s, t_c):
+    """MCB's lone winner, or None when the whole pool votes: `np.mean`
+    similarities and accuracies, and the runner-up by `np.delete`."""
+    sims = query.agrees.mean(axis=0)
+    competence = query.hits[:, sims > t_s].sum(axis=1) / query.hits.shape[1]
+    best = int(np.argmax(competence))
+    others = np.delete(competence, best)
+    if others.size == 0 or competence[best] - others.max() > t_c:
+        return best
+    return None
+
+
+def aggregate_score_ref(supports, selected, weights=None):
+    """`np.mean` of the selected supports, or their weighted sum over the weight total."""
+    chosen = supports[selected]
+    if weights is None:
+        return chosen.mean(axis=0)
+    w = weights.astype(float)
+    return (chosen * w[:, None]).sum(axis=0) / w.sum()
+
+
+def make_queries_ref(ctx, X, k):
+    """Per-query fields as strided slices of the (M, Q, ·) batch arrays."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dists = cdist(X, ctx.dsel.features)
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    supports = ctx.pool.support_all(X)  # (M, Q, L)
+    predictions = supports.argmax(axis=2)
+    hits = ctx.hits[:, order]  # (M, Q, K)
+    agrees = ctx.predictions[:, order] == predictions[:, :, None]
+    labels = ctx.dsel.labels[order]
+    return [
+        dict(indices=order[q], distances=dists[q], predictions=predictions[:, q],
+             supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
+             labels=labels[q])
+        for q in range(X.shape[0])
+    ]
 
 
 def fire_knu_ref(hits, roc, preds_q, dsel_labels, n_classes):

@@ -90,6 +90,13 @@ class TestGeneratePool:
         probe = np.random.default_rng(1).normal(size=(20, 3))
         assert np.array_equal(pool.predict_all(probe), pool.predict_all(probe))
 
+    def test_supports_sample_major(self):
+        pool = generate_pool(_train(), "Ba-RM", pool_size=6, seed=4)
+        probe = np.random.default_rng(3).normal(size=(15, 3))
+        by_tree, by_sample = pool.support_all(probe), pool.support_all(probe, axis=1)
+        assert by_sample.shape == (15, 6, 3) and by_sample.flags.c_contiguous
+        assert by_sample.tobytes() == np.ascontiguousarray(by_tree.swapaxes(0, 1)).tobytes()
+
 
 class TestBootstrap:
     @pytest.mark.parametrize("name", ["glass", "ecoli"])
