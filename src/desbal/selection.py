@@ -157,7 +157,8 @@ class SelectionResult:
         selection, which every scheme lists ascending as `arange(M)`, reads
         the supports in place instead of copying them."""
         n = len(self.selected)
-        supports = query.supports if n == query.pool_size else query.supports[self.selected]
+        supports = np.ascontiguousarray(  # a C-ordered sum: bits free of the query's layout
+            query.supports if n == query.pool_size else query.supports[self.selected])
         if self.vote_weights is None:
             return supports.sum(axis=0) / n
         w = self.vote_weights.astype(float)

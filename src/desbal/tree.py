@@ -30,8 +30,8 @@ class DecisionTree:
     """Fitted tree stored as flat node arrays.
 
     `feature[i] == -1` marks a leaf; internal nodes route `x[feature] <=
-    threshold` to `left`, otherwise to `right`. Every node keeps its training
-    class counts; leaf counts give the class supports.
+    threshold` to `left`, otherwise to `right`, a higher index. Every node
+    keeps its training class counts; leaf counts give the class supports.
     """
 
     def __init__(self, feature, threshold, left, right, counts, n_classes, arity):
@@ -42,6 +42,16 @@ class DecisionTree:
         self.counts = np.asarray(counts, dtype=float)
         self.n_classes = int(n_classes)
         self.arity = int(arity)
+        # the walk's routing: a leaf sends every row back to itself, whatever
+        # its feature (-1, the last column) and threshold make of the row
+        leaf, at = self.feature == LEAF, np.arange(self.n_nodes)
+        self._left, self._right = np.where(leaf, at, self.left), np.where(leaf, at, self.right)
+        depth = [0] * self.n_nodes
+        for i, (lo, hi) in enumerate(zip(self.left.tolist(), self.right.tolist())):
+            if lo != -1:  # children follow their parent
+                depth[lo] = depth[hi] = depth[i] + 1
+        self._levels = max(depth, default=0)
+        self._support = self.counts / self.counts.sum(axis=1, keepdims=True)
 
     @property
     def n_nodes(self) -> int:
@@ -50,15 +60,12 @@ class DecisionTree:
     def apply(self, X) -> np.ndarray:
         """Leaf index reached by each row of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=int)
-        while True:
-            feats = self.feature[node]
-            live = np.flatnonzero(feats != LEAF)
-            if live.size == 0:
-                return node
-            cur = node[live]
-            go_left = X[live, self.feature[cur]] <= self.threshold[cur]
-            node[live] = np.where(go_left, self.left[cur], self.right[cur])
+        for _ in range(self._levels):
+            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(goes_left, self._left[node], self._right[node])
+        return node
 
     def predict_support(self, x) -> np.ndarray:
         """Leaf class counts normalized to sum 1, per row of x."""
@@ -69,8 +76,7 @@ class DecisionTree:
             raise ValueError(
                 f"arity mismatch: tree expects {self.arity} features, got {X.shape[1]}"
             )
-        counts = self.counts[self.apply(X)]
-        support = counts / counts.sum(axis=1, keepdims=True)
+        support = self._support[self.apply(X)]
         return support[0] if single else support
 
     def to_dict(self) -> dict:
@@ -78,43 +84,66 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecisionTree":
-        return cls(**{name: payload[name] for name in SAVED_FIELDS})
+        """Rebuild a saved tree. A ValueError names the first fault that
+        would leave it unwalkable, or a support undefined."""
+        fields = {name: payload[name] for name in SAVED_FIELDS}
+        feature, left, right = (np.asarray(fields[k], dtype=int)
+                                for k in ("feature", "left", "right"))
+        counts, n, arity = np.asarray(fields["counts"], dtype=float), feature.size, fields["arity"]
+        if {np.shape(fields["threshold"]), left.shape, right.shape} != {(n,)} or \
+                counts.shape != (n, fields["n_classes"]):
+            raise ValueError("saved tree: node arrays differ in length, or counts have shape "
+                             f"{counts.shape}, not (n_nodes, n_classes)")
+        inner, first, last = feature != LEAF, np.minimum(left, right), np.maximum(left, right)
+        for fault, bad in {
+            "a leaf has children": ~inner & ((first != -1) | (last != -1)),
+            "an internal node lacks a child": inner & (first == -1),
+            "a child index is out of range or not greater than its parent's":
+                inner & ((first <= np.arange(n)) | (last >= n)),
+            f"a feature is outside [0, {arity})": inner & ((feature < 0) | (feature >= arity)),
+            "a node's counts sum to 0": counts.sum(axis=1) == 0,
+        }.items():
+            if bad.any():
+                raise ValueError(f"saved tree: {fault} (node {np.flatnonzero(bad)[0]})")
+        return cls(**fields)
 
 
-def _gini(counts, n):
-    """Gini impurity of a node with class `counts` over `n` rows."""
-    return 1.0 - ((counts / n) ** 2).sum()
-
-
-def _best_split(X, y_onehot, counts, n_total):
-    """Best (feature, threshold, weighted decrease) for one node.
+def _best_split(X, onehot, idx, gini, n_total):
+    """Best (feature, threshold, weighted decrease, left child's class
+    counts) for the node of rows `idx`, whose features are `X` and whose
+    Gini impurity is `gini`; `onehot` holds every training row's class.
 
     Scores every (position, feature) pair of the column-wise sorted node at
     once; positions that are not a boundary between distinct sorted values
-    score -inf. Returns (None, None, -inf) when no candidate threshold
+    score -inf. Returns (None, None, -inf, None) when no candidate threshold
     exists. The gain is already weighted by n_node / n_total.
     """
-    n = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    sv = np.take_along_axis(X, order, axis=0)
+    n, d = X.shape
+    order = X.argsort(axis=0, kind="stable")
+    sv = X[order, np.arange(d)]
     boundary = sv[:-1] != sv[1:]  # (n - 1, d)
     if not boundary.any():
-        return None, None, -np.inf
-    left_counts = y_onehot[order].cumsum(axis=0)[:-1]  # (n - 1, d, L)
-    right_counts = counts - left_counts
+        return None, None, -np.inf, None
+    # running class counts down each sorted column: exact integers, so the
+    # last row is the node's counts and a child's counts are one of its rows
+    cum = onehot.take(idx[order], axis=0).cumsum(axis=0)  # (n, d, L)
     n_left = np.arange(1.0, n)[:, None]
     n_right = n - n_left
-    parent_gini = _gini(counts, n)
-    gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
-    gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
-    child = (n_left * gini_left + n_right * gini_right) / n
-    gains = np.where(boundary, (n / n_total) * (parent_gini - child), -np.inf)
+    # each class-axis sum runs over a C-contiguous (..., L) block, whose
+    # order numpy fixes (8+ terms pairwise): the gains keep their bits
+    share = cum[:-1] / n_left[..., None]
+    gini_left = 1.0 - np.square(share, out=share).sum(axis=2)
+    np.subtract(cum[-1], cum[:-1], out=share)
+    share /= n_right[..., None]
+    gini_right = 1.0 - np.square(share, out=share).sum(axis=2)
+    gains = (n / n_total) * (gini - (n_left * gini_left + n_right * gini_right) / n)
+    gains[~boundary] = -np.inf
     # feature-major: the first maximum is the lowest feature, then threshold
     j, b = divmod(int(np.argmax(gains.T)), n - 1)
     mid = sv[b, j] + (sv[b + 1, j] - sv[b, j]) / 2.0
     if mid >= sv[b + 1, j]:  # midpoint rounded onto the right value
         mid = sv[b, j]
-    return j, float(mid), gains[b, j]
+    return j, float(mid), gains[b, j], cum[b, j].copy()
 
 
 def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> DecisionTree:
@@ -132,45 +161,30 @@ def fit_tree(X, y, config: TreeConfig = TreeConfig(), n_classes=None) -> Decisio
         raise ValueError("X and y row counts differ")
     L = int(n_classes) if n_classes is not None else int(y.max()) + 1
     n_total = X.shape[0]
-    onehot = np.zeros((n_total, L))
-    onehot[np.arange(n_total), y] = 1.0
+    onehot = np.eye(L)[y]
 
-    feature, threshold, left, right, counts = [], [], [], [], []
-
-    def new_node():
-        feature.append(LEAF)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(None)
-        return len(feature) - 1
-
-    # (node id, row indices, depth) — explicit stack keeps deep trees safe
-    stack = [(new_node(), np.arange(n_total), 0)]
+    # rows of (feature, threshold, left, right, counts), in creation order
+    nodes = [[LEAF, 0.0, -1, -1, onehot.sum(axis=0)]]
+    stack = [(0, np.arange(n_total), 0)]  # (node, row indices, depth): deep trees stay safe
     while stack:
         node, idx, depth = stack.pop()
-        node_onehot = onehot[idx]
-        node_counts = node_onehot.sum(axis=0)
-        counts[node] = node_counts
-        if (
-            idx.size < 2
-            or np.count_nonzero(node_counts) == 1
-            or (config.max_depth is not None and depth >= config.max_depth)
-            # child impurities are >= 0, so no split gains more than this bound
-            or (idx.size / n_total) * _gini(node_counts, idx.size) < config.min_impurity_decrease
-        ):
+        node_counts = nodes[node][4]
+        if idx.size < 2 or np.count_nonzero(node_counts) == 1 or (
+                config.max_depth is not None and depth >= config.max_depth):
             continue
-        feat, thr, gain = _best_split(X[idx], node_onehot, node_counts, n_total)
+        gini = 1.0 - ((node_counts / idx.size) ** 2).sum()
+        # child impurities are >= 0, so no split gains more than this bound
+        if (idx.size / n_total) * gini < config.min_impurity_decrease:
+            continue
+        Xn = X[idx]
+        feat, thr, gain, left_counts = _best_split(Xn, onehot, idx, gini, n_total)
         if feat is None or gain < config.min_impurity_decrease:
             continue
-        go_left = X[idx, feat] <= thr
-        feature[node] = feat
-        threshold[node] = thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((right[node], idx[~go_left], depth + 1))
-        stack.append((left[node], idx[go_left], depth + 1))
+        go_left = Xn[:, feat] <= thr
+        left = len(nodes)
+        nodes[node][:4] = feat, thr, left, left + 1
+        nodes += [[LEAF, 0.0, -1, -1, left_counts], [LEAF, 0.0, -1, -1, node_counts - left_counts]]
+        stack += [(left + 1, idx[~go_left], depth + 1), (left, idx[go_left], depth + 1)]
 
-    return DecisionTree(
-        feature, threshold, left, right, np.vstack(counts), L, arity=X.shape[1]
-    )
+    feature, threshold, left, right, counts = zip(*nodes)
+    return DecisionTree(feature, threshold, left, right, np.vstack(counts), L, arity=X.shape[1])

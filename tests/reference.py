@@ -464,6 +464,19 @@ def fit_tree_ref(X, y, n_classes, min_impurity_decrease):
             np.vstack(counts))
 
 
+def apply_ref(feature, threshold, left, right, X):
+    """Leaf each row of X reaches, one row and one node at a time over a
+    tree's saved node arrays: `x[feature] <= threshold` goes left and
+    anything else, NaN included, right, until a feature of -1 (a leaf)."""
+    leaves = []
+    for x in X:
+        node = 0
+        while feature[node] != -1:
+            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        leaves.append(node)
+    return np.array(leaves, dtype=int)
+
+
 def interpolate_ref(rows, seeds, neighbors, rng):
     """One SMOTE row per seed, row by row: draw a neighbour from the seed's
     row of `neighbors`, then a uniform gap. Returns the samples and their

@@ -183,3 +183,14 @@ class TestPersistence:
         assert list(manifest) == ["variant", "generation_seed", "pool_size", "n_classes",
                                   "arity", "scaling_params"]
         assert manifest["arity"] == 3
+
+    def test_a_tampered_tree_is_refused(self, tmp_path):
+        pool = generate_pool(_train(), "Ba", pool_size=2, seed=4)
+        save_pool(pool, tmp_path)
+        path = tmp_path / "tree_000.json"
+        saved = json.loads(path.read_text())
+        assert saved["feature"][0] != -1
+        saved["left"][0] = 0  # the root becomes its own left child
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match="not greater than its parent's"):
+            load_pool(tmp_path)

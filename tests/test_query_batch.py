@@ -132,8 +132,7 @@ class TestBatchLayout:
     @pytest.mark.parametrize("layout", ["strided", "fortran"])
     def test_any_memory_layout_decides_alike(self, real_cells, layout):
         """Hand-built queries over strided or Fortran-ordered copies make
-        the same decisions under every selector; only the summation order
-        of a score may differ, so scores are compared to rounding."""
+        the same decisions and the same score bytes under every selector."""
         def copy(a):
             if layout == "fortran":
                 return np.asfortranarray(a)
@@ -148,8 +147,8 @@ class TestBatchLayout:
                     want = run_selector(name, ctx, query, CFG)
                     got = run_selector(name, ctx, other, CFG)
                     _assert_same_result(got, want)
-                    np.testing.assert_allclose(got.aggregate_score(other),
-                                               want.aggregate_score(query), rtol=1e-13)
+                    assert got.aggregate_score(other).tobytes() == \
+                        want.aggregate_score(query).tobytes(), name
 
 
 class TestBitwiseOracles:

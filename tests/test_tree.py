@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import desbal.pool as pool_module
 import desbal.tree as tree_module
 import reference as ref
 from desbal.benchmarks import load_benchmark
@@ -16,6 +17,7 @@ from desbal.tree import LEAF, DecisionTree, TreeConfig, _best_split, fit_tree
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
+NODE_FIELDS = ("feature", "threshold", "left", "right", "counts")
 
 
 def _leaf_tree(counts):
@@ -79,15 +81,38 @@ class TestFit:
 
 
 def _assert_same_split(X, y, n_classes, n_total=None):
-    """The library's split of one node; asserts it equals the oracle's."""
+    """The library's split of one node, whose rows sit among others in the
+    one-hot table; asserts it equals the oracle's, and that the left
+    child's counts equal its one-hot rows summed again."""
     X = np.asarray(X, dtype=float)
+    n = X.shape[0]
     onehot = np.eye(n_classes)[np.asarray(y)]
     counts = onehot.sum(axis=0)
-    n_total = X.shape[0] if n_total is None else n_total
-    got = _best_split(X, onehot, counts, n_total)
+    n_total = n if n_total is None else n_total
+    rng = np.random.default_rng(n)
+    idx = np.sort(rng.choice(n + 5, size=n, replace=False))
+    table = np.eye(n_classes)[rng.integers(0, n_classes, size=n + 5)]
+    table[idx] = onehot
+    gini = 1.0 - ((counts / n) ** 2).sum()
+    *got, left_counts = _best_split(X, table, idx, gini, n_total)
     want = ref.best_split_ref(X, onehot, counts, n_total)
-    assert got == want  # feature, threshold and gain, all exactly equal
-    return got
+    assert tuple(got) == want  # feature, threshold and gain, all exactly equal
+    if want[0] is None:
+        assert left_counts is None
+    else:
+        summed = onehot[X[:, want[0]] <= want[1]].sum(axis=0)
+        assert left_counts.tobytes() == summed.tobytes()
+    return want
+
+
+def _oracle_split(X, onehot, idx, gini, n_total):
+    """`best_split_ref` in `_best_split`'s call shape: the node's counts and
+    the left child's are summed again from their one-hot rows."""
+    rows = onehot[idx]
+    feature, threshold, gain = ref.best_split_ref(X, rows, rows.sum(axis=0), n_total)
+    if feature is None:
+        return feature, threshold, gain, None
+    return feature, threshold, gain, rows[X[:, feature] <= threshold].sum(axis=0)
 
 
 class TestSplitOracle:
@@ -173,7 +198,7 @@ class TestSplitOracle:
             seed = derive_seed(20240601, ds.name, variant, rep, fold)
             pool = generate_pool(train, variant, 5, TreeConfig(), seed)
             with monkeypatch.context() as patch:
-                patch.setattr(tree_module, "_best_split", ref.best_split_ref)
+                patch.setattr(tree_module, "_best_split", _oracle_split)
                 oracle = generate_pool(train, variant, 5, TreeConfig(), seed)
             for got, want in zip(pool.classifiers, oracle.classifiers):
                 for field in ("feature", "threshold", "left", "right", "counts"):
@@ -222,6 +247,83 @@ class TestSearchBound:
         assert 0 < len(searched) < len(impure)
 
 
+class TestPipelineGrowth:
+    @pytest.mark.parametrize("name", ["glass", "ecoli"])
+    def test_pool_trees_equal_the_recursive_growth(self, name, monkeypatch):
+        # every variant's bootstraps as run_experiment draws them, fold 1A
+        ds = load_benchmark(name)
+        plan = stratified_5x2(ds, derive_seed(20240601, "split", ds.name))
+        rep, fold, train_idx, _ = next(iter(plan.folds()))
+        train, _, _ = standardize(ds.subset(train_idx), [])
+        grown = []
+
+        def recording(X, y, config, n_classes=None):
+            tree = fit_tree(X, y, config, n_classes=n_classes)
+            grown.append((X, y, n_classes, config, tree))
+            return tree
+
+        monkeypatch.setattr(pool_module, "fit_tree", recording)
+        for variant in VARIANTS:
+            generate_pool(train, variant, 10, TreeConfig(),
+                          derive_seed(20240601, ds.name, variant, rep, fold))
+        assert len(grown) == 10 * len(VARIANTS)
+        for X, y, n_classes, config, tree in grown:
+            want = ref.fit_tree_ref(X, y, n_classes, config.min_impurity_decrease)
+            for field, expected in zip(NODE_FIELDS, want):
+                got = getattr(tree, field)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def _assert_walk_matches_oracle(tree, X):
+    """`apply` and `predict_support` against a row-by-row walk over the saved
+    node arrays, byte for byte; a one-row batch and a lone row as well."""
+    saved = tree.to_dict()
+    leaves = ref.apply_ref(saved["feature"], saved["threshold"], saved["left"],
+                           saved["right"], X)
+    counts = np.asarray(saved["counts"])
+    want = np.array([counts[leaf] / counts[leaf].sum() for leaf in leaves])
+    got = tree.apply(X)
+    assert got.dtype == leaves.dtype and np.array_equal(got, leaves)
+    assert tree.predict_support(X).tobytes() == want.tobytes()
+    assert tree.predict_support(X[:1]).tobytes() == want[:1].tobytes()
+    assert tree.predict_support(X[0]).tobytes() == want[0].tobytes()
+
+
+def _odd_rows(rng, d):
+    """Rows of NaN, +inf and -inf, alone and mixed with ordinary values."""
+    odd = rng.choice([np.nan, np.inf, -np.inf, 0.0], size=(12, d))
+    mixed = rng.normal(size=(3 * d, d))
+    mixed[np.arange(3 * d), np.arange(3 * d) % d] = np.repeat([np.nan, np.inf, -np.inf], d)
+    return np.vstack([odd, mixed, np.full((1, d), np.nan)])
+
+
+class TestWalkOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fitted_and_reloaded_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 80))
+            d = int(rng.integers(1, 6))
+            n_classes = int(rng.integers(2, 10))
+            if rng.random() < 0.5:  # few levels: tied values everywhere
+                X = rng.integers(0, 4, size=(n, d)).astype(float)
+            else:
+                X = rng.normal(size=(n, d))
+            y = rng.integers(0, n_classes, size=n)
+            config = TreeConfig(min_impurity_decrease=float(rng.choice([0.0, 0.01, 0.05, 0.3])),
+                                max_depth=[None, 1, 2, 4][int(rng.integers(4))])
+            tree = fit_tree(X, y, config, n_classes)
+            probe = np.vstack([X, 2.0 * rng.normal(size=(20, d)), _odd_rows(rng, d)])
+            reloaded = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+            for walked in (tree, reloaded):
+                _assert_walk_matches_oracle(walked, probe)
+
+    def test_single_leaf_tree(self):
+        rng = np.random.default_rng(4)
+        tree = _leaf_tree([3.0, 1.0, 0.0])
+        _assert_walk_matches_oracle(tree, np.vstack([rng.normal(size=(5, 2)), _odd_rows(rng, 2)]))
+
+
 class TestPredict:
     def test_argmax_of_leaf_counts(self):
         assert _leaf_tree([3.0, 1.0, 0.0]).predict_support(np.zeros(2)).argmax(-1) == 0
@@ -263,7 +365,7 @@ class TestSerialization:
         assert np.array_equal(
             tree.predict_support(probe).argmax(-1), clone.predict_support(probe).argmax(-1)
         )
-        assert np.allclose(tree.predict_support(probe), clone.predict_support(probe))
+        assert np.array_equal(tree.predict_support(probe), clone.predict_support(probe))
         assert clone.arity == tree.arity
 
     def test_saved_json_is_pinned(self):
@@ -277,3 +379,41 @@ class TestSerialization:
             '"counts": [[1.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]}'
         )
         assert json.dumps(DecisionTree.from_dict(json.loads(text)).to_dict()) == text
+
+
+STUMP = {
+    "n_classes": 2, "arity": 2, "feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
+    "left": [1, -1, -1], "right": [2, -1, -1], "counts": [[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]],
+}
+
+
+def _tampered(field, value, at=None):
+    saved = json.loads(json.dumps(STUMP))
+    if at is None:
+        saved[field] = value
+    else:
+        saved[field][at] = value
+    return saved
+
+
+class TestLoadChecks:
+    def test_stump_loads(self):
+        tree = DecisionTree.from_dict(STUMP)
+        assert tree.predict_support(np.array([[0.0, 0.0], [0.0, 1.0]])).tolist() == [
+            [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("saved, fault", [
+        (_tampered("left", 0, at=0), "not greater than its parent's"),  # root is its own child
+        (_tampered("right", 3, at=0), "out of range"),
+        (_tampered("left", 2, at=1), "a leaf has children"),
+        (_tampered("right", -1, at=0), "an internal node lacks a child"),
+        (_tampered("feature", 2, at=0), r"a feature is outside \[0, 2\)"),
+        (_tampered("feature", -2, at=0), r"a feature is outside \[0, 2\)"),
+        (_tampered("counts", [[2.0, 2.0], [2.0, 0.0]]), r"counts have shape \(2, 2\)"),
+        (_tampered("counts", [[2.0, 2.0, 0.0]] * 3), r"counts have shape \(3, 3\)"),
+        (_tampered("counts", [0.0, 0.0], at=2), "a node's counts sum to 0"),
+        (_tampered("threshold", [0.5, 0.0]), "differ in length"),
+    ])
+    def test_unwalkable_trees_are_refused(self, saved, fault):
+        with pytest.raises(ValueError, match=fault):
+            DecisionTree.from_dict(saved)
