@@ -94,7 +94,8 @@ class SelectionContext:
         self.dsel = dsel
         self.n_classes = pool.n_classes
         self.supports = pool.support_all(dsel.features)  # (M, n, L)
-        self.predictions = self.supports.argmax(axis=2)  # (M, n)
+        ids = np.min_scalar_type(self.n_classes - 1)  # the smallest unsigned dtype holding L - 1
+        self.predictions = self.supports.argmax(axis=2).astype(ids)  # (M, n) class ids
         self.hits = self.predictions == dsel.labels[None, :]
         self.meta = None
         self._rrc = (None, None)  # seed of the last RRC table, the table
@@ -340,10 +341,12 @@ def select_desrrc(ctx: SelectionContext, query: Query,
 
 
 def _agreement(profiles, predictions) -> np.ndarray:
-    """Output-profile similarity: the fraction of classifiers whose label for
-    each sample equals their label for the query. `profiles` (M, n) against
-    `predictions` (..., M) gives (..., n)."""
-    return (profiles == predictions[..., None]).mean(axis=-2)
+    """Output-profile agreement: how many classifiers label each sample as
+    they label the query. `profiles` (M, n) against `predictions` (..., M)
+    gives (..., n) counts, the compare's bytes summed in the smallest
+    unsigned dtype that holds M; count / M is the bool mean, bit for bit."""
+    same = profiles == predictions.astype(profiles.dtype, copy=False)[..., None]
+    return same.view(np.uint8).sum(axis=-2, dtype=np.min_scalar_type(profiles.shape[0]))
 
 
 def _meta_features_all(ctx, indices, predictions, supports, kp: int,
@@ -361,10 +364,12 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
     hits_roc = ctx.hits[:, indices].transpose(1, 0, 2).astype(float)
     true_support = ctx.supports[:, indices, ctx.dsel.labels[indices]].transpose(1, 0, 2)
     accuracy = hits_roc.mean(axis=2, keepdims=True)
-    dissimilarity = -_agreement(ctx.predictions, predictions)  # (Q, n)
+    M = ctx.pool_size  # profiles rank by disagreeing classifiers; an excluded row ranks last
+    disagree = np.subtract(M, _agreement(ctx.predictions, predictions),
+                           dtype=np.min_scalar_type(M + 1))
     if exclude is not None:
-        dissimilarity[np.arange(len(exclude)), exclude] = np.inf
-    profile_idx = _nearest(dissimilarity, kp)
+        disagree[np.arange(len(exclude)), exclude] = M + 1
+    profile_idx = _nearest(disagree, kp)
     hits_profiles = ctx.hits[:, profile_idx].transpose(1, 0, 2).astype(float)
     max_support = supports.max(axis=2, keepdims=True)
     return np.concatenate(
@@ -386,6 +391,9 @@ class MetaClassifier:
         self.means = means
         self.variances = variances
         self.constant = constant
+        if constant is None:  # the log constants of the likelihood, (2, 1) and (2, 1, F)
+            self._log_priors = np.log(priors)[:, None]
+            self._log_norm = np.log(2 * np.pi * variances[:, None])
 
     @classmethod
     def fit(cls, features, labels) -> "MetaClassifier":
@@ -411,8 +419,8 @@ class MetaClassifier:
         if self.constant is not None:
             return np.full(features.shape[0], self.constant)
         var = self.variances[:, None]  # (2, 1, F)
-        log_like = np.log(self.priors)[:, None] - 0.5 * np.sum(
-            np.log(2 * np.pi * var) + (features - self.means[:, None]) ** 2 / var, axis=2
+        log_like = self._log_priors - 0.5 * np.sum(
+            self._log_norm + (features - self.means[:, None]) ** 2 / var, axis=2
         )  # (2, Q)
         probs = np.exp(log_like - log_like.max(axis=0))
         return probs[1] / probs.sum(axis=0)

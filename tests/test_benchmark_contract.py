@@ -8,6 +8,7 @@ when the benchmark runs.
 """
 
 import inspect
+import json
 import os
 import sys
 from pathlib import Path
@@ -156,3 +157,23 @@ def test_every_decision_has_the_shape_the_sweep_checks():
             assert measure.decision_ok(
                 result.selected, result.predicted_class, result.aggregate_score(q), M, L
             ), (name, result)
+
+
+def test_sweep_pass_reproduces_the_reference_digests(tmp_path):
+    """One selector-sweep pass at the benchmark's default seed gives every
+    digest perfbench/reference.json holds: each selection and score of the
+    15 schemes over the test queries of its 8 contexts, byte for byte."""
+    _, _, _, workloads = _perfbench()
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from run import DEFAULT_SEED
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    stored = json.loads((PERFBENCH / "reference.json").read_text())["selector-sweep"]
+    sweep = workloads.SelectorSweep()
+    state = sweep.setup(DEFAULT_SEED, tmp_path)
+    assert state["names"] == stored["datasets"]
+    outcome = sweep.run(state, 0.0, stored["digests"])  # a deadline already past: one pass
+    attempted, failed = outcome.attempted, outcome.failed
+    assert attempted > 0 and failed == 0
+    assert outcome.digests == stored["digests"]

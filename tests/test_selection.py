@@ -142,12 +142,12 @@ class TestProfileSimilarity:
     def test_agreement_matches_oracle(self, oracle_instances):
         for inst in oracle_instances[:50]:
             ctx, query = inst["ctx"], inst["query"]
-            got = _agreement(ctx.predictions, query.predictions)
+            counts = _agreement(ctx.predictions, query.predictions)
             want = [
                 ref.profile_similarity(ctx.predictions[:, j], query.predictions)
                 for j in range(ctx.dsel.n_samples)
             ]
-            assert got.tolist() == want
+            assert (counts / ctx.pool_size).tolist() == want
 
 
 class TestRank:
@@ -720,6 +720,75 @@ class TestMetaDes:
         query = ctx.make_query(train.features[0], k=3)
         with pytest.raises(RuntimeError, match="meta-classifier"):
             select_metades(ctx, query)
+
+
+class TestCompactProfiles:
+    """Output profiles past one byte: agreement counts above 255 (pools of 255
+    and 300 classifiers; at 255 the ranking key needs M + 1) and class ids
+    above 255 (300 classes)."""
+
+    @staticmethod
+    def _table_ctx(pool_size, n_classes, n_dsel=40, seed=0):
+        """A context whose classifier i labels a row of value v as
+        `table[i, v]`. Column 0 is a base column, column 1 disagrees with it
+        on every classifier, and the rest are perturbed copies of it, so
+        most classifiers agree; DSEL rows repeat values, so agreements tie."""
+        rng = np.random.default_rng(seed)
+        n_values = 12
+        table = np.repeat(rng.integers(0, n_classes, size=(pool_size, 1)), n_values, axis=1)
+        flip = rng.random(table.shape) < rng.uniform(0.0, 0.3, size=n_values)
+        flip[:, :2] = False
+        table[flip] = rng.integers(0, n_classes, size=int(flip.sum()))
+        table[:, 1] = (table[:, 0] + 1) % n_classes
+        eye = np.eye(n_classes)
+        trees = tuple(
+            SimpleNamespace(arity=2, n_classes=n_classes, predict_support=(
+                lambda X, labels=labels: eye[labels[np.atleast_2d(X)[:, 0].astype(int)]]))
+            for labels in table
+        )
+        values = rng.integers(0, n_values, size=n_dsel).astype(float)
+        values[[0, -1]] = 0, 1
+        dsel = Dataset("edge", values[:, None], rng.integers(0, n_classes, size=n_dsel),
+                       tuple(str(c) for c in range(n_classes)))
+        return SelectionContext(Pool(trees, "Ba", 0, n_classes), dsel)
+
+    @pytest.mark.parametrize("pool_size, n_classes", [(300, 3), (255, 4), (6, 300)])
+    def test_counts_ranks_and_exclusion_match_the_oracle(self, pool_size, n_classes,
+                                                         monkeypatch):
+        ctx = self._table_ctx(pool_size, n_classes)
+        n = ctx.dsel.n_samples
+        assert ctx.predictions.dtype == np.min_scalar_type(n_classes - 1)
+        if n_classes > 256:
+            assert ctx.predictions.max() > 255
+        ranked = []
+
+        def nearest(dists, k):
+            order = _nearest(dists, k)
+            ranked.append(order[0].tolist())
+            return order
+
+        monkeypatch.setattr(selection_module, "_nearest", nearest)
+        for t in range(n):  # row t as a query, and as a training row kept out of its profile
+            preds, supports = ctx.predictions[:, t], ctx.supports[:, t]
+            counts = _agreement(ctx.predictions, preds)
+            sims = [ref.profile_similarity(ctx.predictions[:, j], preds) for j in range(n)]
+            assert counts.dtype == np.min_scalar_type(pool_size)
+            assert counts[t] == pool_size
+            assert np.array_equal(_agreement(ctx.predictions, preds.astype(int)), counts)
+            assert (counts / pool_size).tolist() == sims
+            assert len(set(sims)) < n  # ties to break
+            assert t != 0 or sims[-1] == 0.0  # a full disagreement ranks below row 0
+            roc = [j for j in range(n) if j != t][:3]
+            for kp, exclude in ((1 + t % 6, None), (1 + t % 6, t), (n, t)):
+                got = _meta_features_all(ctx, np.array([roc]), preds[None], supports[None], kp,
+                                         None if exclude is None else np.array([exclude]))[0]
+                want = ref.meta_features_ref(ctx.hits, ctx.supports, ctx.predictions,
+                                             ctx.dsel.labels, roc, preds, supports, kp, exclude)
+                assert np.array_equal(got, want)
+                # most agreement first, ties to the lower row, the excluded row last
+                order = sorted(range(n), key=lambda j: (j == exclude, -sims[j], j))
+                assert ranked[-1] == order[:kp]
+                assert (exclude in ranked[-1]) == (exclude is not None and kp == n)
 
 
 class TestDfp:
