@@ -21,17 +21,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    name: str
     n_features: int
     class_counts: tuple
     class_overlap: float  # centre spread in within-class std units
 
 
 CATALOG = {
-    "wine": BenchmarkSpec("wine", 13, (59, 71, 48), 2.6),
-    "glass": BenchmarkSpec("glass", 9, (70, 76, 17, 13, 9, 29), 2.2),
-    "new-thyroid": BenchmarkSpec("new-thyroid", 5, (150, 35, 30), 2.4),
-    "ecoli": BenchmarkSpec("ecoli", 7, (143, 77, 52, 35, 20, 5, 2, 2), 2.2),
+    "wine": BenchmarkSpec(13, (59, 71, 48), 2.6),
+    "glass": BenchmarkSpec(9, (70, 76, 17, 13, 9, 29), 2.2),
+    "new-thyroid": BenchmarkSpec(5, (150, 35, 30), 2.4),
+    "ecoli": BenchmarkSpec(7, (143, 77, 52, 35, 20, 5, 2, 2), 2.2),
 }
 
 

@@ -111,6 +111,20 @@ def _neighbors(features, of, k: int) -> np.ndarray:
     return _nearest(dists, min(k, features.shape[0] - 1))
 
 
+def _catalogue_lookup(names: tuple, kind: str):
+    """The lookup of a name's spelling in `names`, case and outer spaces
+    ignored. Selection and resampling share this one naming rule."""
+    canonical = {n.lower(): n for n in names}
+
+    def normalize(name: str) -> str:
+        try:
+            return canonical[name.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown {kind} {name!r}; choose from {names}") from None
+
+    return normalize
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

@@ -232,6 +232,7 @@ def _plan(cfg: RunConfig, dataset: Dataset, done: set):
     Yields (rep, fold, train, test, params, cells): the two halves
     standardized on the training half, its scaling parameters, and one
     (variant, selectors missing a metric) cell per variant with work left.
+    A fold with no training row, or under AUC one test class, raises.
     """
     variants = tuple(normalize_variant(v) for v in cfg.variants)
     selectors = tuple(normalize_selector(s) for s in cfg.selectors)
@@ -247,6 +248,8 @@ def _plan(cfg: RunConfig, dataset: Dataset, done: set):
             if missing:
                 cells.append((variant, missing))
         if cells:
+            if "auc" in cfg.metrics and np.unique(dataset.labels[test_idx]).size < 2:
+                raise ValueError(f"replication {rep + 1} fold {fold}: AUC needs 2 test classes")
             train, (test,), params = standardize(
                 dataset.subset(train_idx), [dataset.subset(test_idx)]
             )
@@ -310,51 +313,51 @@ def _evaluate_held(cell) -> tuple:
 
 
 def _shared_outcomes(executor, cells):
-    """`map(_evaluate_held, cells)`, run by this process and `executor`'s
-    workers together. Every cell is queued to the workers; this process
-    takes each cell no worker has started yet, runs it, and then yields the
-    outcomes done so far in plan order. An outcome holding an exception
-    stops it taking more. Kept busy, this process holds a core of its own
-    instead of waking onto a worker's."""
-    futures = [executor.submit(_evaluate_held, cell) for cell in cells]
-    yielded = 0
+    """`_evaluate_held` of each cell in plan order, run by this process and
+    `executor`'s workers together (this process alone if `executor` is None).
+    Every cell is queued to the workers; this process takes each cell no
+    worker has started yet, runs it, then yields the outcomes done so far in
+    plan order, and stops after one that raised here. Kept busy, this
+    process holds a core of its own instead of waking onto a worker's."""
+    futures = [executor.submit(_evaluate_held, cell) if executor else Future() for cell in cells]
+    yielded, last = 0, len(cells)
     for i, cell in enumerate(cells):
         if not futures[i].cancel():
             continue  # a worker has it
         futures[i] = Future()
         futures[i].set_result(_evaluate_held(cell))
         if isinstance(futures[i].result()[0], Exception):
+            last = i + 1  # this process takes no cell after it
             break
         while yielded < len(futures) and futures[yielded].done():
             yield futures[yielded].result()
             yielded += 1
-    for future in futures[yielded:]:
+    for future in futures[yielded:last]:
         yield future.result()
 
 
 def _worker_count(cells: int) -> int:
     """Processes to run `cells` cells on, this one included: one per CPU of
-    this process's affinity mask, at most one per cell. 1 means this process
-    alone, as it does where `fork` or the affinity mask is unavailable."""
+    this process's affinity mask, at most one per cell. Where `fork` or the
+    affinity mask is unavailable, this process counts as the one CPU."""
     fork = "fork" in multiprocessing.get_all_start_methods()
-    if not (fork and hasattr(os, "sched_getaffinity")):
-        return min(cells, 1)
-    return min(len(os.sched_getaffinity(0)), cells)
+    cpus = len(os.sched_getaffinity(0)) if fork and hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, cells)
 
 
 def run_experiment(cfg: RunConfig) -> RunSummary:
     """Execute the full grid, appending records not yet present on disk.
 
     `_plan` yields the folds with records missing and `evaluate_cell` scores
-    each of their cells: in this process and forked workers, one process per
-    usable CPU (`os.sched_getaffinity`), or in this process alone when one
-    CPU or one cell is left. The loop below takes the cells back in plan
-    order, emits the log records each one made, then re-raises the exception
-    it raised or appends its missing records and flushes, so the file and the
+    each of their cells, through `_shared_outcomes`: in this process and a
+    forked worker per further usable CPU (`os.sched_getaffinity`), at most
+    one process per cell. The loop below takes the cells back in plan order,
+    emits the log records each one made, then re-raises the exception it
+    raised or appends its missing records and flushes, so the file and the
     log are those of a serial run and a crash leaves a prefix of them. The
     record key (dataset, variant, selector, replication, fold, metric) makes
-    resumption idempotent, and a dataset entry whose name an earlier entry
-    took fails. The `fold` column names the tested half.
+    resumption idempotent. An entry that fails to load or to plan, or reuses
+    an earlier entry's name, is skipped unwritten. `fold` names the tested half.
     """
     problems = validate_config(cfg)
     if problems:
@@ -386,14 +389,15 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 dataset = resolve_dataset(spec, cfg)
                 if taken.setdefault(dataset.name, spec) != spec:  # its keys would repeat
                     raise ValueError(f"its name {dataset.name} is taken by {taken[dataset.name]}")
+                logger.info("dataset %s: %d samples, %d classes",
+                            dataset.name, dataset.n_samples, dataset.n_classes)
+                plan = list(_plan(cfg, dataset, done))
             except Exception as exc:  # isolate per-dataset failures
                 logger.error("dataset %s skipped: %s", spec, exc)
                 summary.failed_datasets.append(spec)
                 continue
-            logger.info("dataset %s: %d samples, %d classes",
-                        dataset.name, dataset.n_samples, dataset.n_classes)
             cells = []
-            for rep, fold, train, test, params, fold_cells in _plan(cfg, dataset, done):
+            for rep, fold, train, test, params, fold_cells in plan:
                 scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold}.txt"
                 if not scaling_path.exists():
                     _write_atomic(scaling_path, params.to_text())
@@ -402,13 +406,11 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
             workers = _worker_count(len(cells))
             logger.info("dataset %s: %d cells left, run in this process%s", dataset.name,
                         len(cells), f" and {workers - 1} forked worker(s)" if workers > 1 else "")
-            executor = None
-            if workers > 1:
-                executor = ProcessPoolExecutor(
-                    workers - 1, mp_context=multiprocessing.get_context("fork"))
+            executor = ProcessPoolExecutor(
+                workers - 1, mp_context=multiprocessing.get_context("fork")
+            ) if workers > 1 else None
             try:
-                outcomes = (_shared_outcomes(executor, cells) if executor
-                            else map(_evaluate_held, cells))
+                outcomes = _shared_outcomes(executor, cells)
                 for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
                     for record in records:
                         logging.getLogger(record.name).handle(record)

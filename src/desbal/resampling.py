@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _neighbors
+from .data import Dataset, _catalogue_lookup, _neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -24,14 +24,7 @@ logger = logging.getLogger(__name__)
 # all class counts, and Random Balance.
 VARIANTS = ("Ba", "Ba-RM100", "Ba-RM", "Ba-SM100", "Ba-SM", "Ba-RB")
 
-_CANONICAL = {v.lower(): v for v in VARIANTS}
-
-
-def normalize_variant(name: str) -> str:
-    try:
-        return _CANONICAL[name.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown resampling variant {name!r}; choose from {VARIANTS}") from None
+normalize_variant = _catalogue_lookup(VARIANTS, "resampling variant")
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,11 @@ from functools import partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset, _nearest, _neighbors
+from .data import Dataset, _catalogue_lookup, _nearest, _neighbors
 from .pool import Pool
 from .rng import make_rng
 
 logger = logging.getLogger(__name__)
-
-
-def normalize_selector(name: str) -> str:
-    try:
-        return _CANONICAL[name.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown selector {name!r}; choose from {SELECTOR_NAMES}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -539,7 +530,7 @@ SELECTORS = {
 
 SELECTOR_NAMES = tuple(SELECTORS)
 
-_CANONICAL = {n.lower(): n for n in SELECTOR_NAMES}
+normalize_selector = _catalogue_lookup(SELECTOR_NAMES, "selector")
 
 
 def run_selector(name: str, ctx: SelectionContext, query: Query,

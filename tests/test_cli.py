@@ -122,6 +122,21 @@ def test_run_partial_failure_exit_code(workspace, capsys):
     assert main(["run", "--config", str(conf2)]) == 2
 
 
+@pytest.mark.parametrize("rows, metrics", [
+    ("0.1,0.2,a\n0.5,0.1,b\n0.7,0.3,b\n0.2,0.9,b\n0.4,0.4,b\n0.8,0.6,b\n", "auc"),
+    ("0.1,0.2,a\n0.5,0.1,b\n", "fmeasure"),
+], ids=["one-class-test-half", "empty-training-half"])
+def test_run_unplannable_dataset_exit_code(tmp_path, capsys, rows, metrics):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(rows)
+    config = tmp_path / "run.conf"
+    config.write_text(f"datasets = {bad}, builtin:wine\nvariants = Ba\nselectors = KNU\n"
+                      f"metrics = {metrics}\npool_size = 3\noutput = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("wrote 10 record(s)") and f"failed datasets: {bad}" in err
+
+
 def test_run_dataset_name_taken_exit_code(workspace, capsys):
     tmp_path, config = workspace
     (tmp_path / "again").mkdir()

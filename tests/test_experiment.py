@@ -3,6 +3,7 @@
 import logging
 import multiprocessing
 import os
+import threading
 import traceback
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from desbal.experiment import (
     run_experiment,
     validate_config,
 )
+from desbal.metrics import METRIC_NAMES
 
 CONFIG_TEXT = """# desk benchmark
 datasets = {path}
@@ -49,6 +51,17 @@ def csv_dataset(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+# two CSV datasets that 5x2 cross-validation cannot fully score
+ONE_AND_FIVE = "0.1,0.2,a\n0.5,0.1,b\n0.7,0.3,b\n0.2,0.9,b\n0.4,0.4,b\n0.8,0.6,b\n"
+TWO_ONES = "0.1,0.2,a\n0.5,0.1,b\n"
+
+
+def _small_run(csv_path, out_dir, metrics) -> RunConfig:
+    """`csv_path`, then wine: Ba and KNU over pools of 3 trees."""
+    return RunConfig(datasets=(str(csv_path), "builtin:wine"), output=str(out_dir),
+                     variants=("Ba",), selectors=("KNU",), metrics=metrics, pool_size=3)
 
 
 def _config(csv_path, out_dir, **overrides) -> RunConfig:
@@ -86,6 +99,17 @@ class TestConfig:
         assert validate_config(cfg)
         cfg = _config(csv_dataset, tmp_path / "r", metrics=("auc", "accuracy"))
         assert any("accuracy" in p for p in problems) or validate_config(cfg)
+
+    def test_unknown_names_keep_their_messages(self, csv_dataset, tmp_path):
+        cfg = _config(csv_dataset, tmp_path / "r", variants=(" smoteboost ",),
+                      selectors=("NOPE",))
+        assert validate_config(cfg) == [
+            "unknown resampling variant ' smoteboost '; choose from "
+            "('Ba', 'Ba-RM100', 'Ba-RM', 'Ba-SM100', 'Ba-SM', 'Ba-RB')",
+            "unknown selector 'NOPE'; choose from ('STATIC', 'RANK', 'LCA', 'MCB', "
+            "'KNE', 'KNU', 'DES-KNN', 'DESP', 'DES-RRC', 'META-DES', 'F-LCA', 'F-MCB', "
+            "'F-KNE', 'F-KNU', 'F-DES-KNN')",
+        ]
 
     def test_entries_repeated_after_normalization_rejected(self, csv_dataset, tmp_path):
         # a repeated variant would be run and ranked twice in the report
@@ -225,6 +249,36 @@ class TestRun:
         summary = run_experiment(cfg)
         assert summary.failed_datasets == [str(tmp_path / "missing.csv")]
         assert summary.records_written == 180
+
+    @pytest.mark.parametrize("rows, metrics, reason", [
+        # class a's one row is always in fold A, so every fold B tests class b alone
+        (ONE_AND_FIVE, METRIC_NAMES, "replication 1 fold B: AUC needs 2 test classes"),
+        # both rows are in fold A, so the fold tested on A trains on nothing
+        (TWO_ONES, ("fmeasure",), "cannot standardize an empty training set"),
+    ], ids=["one-class-test-half", "empty-training-half"])
+    def test_unplannable_dataset_fails_alone(self, tmp_path, caplog, rows, metrics, reason):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(rows)
+        cfg = _small_run(bad, tmp_path / "out", metrics)
+        with caplog.at_level("ERROR", logger="desbal"):
+            summary = run_experiment(cfg)
+        assert summary.failed_datasets == [str(bad)]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"dataset {bad} skipped: {reason}"]
+        wine = resolve_dataset("builtin:wine", cfg).name
+        records = _first_seven(tmp_path / "out" / RESULTS_FILE)[1:]
+        assert summary.records_written == len(records) == 10 * len(metrics)
+        assert {r[0] for r in records} == {wine}
+        assert list((tmp_path / "out").glob("scaling_bad_*")) == []
+
+    def test_one_class_test_half_runs_without_auc(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(ONE_AND_FIVE)
+        summary = run_experiment(_small_run(bad, tmp_path / "out", ("fmeasure", "gmean")))
+        assert summary.failed_datasets == []
+        records = _first_seven(tmp_path / "out" / RESULTS_FILE)[1:]
+        assert summary.records_written == len(records) == 2 * 10 * 2
+        assert sum(r[0] == "bad" for r in records) == 10 * 2
 
     def test_entry_reusing_a_dataset_name_fails(self, csv_dataset, tmp_path, caplog):
         # a/toy.csv and b/toy.csv both name their dataset "toy", so the second
@@ -506,6 +560,52 @@ class TestParallelCells:
         with pytest.raises(RuntimeError, match="a worker's cell failed") as raised:
             run_experiment(_glass_cells(tmp_path / "out"))
         assert "in fails_in_worker" in "".join(traceback.format_exception(raised.value))
+
+    def test_run_without_fork_makes_no_pool(self, parallel_run, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was made")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        cfg = _glass_cells(tmp_path / "nofork")
+        log = _held_log(lambda: run_experiment(cfg))
+        assert ("desbal.experiment", "INFO",
+                "dataset glass-synthetic: 20 cells left, run in this process") in log
+        assert _first_seven(Path(cfg.output) / RESULTS_FILE) == _first_seven(
+            Path(parallel_run[0].output) / RESULTS_FILE)
+
+    def test_one_cpu_takes_no_cell_after_a_failure(self, tmp_path, monkeypatch):
+        evaluate_cell, calls = experiment.evaluate_cell, []
+
+        def third_cell_raises(*cell):
+            calls.append(cell[3:6])
+            if len(calls) == 3:
+                raise RuntimeError("third cell failed")
+            return evaluate_cell(*cell)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(experiment, "evaluate_cell", third_cell_raises)
+        with pytest.raises(RuntimeError, match="third cell failed"):
+            run_experiment(_glass_cells(tmp_path / "out"))
+        assert calls == [("Ba", 0, "B"), ("Ba-SM", 0, "B"), ("Ba", 0, "A")]
+
+    def test_outcomes_stop_at_the_failure_this_process_ran(self, monkeypatch):
+        def fourth_raises(i):
+            if i == 3:
+                raise RuntimeError("fourth cell failed")
+            return i
+
+        monkeypatch.setattr(experiment, "evaluate_cell", fourth_raises)
+        cells, outcomes = [(i,) for i in range(6)], []
+        # drained on a thread: a placeholder awaited past the failure would never end
+        drain = threading.Thread(
+            target=lambda: outcomes.extend(experiment._shared_outcomes(None, cells)), daemon=True)
+        drain.start()
+        drain.join(timeout=60)
+        assert not drain.is_alive()
+        assert [scored for scored, _ in outcomes[:3]] == [0, 1, 2]
+        assert len(outcomes) == 4 and isinstance(outcomes[3][0], RuntimeError)
 
     def test_resume_and_one_cell_start_no_process(self, parallel_run, tmp_path, monkeypatch):
         out = tmp_path / "resume"
