@@ -13,31 +13,23 @@ from .experiment import (
     IncompleteGridError,
     load_config,
     make_report,
-    resolve_dataset,
+    preflight,
     run_experiment,
-    validate_config,
 )
+from .metrics import normalize_metric
 
 logger = logging.getLogger(__name__)
 
 
 def _cmd_validate(args) -> int:
+    """`run`'s checks before its first cell, in its order, writing nothing."""
     try:
-        cfg = load_config(args.config)
+        problems = preflight(load_config(args.config))
     except (ConfigError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
-    problems = validate_config(cfg)
-    for spec in cfg.datasets:
-        try:
-            ds = resolve_dataset(spec, cfg)
-            print(f"dataset {spec}: {ds.n_samples} samples, "
-                  f"{ds.n_features} features, {ds.n_classes} classes")
-        except Exception as exc:
-            problems.append(f"dataset {spec}: {exc}")
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
+        print("\n".join(f"error: {p}" for p in problems), file=sys.stderr)
         return 1
     print("config ok")
     return 0
@@ -60,8 +52,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    metric = args.metric.strip().lower()  # as make_report and run configs read it
     try:
+        metric = normalize_metric(args.metric)
         text = make_report(args.input, metric)
     except (IncompleteGridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

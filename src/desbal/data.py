@@ -113,7 +113,7 @@ def _neighbors(features, of, k: int) -> np.ndarray:
 
 def _catalogue_lookup(names: tuple, kind: str):
     """The lookup of a name's spelling in `names`, case and outer spaces
-    ignored. Selection and resampling share this one naming rule."""
+    ignored. Selection, resampling and metrics share this one naming rule."""
     canonical = {n.lower(): n for n in names}
 
     def normalize(name: str) -> str:

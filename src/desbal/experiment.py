@@ -20,7 +20,7 @@ from .benchmarks import load_benchmark
 from .data import (
     FOLDS, REPLICATIONS, Dataset, parse_csv, parse_keel, standardize, stratified_5x2,
 )
-from .metrics import METRIC_NAMES, auc_multiclass, f_measure_weighted, g_mean
+from .metrics import METRIC_NAMES, auc_multiclass, f_measure_weighted, g_mean, normalize_metric
 from .pool import build_dsel, generate_pool
 from .resampling import VARIANTS, normalize_variant
 from .rng import derive_seed
@@ -133,7 +133,7 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> list:
-    """All validation problems (empty list = runnable)."""
+    """Each problem that stops `run_experiment` before it writes (none = runnable); reads only."""
     problems = []
     entries = {"datasets": list(cfg.datasets), "variants": [], "selectors": [],
                "metrics": list(cfg.metrics)}
@@ -152,8 +152,14 @@ def validate_config(cfg: RunConfig) -> list:
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             problems.append(f"{key} lists {', '.join(repeated)} more than once")
+    out_dir, manifest = Path(cfg.output), Path(cfg.output) / MANIFEST_FILE
     if not cfg.output.strip():
         problems.append("output is empty; name the directory to write into")
+    elif any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        problems.append(f"output {out_dir} is not a directory")
+    elif (manifest.exists() and manifest.read_text().partition("\n")[0]
+          != f"config_hash = {config_hash(cfg)}"):
+        problems.append(f"output directory {out_dir} belongs to a different configuration")
     if cfg.pool_size < 1:
         problems.append("pool_size must be >= 1")
     if cfg.k < 1:
@@ -197,16 +203,17 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line, left by a write cut short, off the file.
+def _check_header(path: Path, first: str) -> None:
+    if not HEADER_LINE.startswith(first):  # `first` keeps its newline; a torn header lacks it
+        raise IncompleteGridError(f"unexpected results header in {path}")
 
-    The header is checked first, so a foreign file is refused untouched: an
-    unterminated first line is torn only while it is a prefix of the header.
-    """
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line, left by a write cut short, off the file;
+    the header is checked first, so a foreign file is refused untouched."""
     content = path.read_bytes() if path.exists() else b""
     first = content[: content.find(b"\n") + 1] or content  # with its newline, if any
-    if not HEADER_LINE.encode().startswith(first):
-        raise IncompleteGridError(f"unexpected results header in {path}")
+    _check_header(path, first.decode(errors="replace"))
     end = content.rfind(b"\n") + 1
     if end < len(content):
         logger.warning("%s: dropping the torn last line %r", path, content[end:])
@@ -214,14 +221,12 @@ def _drop_torn_tail(path: Path) -> None:
 
 
 def _read_records(path: Path) -> list:
-    """The complete rows of a results file; an absent, empty or header-only
-    file holds none, and a foreign header is refused."""
+    """The complete rows of a results file; an absent or empty file, or a lone
+    header, whole or torn, holds none, and a foreign header is refused."""
     if not path.exists():
         return []
     with path.open() as fh:
-        header = fh.readline()
-        if header and tuple(header.rstrip("\n").split("\t")) != RECORD_COLUMNS:
-            raise IncompleteGridError(f"unexpected results header in {path}")
+        _check_header(path, fh.readline())
         rows = (line.split("\t") for line in fh.read().split("\n"))
         return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)]
 
@@ -254,6 +259,23 @@ def _plan(cfg: RunConfig, dataset: Dataset, done: set):
                 dataset.subset(train_idx), [dataset.subset(test_idx)]
             )
             yield rep, fold, train, test, params, cells
+
+
+def _planned_datasets(cfg: RunConfig, done: set):
+    """(entry, (dataset, `_plan`'s folds)) per dataset entry, loaded once reached, or
+    (entry, exception) if it fails to load or plan or its name is taken (keys would repeat)."""
+    taken = {}  # dataset name -> the entry that took it
+    for spec in cfg.datasets:
+        try:
+            dataset = resolve_dataset(spec, cfg)
+            if taken.setdefault(dataset.name, spec) != spec:
+                raise ValueError(f"its name {dataset.name} is taken by {taken[dataset.name]}")
+            logger.info("dataset %s: %d samples, %d classes",
+                        dataset.name, dataset.n_samples, dataset.n_classes)
+            planned = dataset, list(_plan(cfg, dataset, done))
+        except Exception as exc:  # isolate per-dataset failures
+            planned = exc
+        yield spec, planned
 
 
 def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
@@ -348,16 +370,16 @@ def _worker_count(cells: int) -> int:
 def run_experiment(cfg: RunConfig) -> RunSummary:
     """Execute the full grid, appending records not yet present on disk.
 
-    `_plan` yields the folds with records missing and `evaluate_cell` scores
-    each of their cells, through `_shared_outcomes`: in this process and a
-    forked worker per further usable CPU (`os.sched_getaffinity`), at most
-    one process per cell. The loop below takes the cells back in plan order,
-    emits the log records each one made, then re-raises the exception it
-    raised or appends its missing records and flushes, so the file and the
-    log are those of a serial run and a crash leaves a prefix of them. The
-    record key (dataset, variant, selector, replication, fold, metric) makes
-    resumption idempotent. An entry that fails to load or to plan, or reuses
-    an earlier entry's name, is skipped unwritten. `fold` names the tested half.
+    `_planned_datasets` gives each entry's folds with records missing (an entry
+    that fails to load or to plan, or reuses an earlier entry's name, is skipped
+    unwritten) and `evaluate_cell` scores their cells through `_shared_outcomes`:
+    in this process and a forked worker per further usable CPU, at most one
+    process per cell. The loop below takes the cells back in plan order, emits
+    the log records each one made, then re-raises the exception it raised or
+    appends its missing records and flushes, so the file and the log are those
+    of a serial run and a crash leaves a prefix of them. The record key (dataset,
+    variant, selector, replication, fold, metric) makes resumption idempotent.
+    `preflight` makes the pre-cell checks without writing. `fold` names the tested half.
     """
     problems = validate_config(cfg)
     if problems:
@@ -365,16 +387,11 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / RESULTS_FILE
-    manifest_path = out_dir / MANIFEST_FILE
-    hash_line = f"config_hash = {config_hash(cfg)}"
-    has_manifest = manifest_path.exists()
-    if has_manifest and manifest_path.read_text().partition("\n")[0] != hash_line:
-        raise ConfigError(f"output directory {out_dir} belongs to a different configuration")
     _drop_torn_tail(results_path)
     done = {tuple(parts[:6]) for parts in _read_records(results_path)}
-    if not has_manifest:  # written only once the results file is known to be ours
-        _write_atomic(manifest_path, (
-            f"{hash_line}\ncode_version = {__version__}\n"
+    if not (out_dir / MANIFEST_FILE).exists():  # written once results.tsv is known to be ours
+        _write_atomic(out_dir / MANIFEST_FILE, (
+            f"config_hash = {config_hash(cfg)}\ncode_version = {__version__}\n"
             f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
         ))
     summary = RunSummary(results_path=results_path, records_skipped=len(done))
@@ -383,19 +400,12 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
     with results_path.open("a") as out:
         if new_file:
             out.write(HEADER_LINE)
-        taken = {}  # dataset name -> the entry that took it
-        for spec in cfg.datasets:
-            try:
-                dataset = resolve_dataset(spec, cfg)
-                if taken.setdefault(dataset.name, spec) != spec:  # its keys would repeat
-                    raise ValueError(f"its name {dataset.name} is taken by {taken[dataset.name]}")
-                logger.info("dataset %s: %d samples, %d classes",
-                            dataset.name, dataset.n_samples, dataset.n_classes)
-                plan = list(_plan(cfg, dataset, done))
-            except Exception as exc:  # isolate per-dataset failures
-                logger.error("dataset %s skipped: %s", spec, exc)
+        for spec, planned in _planned_datasets(cfg, done):
+            if isinstance(planned, Exception):
+                logger.error("dataset %s skipped: %s", spec, planned)
                 summary.failed_datasets.append(spec)
                 continue
+            dataset, plan = planned
             cells = []
             for rep, fold, train, test, params, fold_cells in plan:
                 scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold}.txt"
@@ -431,6 +441,20 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                 if executor:  # cells not yet started are dropped, running ones finish
                     executor.shutdown(cancel_futures=True)
     return summary
+
+
+def preflight(cfg: RunConfig) -> list:
+    """`run_experiment`'s checks before its first cell, in its order, writing nothing: the
+    config's, the results header's, then each entry's load and plan against its records."""
+    problems = validate_config(cfg)
+    if problems:
+        return problems
+    try:
+        done = {tuple(parts[:6]) for parts in _read_records(Path(cfg.output) / RESULTS_FILE)}
+    except IncompleteGridError as exc:
+        return [str(exc)]
+    return [f"dataset {spec}: {planned}" for spec, planned in _planned_datasets(cfg, done)
+            if isinstance(planned, Exception)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +525,7 @@ def make_report(input_dir, metric: str) -> str:
     alpha = 0.05). The metric name is case-insensitive, and a metric the
     run's config does not record is refused.
     """
-    metric = metric.strip().lower()
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
+    metric = normalize_metric(metric)
     input_dir = Path(input_dir)
     results_path = input_dir / RESULTS_FILE
     if not results_path.exists():

@@ -9,9 +9,12 @@ import logging
 
 import numpy as np
 
+from .data import _catalogue_lookup
+
 logger = logging.getLogger(__name__)
 
 METRIC_NAMES = ("auc", "fmeasure", "gmean")
+normalize_metric = _catalogue_lookup(METRIC_NAMES, "metric")
 
 
 def _u_statistic(pos, neg) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from desbal.cli import main
-from desbal.experiment import load_config, validate_config
+from desbal.experiment import HEADER_LINE, load_config, validate_config
 
 CONFIG = """datasets = {path}
 variants = Ba, Ba-SM
@@ -72,6 +72,101 @@ def test_validate_empty_selectors(workspace, capsys):
     bad.write_text(config.read_text().replace("selectors = STATIC, KNU", "selectors ="))
     assert main(["validate", "--config", str(bad)]) == 1
     assert "error: no selectors configured" in capsys.readouterr().err
+
+
+def _one_and_five(tmp_path, text):
+    # class a's one row is always in fold A, so every fold B tests class b alone
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.1,0.2,a\n0.5,0.1,b\n0.7,0.3,b\n0.2,0.9,b\n0.4,0.4,b\n0.8,0.6,b\n")
+    return text.replace("datasets = ", f"datasets = {bad}, ").replace("gmean", "auc")
+
+
+def _name_taken(tmp_path, text):
+    specs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        specs.append(tmp_path / sub / "t.csv")
+        specs[-1].write_text((tmp_path / "toy.csv").read_text())
+    return text.replace(str(tmp_path / "toy.csv"), f"{specs[0]}, {specs[1]}")
+
+
+def _written_by_another_config(tmp_path, text):
+    other = tmp_path / "other.conf"
+    other.write_text(text.replace("seed = 7", "seed = 8"))
+    assert main(["run", "--config", str(other)]) == 0
+    return text
+
+
+def _foreign_header(tmp_path, text):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "results.tsv").write_text("id\tscore\n1\t0.5\n")
+    return text
+
+
+def _output_is_a_file(tmp_path, text):
+    (tmp_path / "out").write_text("a file\n")
+    return text
+
+
+def _output_inside_a_file(tmp_path, text):
+    (tmp_path / "out").write_text("a file\n")
+    return text.replace(str(tmp_path / "out"), str(tmp_path / "out" / "run"))
+
+
+def _snapshot(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("make, reason, run_code", [
+    (_one_and_five, "replication 1 fold B: AUC needs 2 test classes", 2),
+    (_name_taken, "its name t is taken by", 2),
+    (_written_by_another_config, "belongs to a different configuration", 1),
+    (_foreign_header, "unexpected results header", 1),
+    (_output_is_a_file, "is not a directory", 1),
+    (_output_inside_a_file, "is not a directory", 1),
+], ids=["one-class-test-half", "name-taken", "another-config", "foreign-header", "output-file",
+        "output-inside-a-file"])
+def test_validate_refuses_what_run_refuses(workspace, capsys, make, reason, run_code):
+    tmp_path, config = workspace
+    config.write_text(make(tmp_path, config.read_text()))
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert reason in err and "config ok" not in out
+    assert _snapshot(tmp_path) == before
+    assert main(["run", "--config", str(config)]) == run_code
+
+
+def test_validate_stops_at_config_problems(workspace, capsys):
+    # as run does, validate loads no dataset while the config has a problem
+    tmp_path, config = workspace
+    config.write_text(config.read_text().replace("toy.csv", "absent.csv").replace("KNU", "WRONG"))
+    assert main(["validate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "WRONG" in err and "absent.csv" not in err
+
+
+def test_validate_accepts_a_torn_header_that_run_resumes(workspace, capsys):
+    tmp_path, config = workspace
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "results.tsv").write_text("dataset\tvar")
+    assert main(["validate", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    lines = (tmp_path / "out" / "results.tsv").read_text().splitlines(keepends=True)
+    assert lines[0] == HEADER_LINE and len(lines) == 1 + 2 * 2 * 10
+
+
+def test_validate_writes_nothing(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["validate", "--config", str(config)]) == 0
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--config", str(config)]) == 0
+    results = tmp_path / "out" / "results.tsv"
+    results.write_bytes(results.read_bytes() + b"toy\tBa\tKNU\t1\tA\tgm")  # a torn tail
+    before = _snapshot(tmp_path)
+    assert main(["validate", "--config", str(config)]) == 0
+    assert _snapshot(tmp_path) == before
 
 
 def test_run_invalid_config_names_every_problem(workspace, capsys):
@@ -199,3 +294,10 @@ def test_report_unknown_metric(workspace, capsys):
     main(["run", "--config", str(config)])
     capsys.readouterr()
     assert main(["report", "--input", str(tmp_path / "out"), "--metric", "acc"]) == 1
+
+
+def test_report_unknown_metric_named_as_given(tmp_path, capsys):
+    # the metric name is looked up before the input is read
+    assert main(["report", "--input", str(tmp_path), "--metric", " Acc"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown metric ' Acc'; choose from ('auc', 'fmeasure', 'gmean')\n")

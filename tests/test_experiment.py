@@ -13,6 +13,7 @@ import pytest
 
 import desbal.experiment as experiment
 from desbal.experiment import (
+    HEADER_LINE,
     RECORD_COLUMNS,
     RESULTS_FILE,
     ConfigError,
@@ -207,13 +208,13 @@ class TestRun:
         cfg = _config(csv_dataset, tmp_path / "partial")
         run_experiment(cfg)
         path = cfg.output + "/results.tsv"
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         kept, dropped = lines[:-6], lines[-6:]
         with open(path, "w") as fh:
             fh.write("\n".join(kept) + "\n")
         summary = run_experiment(cfg)
         assert summary.records_written == 6
-        final = {tuple(l.split("\t")[:6]) for l in open(path).read().splitlines()[1:]}
+        final = {tuple(l.split("\t")[:6]) for l in Path(path).read_text().splitlines()[1:]}
         assert {tuple(l.split("\t")[:6]) for l in dropped} <= final
 
     def test_resume_recomputes_torn_last_line(self, csv_dataset, tmp_path):
@@ -402,6 +403,24 @@ class TestRun:
             run_experiment(cfg)
         assert path.read_text() == foreign
         assert not (tmp_path / "foreign" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("first, accepted", [
+        ("", True), ("d", True), ("dataset\tvar", True), (HEADER_LINE[:-1], True),
+        (HEADER_LINE, True), ("dataset\tvar\n", False), ("id\tscore", False),
+        ("id\tscore\n", False), (HEADER_LINE[:-1] + "\textra\n", False),
+    ])
+    def test_reading_and_resuming_accept_the_same_first_lines(self, tmp_path, first, accepted):
+        # an unterminated prefix of the header is a header torn by a cut
+        path = tmp_path / RESULTS_FILE
+        for step in (experiment._read_records, experiment._drop_torn_tail):
+            path.write_text(first)
+            try:
+                step(path)
+            except IncompleteGridError:
+                assert not accepted, step.__name__
+                assert path.read_text() == first
+            else:
+                assert accepted, step.__name__
 
     def test_resume_after_a_cut_at_any_byte(self, tmp_path):
         # a crash can cut results.tsv at any byte of the records last written
@@ -707,6 +726,13 @@ class TestReport:
             f"  d1 / Ba-SM / KNU / {rep} / {fold} / gmean"
             for rep, fold in (("4", "B"), ("5", "A"), ("5", "B"))
         ]
+
+    @pytest.mark.parametrize("cut", [1, 12, len(HEADER_LINE) - 1])
+    def test_results_cut_inside_the_header_hold_no_records(self, tmp_path, cut):
+        out = _craft_records(tmp_path / "cut", {("d1", "Ba", "KNU"): 0.5})
+        (out / RESULTS_FILE).write_text(HEADER_LINE[:cut])
+        with pytest.raises(IncompleteGridError, match="no records found"):
+            make_report(out, "gmean")
 
     def test_unrecorded_metric_refused(self, tmp_path):
         # a resume could never write auc records into a gmean-only run
