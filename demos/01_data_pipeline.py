@@ -60,5 +60,5 @@ print(f"\ntrain feature means after scaling: "
       f"{np.abs(train_s.features.mean(axis=0)).max():.2e} (0 up to rounding)")
 print(f"test feature means after the SAME map (not zero, no leakage): "
       f"{np.abs(test_s.features.mean(axis=0)).max():.3f}")
-print("scaling parameters serialize as plain text:")
-print(params.to_text()[:72] + "...")
+print(f"the map is the training half's own: std {np.round(params.std[:3], 3)} ... "
+      f"(a constant feature keeps std 0 and maps to 0)")

@@ -45,7 +45,7 @@ print("rarely outvotes the majority on them")
 
 # pools persist as a manifest plus one JSON node dump per tree
 with tempfile.TemporaryDirectory(prefix="desbal_demo_") as out:
-    save_pool(pool, out, scaling_ref="scaling.txt")
+    save_pool(pool, out)
     again = load_pool(out)
 assert np.array_equal(again.predict_all(test_s.features), preds)
 print(f"\npool round-tripped through a temporary directory "

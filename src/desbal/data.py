@@ -310,21 +310,6 @@ class ScalingParams:
         scaled = (np.asarray(features, dtype=float) - self.mean) / np.where(live, self.std, 1.0)
         return np.where(live, scaled, 0.0)
 
-    def to_text(self) -> str:
-        fmt = lambda v: ",".join(repr(float(x)) for x in v)
-        return f"mean={fmt(self.mean)}\nstd={fmt(self.std)}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ScalingParams":
-        values = {}
-        for line in text.splitlines():
-            if "=" in line:
-                key, _, rest = line.partition("=")
-                values[key.strip()] = np.array(
-                    [float(x) for x in rest.split(",") if x.strip()]
-                )
-        return cls(mean=values["mean"], std=values["std"])
-
 
 def standardize(train: Dataset, others=()):
     """Fit z-scoring on `train`, apply the same map to `others`.

@@ -1,6 +1,7 @@
 """Benchmark runner: 5x2 cross-validated evaluation of selector/preprocessing
 combinations, crash-safe result persistence, and report generation."""
 
+import fcntl
 import hashlib
 import logging
 import logging.handlers
@@ -48,6 +49,7 @@ RECORD_COLUMNS = (
 HEADER_LINE = "\t".join(RECORD_COLUMNS) + "\n"
 RESULTS_FILE = "results.tsv"
 MANIFEST_FILE = "manifest.txt"
+LOCK_FILE = "run.lock"  # flocked by the run writing the output
 
 
 class ConfigError(ValueError):
@@ -143,9 +145,8 @@ def validate_config(cfg: RunConfig) -> list:
                 entries[key].append(normalize(name))
             except ValueError as exc:
                 problems.append(str(exc))
-    for m in cfg.metrics:
-        if m not in METRIC_NAMES:
-            problems.append(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+    problems += [f"unknown metric {m!r}; choose from {METRIC_NAMES}"
+                 for m in cfg.metrics if m not in METRIC_NAMES]
     for key, names in entries.items():
         if not getattr(cfg, key):
             problems.append(f"no {key} configured")
@@ -194,26 +195,20 @@ class RunSummary:
     failed_datasets: list = field(default_factory=list)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it into
-    place, so a crash leaves the old file or none, never a prefix. The
-    temporary file of an earlier crash is overwritten."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _check_header(path: Path, first: str) -> None:
-    if not HEADER_LINE.startswith(first):  # `first` keeps its newline; a torn header lacks it
+def _check_header(path: Path, text: str) -> None:
+    """Refuse a results file's `text` unless its first line is the header or a torn
+    (unterminated) prefix of it and no later line repeats it, as two writers would."""
+    if not HEADER_LINE.startswith(text[: text.find("\n") + 1] or text):  # with its newline
         raise IncompleteGridError(f"unexpected results header in {path}")
+    if "\n" + HEADER_LINE in text + "\n":
+        raise IncompleteGridError(f"results header repeated inside {path}")
 
 
 def _drop_torn_tail(path: Path) -> None:
     """Cut an unterminated last line, left by a write cut short, off the file;
     the header is checked first, so a foreign file is refused untouched."""
     content = path.read_bytes() if path.exists() else b""
-    first = content[: content.find(b"\n") + 1] or content  # with its newline, if any
-    _check_header(path, first.decode(errors="replace"))
+    _check_header(path, content.decode(errors="replace"))
     end = content.rfind(b"\n") + 1
     if end < len(content):
         logger.warning("%s: dropping the torn last line %r", path, content[end:])
@@ -222,22 +217,30 @@ def _drop_torn_tail(path: Path) -> None:
 
 def _read_records(path: Path) -> list:
     """The complete rows of a results file; an absent or empty file, or a lone
-    header, whole or torn, holds none, and a foreign header is refused."""
+    header, whole or torn, holds none; a foreign or repeated header is refused."""
     if not path.exists():
         return []
-    with path.open() as fh:
-        _check_header(path, fh.readline())
-        rows = (line.split("\t") for line in fh.read().split("\n"))
-        return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)]
+    text = path.read_bytes().decode()  # no newline translation, as on resume
+    _check_header(path, text)
+    rows = (line.split("\t") for line in text.split("\n")[1:])
+    return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)]
+
+
+def _lock(fh, out_dir: Path, exclusive: bool) -> None:
+    """Flock the lock file `fh` at once (held until its last descriptor closes), else refuse."""
+    try:
+        fcntl.flock(fh, (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH) | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise ConfigError(f"output {out_dir} is in use by another run") from None
 
 
 def _plan(cfg: RunConfig, dataset: Dataset, done: set):
     """The folds of `dataset` that still miss a record, in grid order.
 
-    Yields (rep, fold, train, test, params, cells): the two halves
-    standardized on the training half, its scaling parameters, and one
-    (variant, selectors missing a metric) cell per variant with work left.
-    A fold with no training row, or under AUC one test class, raises.
+    Yields (rep, fold, train, test, cells): the two halves standardized on
+    the training half, and one (variant, selectors missing a metric) cell per
+    variant with work left. A fold with no training row, under META-DES one
+    training row, or under AUC one test class, raises.
     """
     variants = tuple(normalize_variant(v) for v in cfg.variants)
     selectors = tuple(normalize_selector(s) for s in cfg.selectors)
@@ -255,10 +258,11 @@ def _plan(cfg: RunConfig, dataset: Dataset, done: set):
         if cells:
             if "auc" in cfg.metrics and np.unique(dataset.labels[test_idx]).size < 2:
                 raise ValueError(f"replication {rep + 1} fold {fold}: AUC needs 2 test classes")
-            train, (test,), params = standardize(
-                dataset.subset(train_idx), [dataset.subset(test_idx)]
-            )
-            yield rep, fold, train, test, params, cells
+            if "META-DES" in selectors and train_idx.size == 1:  # a row's region excludes it
+                raise ValueError(f"replication {rep + 1} fold {fold}: "
+                                 "META-DES needs 2 training rows")
+            train, (test,), _ = standardize(dataset.subset(train_idx), [dataset.subset(test_idx)])
+            yield rep, fold, train, test, cells
 
 
 def _planned_datasets(cfg: RunConfig, done: set):
@@ -386,72 +390,81 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
         raise ConfigError("; ".join(problems))
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = out_dir / RESULTS_FILE
-    _drop_torn_tail(results_path)
-    done = {tuple(parts[:6]) for parts in _read_records(results_path)}
-    if not (out_dir / MANIFEST_FILE).exists():  # written once results.tsv is known to be ours
-        _write_atomic(out_dir / MANIFEST_FILE, (
-            f"config_hash = {config_hash(cfg)}\ncode_version = {__version__}\n"
-            f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
-        ))
-    summary = RunSummary(results_path=results_path, records_skipped=len(done))
-    new_file = not results_path.exists() or results_path.stat().st_size == 0
+    with (out_dir / LOCK_FILE).open("a") as lock:  # forked workers close their copy, so
+        _lock(lock, out_dir, exclusive=True)  # none outliving this process keeps the lock
+        results_path = out_dir / RESULTS_FILE
+        _drop_torn_tail(results_path)
+        done = {tuple(parts[:6]) for parts in _read_records(results_path)}
+        manifest = out_dir / MANIFEST_FILE
+        if not manifest.exists():  # once results.tsv is known to be ours; renamed into place,
+            tmp = manifest.with_name(MANIFEST_FILE + ".tmp")  # a crash leaves it whole or absent
+            tmp.write_text(
+                f"config_hash = {config_hash(cfg)}\ncode_version = {__version__}\n"
+                f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
+            )
+            os.replace(tmp, manifest)
+        summary = RunSummary(results_path=results_path, records_skipped=len(done))
+        new_file = not results_path.exists() or results_path.stat().st_size == 0
 
-    with results_path.open("a") as out:
-        if new_file:
-            out.write(HEADER_LINE)
-        for spec, planned in _planned_datasets(cfg, done):
-            if isinstance(planned, Exception):
-                logger.error("dataset %s skipped: %s", spec, planned)
-                summary.failed_datasets.append(spec)
-                continue
-            dataset, plan = planned
-            cells = []
-            for rep, fold, train, test, params, fold_cells in plan:
-                scaling_path = out_dir / f"scaling_{dataset.name}_r{rep + 1}{fold}.txt"
-                if not scaling_path.exists():
-                    _write_atomic(scaling_path, params.to_text())
-                cells += [(cfg, train, test, variant, rep, fold, selectors)
-                          for variant, selectors in fold_cells]
-            workers = _worker_count(len(cells))
-            logger.info("dataset %s: %d cells left, run in this process%s", dataset.name,
-                        len(cells), f" and {workers - 1} forked worker(s)" if workers > 1 else "")
-            executor = ProcessPoolExecutor(
-                workers - 1, mp_context=multiprocessing.get_context("fork")
-            ) if workers > 1 else None
-            try:
-                outcomes = _shared_outcomes(executor, cells)
-                for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
-                    for record in records:
-                        logging.getLogger(record.name).handle(record)
-                    if isinstance(scored, Exception):  # its cause shows the cell's frames
-                        raise scored from CellError(scored.cell_traceback)
-                    variant, rep, fold = cell[3:6]
-                    for selector, values, seconds in scored:
-                        for metric in cfg.metrics:
-                            key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
-                            if key not in done:
-                                out.write("\t".join(key)
-                                          + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
-                                summary.records_written += 1
-                    out.flush()
-                    if n + 1 == len(cells) or cells[n + 1][4:6] != (rep, fold):  # fold's last
-                        logger.info("%s replication %d fold %s done", dataset.name, rep + 1, fold)
-            finally:
-                if executor:  # cells not yet started are dropped, running ones finish
-                    executor.shutdown(cancel_futures=True)
-    return summary
+        with results_path.open("a") as out:
+            if new_file:
+                out.write(HEADER_LINE)
+            for spec, planned in _planned_datasets(cfg, done):
+                if isinstance(planned, Exception):
+                    logger.error("dataset %s skipped: %s", spec, planned)
+                    summary.failed_datasets.append(spec)
+                    continue
+                dataset, plan = planned
+                cells = [(cfg, train, test, variant, rep, fold, selectors)
+                         for rep, fold, train, test, fold_cells in plan
+                         for variant, selectors in fold_cells]
+                workers = _worker_count(len(cells))
+                logger.info("dataset %s: %d cells left, run in this process%s",
+                            dataset.name, len(cells),
+                            f" and {workers - 1} forked worker(s)" if workers > 1 else "")
+                executor = ProcessPoolExecutor(
+                    workers - 1, mp_context=multiprocessing.get_context("fork"),
+                    initializer=os.close, initargs=(lock.fileno(),),
+                ) if workers > 1 else None
+                try:
+                    outcomes = _shared_outcomes(executor, cells)
+                    for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
+                        for record in records:
+                            logging.getLogger(record.name).handle(record)
+                        if isinstance(scored, Exception):  # its cause shows the cell's frames
+                            raise scored from CellError(scored.cell_traceback)
+                        variant, rep, fold = cell[3:6]
+                        for selector, values, seconds in scored:
+                            for metric in cfg.metrics:
+                                key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
+                                if key not in done:
+                                    out.write("\t".join(key)
+                                              + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
+                                    summary.records_written += 1
+                        out.flush()
+                        if n + 1 == len(cells) or cells[n + 1][4:6] != (rep, fold):  # fold's last
+                            logger.info("%s replication %d fold %s done",
+                                        dataset.name, rep + 1, fold)
+                finally:
+                    if executor:  # cells not yet started are dropped, running ones finish
+                        executor.shutdown(cancel_futures=True)
+        return summary
 
 
 def preflight(cfg: RunConfig) -> list:
     """`run_experiment`'s checks before its first cell, in its order, writing nothing: the
-    config's, the results header's, then each entry's load and plan against its records."""
+    config's, the lock's (taken shared for a moment, if its file exists), the results
+    header's, then each entry's load and plan against its records."""
     problems = validate_config(cfg)
     if problems:
         return problems
+    out_dir, lock = Path(cfg.output), Path(cfg.output) / LOCK_FILE
     try:
-        done = {tuple(parts[:6]) for parts in _read_records(Path(cfg.output) / RESULTS_FILE)}
-    except IncompleteGridError as exc:
+        if lock.exists():
+            with lock.open() as fh:
+                _lock(fh, out_dir, exclusive=False)
+        done = {tuple(parts[:6]) for parts in _read_records(out_dir / RESULTS_FILE)}
+    except (ConfigError, IncompleteGridError) as exc:
         return [str(exc)]
     return [f"dataset {spec}: {planned}" for spec, planned in _planned_datasets(cfg, done)
             if isinstance(planned, Exception)]

@@ -118,7 +118,7 @@ def build_dsel(train: Dataset, variant: str, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def save_pool(pool: Pool, directory, scaling_ref: str = "") -> None:
+def save_pool(pool: Pool, directory) -> None:
     """Write a manifest plus one JSON node dump per tree."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -128,7 +128,6 @@ def save_pool(pool: Pool, directory, scaling_ref: str = "") -> None:
         "pool_size": len(pool),
         "n_classes": pool.n_classes,
         "arity": pool.classifiers[0].arity,
-        "scaling_params": scaling_ref,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     for i, tree in enumerate(pool.classifiers):

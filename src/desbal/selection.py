@@ -205,13 +205,16 @@ def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionRes
 
     Neighbours whose output profiles resemble the query's (similarity above
     t_s) form a refined region; accuracy over it, divided by the original
-    region size, is the competence. A single classifier wins only when it
-    beats the runner-up by more than t_c, otherwise the whole pool votes.
+    region size K, is the competence. A single classifier wins only when it
+    beats the runner-up by more than t_c, otherwise the whole pool votes. The
+    margin is compared in integers, with t_c read to 9 decimals, so it is
+    exact: a margin of 1/10 with K = 10 does not beat t_c = 0.1.
     """
     sims = query.agrees.sum(axis=0) / query.pool_size  # the bits of a bool mean
-    competence = query.hits[:, sims > t_s].sum(axis=1) / query.hits.shape[1]
-    best = competence.argmax()
-    clear = competence.size == 1 or competence[best] - np.partition(competence, -2)[-2] > t_c
+    hits = query.hits[:, sims > t_s].sum(axis=1)  # competence times K
+    best = hits.argmax()
+    clear = hits.size == 1 or (int(hits[best] - np.partition(hits, -2)[-2]) * 10**9
+                               > round(t_c * 10**9) * query.hits.shape[1])
     return _vote(query, np.array([best] if clear else [], dtype=int))
 
 

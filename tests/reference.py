@@ -24,6 +24,7 @@ runner-up, and `dataclasses.replace` rows and FIRE results.
 
 import logging
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -79,12 +80,11 @@ def mcb_ref(hits, roc, preds_dsel, preds_q, t_s, t_c, n_classes):
         sim = sum(1 for i in range(m) if preds_dsel[i, j] == preds_q[i]) / m
         if sim > t_s:
             filtered.append(j)
-    comps = [
-        sum(1 for j in filtered if hits[i, j]) / len(roc) for i in range(m)
-    ]
+    # exact competences, with t_c read as the decimal it is written as
+    comps = [Fraction(sum(1 for j in filtered if hits[i, j]), len(roc)) for i in range(m)]
     best = comps.index(max(comps))
     others = [c for i, c in enumerate(comps) if i != best]
-    if not others or comps[best] - max(others) > t_c:
+    if not others or comps[best] - max(others) > Fraction(str(t_c)):
         return [best], int(preds_q[best])
     return list(range(m)), vote_ref(preds_q, n_classes)
 
@@ -189,12 +189,14 @@ def fire_ref(base, query):
 
 def mcb_choice_ref(query, t_s, t_c):
     """MCB's lone winner, or None when the whole pool votes: `np.mean`
-    similarities and accuracies, and the runner-up by `np.delete`."""
+    similarities, the runner-up by `np.delete`, and the margin as a
+    `Fraction` against t_c read as the decimal it is written as."""
     sims = query.agrees.mean(axis=0)
-    competence = query.hits[:, sims > t_s].sum(axis=1) / query.hits.shape[1]
-    best = int(np.argmax(competence))
-    others = np.delete(competence, best)
-    if others.size == 0 or competence[best] - others.max() > t_c:
+    hits = query.hits[:, sims > t_s].sum(axis=1)
+    best = int(np.argmax(hits))
+    others = np.delete(hits, best)
+    if others.size == 0 or Fraction(int(hits[best] - others.max()),
+                                    query.hits.shape[1]) > Fraction(str(t_c)):
         return best
     return None
 

@@ -1,5 +1,6 @@
 """Command line verbs and exit codes."""
 
+import fcntl
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from desbal.cli import main
-from desbal.experiment import HEADER_LINE, load_config, validate_config
+from desbal.experiment import (
+    HEADER_LINE, LOCK_FILE, RESULTS_FILE, load_config, validate_config,
+)
 
 CONFIG = """datasets = {path}
 variants = Ba, Ba-SM
@@ -251,6 +254,46 @@ def test_run_refuses_foreign_results_file(workspace, capsys):
     assert main(["run", "--config", str(config)]) == 1
     assert "unexpected results header" in capsys.readouterr().err
     assert (tmp_path / "out" / "results.tsv").read_text() == "id\tscore\n1\t0.5\n"
+
+
+@pytest.mark.parametrize("records_before", [False, True], ids=["fresh", "resumed"])
+def test_an_output_in_use_is_refused_untouched(workspace, capsys, records_before):
+    # another process's run holds the lock as this test's open lock file does
+    tmp_path, config = workspace
+    out = tmp_path / "out"
+    if records_before:
+        assert main(["run", "--config", str(config)]) == 0
+    out.mkdir(exist_ok=True)
+    with (out / LOCK_FILE).open("a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        before = _snapshot(tmp_path)
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: output {out} is in use by another run"] * 2
+        assert _snapshot(tmp_path) == before
+    assert main(["validate", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        f"({40 if records_before else 0} already present)")
+
+
+def test_a_results_header_inside_the_file_is_refused(workspace, capsys):
+    # what two runs appending to one results.tsv left before runs took a lock
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    results = tmp_path / "out" / RESULTS_FILE
+    lines = results.read_text().splitlines(keepends=True)
+    results.write_text("".join(lines[:5] + lines[:1] + lines[5:]))
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config)]) == 1
+    assert main(["run", "--config", str(config)]) == 1
+    assert main(["report", "--input", str(tmp_path / "out"), "--metric", "gmean"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: results header repeated inside {results}"] * 3
+    assert _snapshot(tmp_path) == before
 
 
 def test_report_missing_input(tmp_path, capsys):

@@ -14,7 +14,6 @@ from desbal.data import (
     DataFormatError,
     Dataset,
     ImbalanceProfile,
-    ScalingParams,
     parse_csv,
     parse_keel,
     standardize,
@@ -389,12 +388,6 @@ class TestStandardize:
         assert np.allclose(scaled_other.features, (other.features - 5.0) / 5.0)
         # first pass did standardize train itself
         assert np.allclose(scaled_train.features.mean(axis=0), 0.0)
-
-    def test_params_text_roundtrip(self):
-        params = ScalingParams(mean=np.array([1.5, -2.0]), std=np.array([0.5, 0.0]))
-        back = ScalingParams.from_text(params.to_text())
-        assert np.array_equal(back.mean, params.mean)
-        assert np.array_equal(back.std, params.std)
 
 
 def _toy_dataset(counts, seed=0):

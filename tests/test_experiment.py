@@ -14,6 +14,8 @@ import pytest
 import desbal.experiment as experiment
 from desbal.experiment import (
     HEADER_LINE,
+    LOCK_FILE,
+    MANIFEST_FILE,
     RECORD_COLUMNS,
     RESULTS_FILE,
     ConfigError,
@@ -57,12 +59,13 @@ def csv_dataset(tmp_path):
 # two CSV datasets that 5x2 cross-validation cannot fully score
 ONE_AND_FIVE = "0.1,0.2,a\n0.5,0.1,b\n0.7,0.3,b\n0.2,0.9,b\n0.4,0.4,b\n0.8,0.6,b\n"
 TWO_ONES = "0.1,0.2,a\n0.5,0.1,b\n"
+ONE_AND_TWO = "0.1,0.2,a\n0.9,0.8,b\n0.95,0.7,b\n"
 
 
-def _small_run(csv_path, out_dir, metrics) -> RunConfig:
-    """`csv_path`, then wine: Ba and KNU over pools of 3 trees."""
+def _small_run(csv_path, out_dir, metrics, selectors=("KNU",)) -> RunConfig:
+    """`csv_path`, then wine: Ba and `selectors` over pools of 3 trees."""
     return RunConfig(datasets=(str(csv_path), "builtin:wine"), output=str(out_dir),
-                     variants=("Ba",), selectors=("KNU",), metrics=metrics, pool_size=3)
+                     variants=("Ba",), selectors=selectors, metrics=metrics, pool_size=3)
 
 
 def _config(csv_path, out_dir, **overrides) -> RunConfig:
@@ -251,16 +254,20 @@ class TestRun:
         assert summary.failed_datasets == [str(tmp_path / "missing.csv")]
         assert summary.records_written == 180
 
-    @pytest.mark.parametrize("rows, metrics, reason", [
+    @pytest.mark.parametrize("rows, metrics, selectors, reason", [
         # class a's one row is always in fold A, so every fold B tests class b alone
-        (ONE_AND_FIVE, METRIC_NAMES, "replication 1 fold B: AUC needs 2 test classes"),
+        (ONE_AND_FIVE, METRIC_NAMES, ("KNU",), "replication 1 fold B: AUC needs 2 test classes"),
         # both rows are in fold A, so the fold tested on A trains on nothing
-        (TWO_ONES, ("fmeasure",), "cannot standardize an empty training set"),
-    ], ids=["one-class-test-half", "empty-training-half"])
-    def test_unplannable_dataset_fails_alone(self, tmp_path, caplog, rows, metrics, reason):
+        (TWO_ONES, ("fmeasure",), ("KNU",), "cannot standardize an empty training set"),
+        # fold B holds one row of class b, and META-DES's region of it excludes it
+        (ONE_AND_TWO, ("fmeasure", "gmean"), ("META-DES", "KNU"),
+         "replication 1 fold A: META-DES needs 2 training rows"),
+    ], ids=["one-class-test-half", "empty-training-half", "one-row-training-half"])
+    def test_unplannable_dataset_fails_alone(self, tmp_path, caplog, rows, metrics, selectors,
+                                             reason):
         bad = tmp_path / "bad.csv"
         bad.write_text(rows)
-        cfg = _small_run(bad, tmp_path / "out", metrics)
+        cfg = _small_run(bad, tmp_path / "out", metrics, selectors)
         with caplog.at_level("ERROR", logger="desbal"):
             summary = run_experiment(cfg)
         assert summary.failed_datasets == [str(bad)]
@@ -268,9 +275,17 @@ class TestRun:
             f"dataset {bad} skipped: {reason}"]
         wine = resolve_dataset("builtin:wine", cfg).name
         records = _first_seven(tmp_path / "out" / RESULTS_FILE)[1:]
-        assert summary.records_written == len(records) == 10 * len(metrics)
+        assert summary.records_written == len(records) == 10 * len(metrics) * len(selectors)
         assert {r[0] for r in records} == {wine}
-        assert list((tmp_path / "out").glob("scaling_bad_*")) == []
+        # the run's whole output: no per-fold file, for the skipped dataset or any other
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            MANIFEST_FILE, RESULTS_FILE, LOCK_FILE]
+
+    def test_one_row_training_half_runs_without_metades(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(ONE_AND_TWO)
+        summary = run_experiment(_small_run(bad, tmp_path / "out", ("fmeasure", "gmean")))
+        assert summary.failed_datasets == [] and summary.records_written == 2 * 10 * 2
 
     def test_one_class_test_half_runs_without_auc(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -338,7 +353,7 @@ class TestRun:
         done = {tuple(r.split("\t")[:6]) for r in kept}
         planned = [
             (rep, fold, cells)
-            for rep, fold, _train, _test, _params, cells
+            for rep, fold, _train, _test, cells
             in _plan(cfg, resolve_dataset(str(csv_dataset), cfg), done)
         ]
         assert planned == [(2, "A", [("Ba-SM", ["STATIC", "KNU", "RANK"])])]
@@ -362,24 +377,6 @@ class TestRun:
         for metric in ("auc", "fmeasure", "gmean"):
             make_report(tmp_path / "crash", metric)
         assert not list((tmp_path / "crash").glob("*.tmp"))
-
-    def test_interrupted_scaling_write_rewritten(self, csv_dataset, tmp_path,
-                                                 monkeypatch):
-        clean = _config(csv_dataset, tmp_path / "clean")
-        run_experiment(clean)
-        cfg = _config(csv_dataset, tmp_path / "torn")
-        _crash_writes(monkeypatch, "mean=", 5)
-        with pytest.raises(OSError, match="crash"):
-            run_experiment(cfg)
-        monkeypatch.undo()
-        run_experiment(cfg)
-        scaling = sorted(p.name for p in (tmp_path / "clean").glob("scaling_*"))
-        assert len(scaling) == 10
-        assert sorted(p.name for p in (tmp_path / "torn").glob("scaling_*")) == scaling
-        for name in scaling:
-            assert (tmp_path / "torn" / name).read_text() == (
-                tmp_path / "clean" / name
-            ).read_text()
 
     def test_foreign_results_header_refused(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "foreign")
@@ -408,6 +405,7 @@ class TestRun:
         ("", True), ("d", True), ("dataset\tvar", True), (HEADER_LINE[:-1], True),
         (HEADER_LINE, True), ("dataset\tvar\n", False), ("id\tscore", False),
         ("id\tscore\n", False), (HEADER_LINE[:-1] + "\textra\n", False),
+        (HEADER_LINE[:-1] + "\r\n", False),  # the runner writes no carriage return
     ])
     def test_reading_and_resuming_accept_the_same_first_lines(self, tmp_path, first, accepted):
         # an unterminated prefix of the header is a header torn by a cut
@@ -418,7 +416,7 @@ class TestRun:
                 step(path)
             except IncompleteGridError:
                 assert not accepted, step.__name__
-                assert path.read_text() == first
+                assert path.read_bytes() == first.encode()
             else:
                 assert accepted, step.__name__
 
@@ -533,6 +531,26 @@ class TestParallelCells:
                 if message.startswith("cell in ")]
         assert len(pids) == 20
         assert os.getpid() in pids and len(set(pids)) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files by /proc")
+    def test_workers_hold_no_descriptor_of_the_lock(self, tmp_path, monkeypatch):
+        """A forked worker shares the run's lock until it closes its copy of the
+        descriptor; closed, a worker outliving a killed run leaves the output free."""
+        evaluate_cell, lock = experiment.evaluate_cell, os.path.realpath(tmp_path / "out")
+
+        def logs_lock_descriptors(*cell):
+            fds = [fd for fd in os.listdir("/proc/self/fd")
+                   if os.path.realpath(f"/proc/self/fd/{fd}") == f"{lock}/{LOCK_FILE}"]
+            logging.getLogger("desbal.experiment").info("cell in %d %d", os.getpid(), len(fds))
+            return evaluate_cell(*cell)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiment, "evaluate_cell", logs_lock_descriptors)
+        log = _held_log(lambda: run_experiment(_glass_cells(tmp_path / "out")))
+        held = {tuple(map(int, message.split()[-2:])) for _, _, message in log
+                if message.startswith("cell in ")}
+        assert {n for pid, n in held if pid == os.getpid()} == {1}
+        assert {n for pid, n in held if pid != os.getpid()} == {0}  # the worker ran cells
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_raising_cell_leaves_a_prefix_that_resume_completes(self, parallel_run, tmp_path,

@@ -306,7 +306,7 @@ def _replication_one(spec):
     """(dataset, [(fold, train, test, cells)]) of replication 1."""
     dataset = resolve_dataset(spec, CFG)
     folds = [(fold, train, test, cells)
-             for rep, fold, train, test, _, cells in _plan(CFG, dataset, set()) if rep == 0]
+             for rep, fold, train, test, cells in _plan(CFG, dataset, set()) if rep == 0]
     return dataset, folds
 
 

@@ -161,7 +161,7 @@ class TestPersistence:
     def test_roundtrip(self, tmp_path):
         train = _train()
         pool = generate_pool(train, "Ba-SM", pool_size=4, seed=5)
-        save_pool(pool, tmp_path / "pool", scaling_ref="scaling.txt")
+        save_pool(pool, tmp_path / "pool")
         loaded = load_pool(tmp_path / "pool")
         assert loaded.variant == pool.variant
         assert loaded.generation_seed == pool.generation_seed
@@ -172,8 +172,8 @@ class TestPersistence:
 
     def test_save_load_save_writes_the_same_bytes(self, tmp_path):
         pool = generate_pool(_train(), "Ba-RM", pool_size=3, seed=2)
-        save_pool(pool, tmp_path / "a", scaling_ref="scaling.txt")
-        save_pool(load_pool(tmp_path / "a"), tmp_path / "b", scaling_ref="scaling.txt")
+        save_pool(pool, tmp_path / "a")
+        save_pool(load_pool(tmp_path / "a"), tmp_path / "b")
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
         assert names == ["manifest.json", "tree_000.json", "tree_001.json", "tree_002.json"]
         assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
@@ -181,8 +181,18 @@ class TestPersistence:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert list(manifest) == ["variant", "generation_seed", "pool_size", "n_classes",
-                                  "arity", "scaling_params"]
+                                  "arity"]
         assert manifest["arity"] == 3
+
+    def test_a_manifest_with_the_old_scaling_key_loads(self, tmp_path):
+        # pools saved before the key was dropped name a scaling file in it
+        pool = generate_pool(_train(), "Ba", pool_size=2, seed=4)
+        save_pool(pool, tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "scaling_params": "scaling.txt"}, indent=2))
+        probe = np.random.default_rng(2).normal(size=(10, 3))
+        assert np.array_equal(load_pool(tmp_path).predict_all(probe), pool.predict_all(probe))
 
     def test_a_tampered_tree_is_refused(self, tmp_path):
         pool = generate_pool(_train(), "Ba", pool_size=2, seed=4)

@@ -225,6 +225,24 @@ class TestMcb:
         _assert_static(select_mcb(query, t_s=0.5, t_c=0.1), query)
         _assert_static(select_fire(select_mcb, query), query)  # one class: FIRE keeps all
 
+    @pytest.mark.parametrize("best, runner_up", [
+        (8, 7), (4, 3), (3, 2), (9, 8), (6, 5), (5, 3), (10, 8), (2, 1), (7, 4),
+    ])
+    def test_margin_decided_exactly_with_ten_neighbours(self, best, runner_up):
+        # K = 10: a margin of exactly 1/10 is not more than t_c = 0.1, so the
+        # whole pool votes; float subtraction put 8/10 - 7/10 above 0.1
+        # and 2/10 - 1/10 below it
+        hits = np.zeros((3, 10), dtype=bool)
+        hits[0, :best] = hits[1, :runner_up] = True  # classifier 2 hits nothing
+        labels = np.arange(10) % 2  # DFP keeps a classifier with hits in both classes
+        query = _query(hits, np.zeros((3, 10), dtype=int), labels, 2, [0, 0, 0])
+        lone = best - runner_up > 1
+        assert select_mcb(query).selected.tolist() == ([0] if lone else [0, 1, 2])
+        assert (ref.mcb_choice_ref(query, 0.7, 0.1) == 0) == lone
+        survivors = [0, 1] if runner_up >= 2 else [0]
+        fire = select_fire(select_mcb, query).selected.tolist()
+        assert fire == ([0] if lone else survivors)
+
 
 class TestKne:
     def test_single_local_oracle(self):
