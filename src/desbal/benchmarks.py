@@ -1,13 +1,12 @@
 """Desk-scale benchmark catalogue.
 
 Four small multi-class imbalanced classics (wine, glass, new-thyroid, ecoli)
-drive the bundled demos and the reproduction experiment. Resolution order per
-name: a user-supplied Keel `.dat` file, a bundled real copy (wine ships with
-scikit-learn), then a deterministic synthetic stand-in with the published
-sample count, attribute count, and per-class counts.
+drive the bundled demos and the reproduction experiment. Each name is either
+a Keel `.dat` file in a given data directory or a deterministic synthetic
+stand-in with the published sample count, attribute count, and per-class
+counts.
 """
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from .data import Dataset, parse_keel
 from .rng import make_rng
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -32,20 +29,6 @@ CATALOG = {
     "new-thyroid": BenchmarkSpec(5, (150, 35, 30), 2.4),
     "ecoli": BenchmarkSpec(7, (143, 77, 52, 35, 20, 5, 2, 2), 2.2),
 }
-
-
-def _load_wine_real() -> Dataset | None:
-    try:
-        from sklearn.datasets import load_wine
-    except ImportError:
-        return None
-    raw = load_wine()
-    return Dataset(
-        name="wine",
-        features=raw.data,
-        labels=raw.target,
-        class_names=tuple(str(c) for c in raw.target_names),
-    )
 
 
 def synthetic_like(name: str) -> Dataset:
@@ -76,17 +59,11 @@ def synthetic_like(name: str) -> Dataset:
 
 
 def load_benchmark(name: str, data_dir=None) -> Dataset:
-    """Resolve a catalogue name to real data when possible, else synthetic."""
+    """The Keel file `<data_dir>/<name>.dat` when `data_dir` is given (a
+    missing file raises), else the synthetic stand-in."""
     key = name.strip().lower()
     if key not in CATALOG:
         raise ValueError(f"unknown benchmark {name!r}; choose from {tuple(CATALOG)}")
-    if data_dir is not None:
-        candidate = Path(data_dir) / f"{key}.dat"
-        if candidate.exists():
-            return parse_keel(candidate.read_text(), name=key)
-    if key == "wine":
-        real = _load_wine_real()
-        if real is not None:
-            return real
-    logger.info("benchmark %s: no real data found, using the synthetic stand-in", key)
-    return synthetic_like(key)
+    if data_dir is None:
+        return synthetic_like(key)
+    return parse_keel((Path(data_dir) / f"{key}.dat").read_text(), name=key)

@@ -64,8 +64,15 @@ class Dataset:
         return self
 
     def subset(self, indices) -> "Dataset":
-        """Row subset sharing the class id space (classes may go missing)."""
-        idx = np.asarray(indices, dtype=int)
+        """Row subset sharing the class id space (classes may go missing).
+        `indices` are row numbers, or a boolean mask over all rows."""
+        idx = np.asarray(indices)
+        if idx.dtype == bool:
+            if idx.shape != (self.n_samples,):
+                raise ValueError(f"a boolean row mask needs shape ({self.n_samples},), "
+                                 f"not {idx.shape}")
+            idx = np.flatnonzero(idx)
+        idx = idx.astype(int, copy=False)
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 

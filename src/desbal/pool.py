@@ -135,12 +135,19 @@ def save_pool(pool: Pool, directory) -> None:
 
 
 def load_pool(directory) -> Pool:
+    """Read a pool `save_pool` wrote. A ValueError names the first tree file
+    whose `n_classes` or `arity` differs from the manifest's."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     trees = []
     for i in range(manifest["pool_size"]):
-        payload = json.loads((directory / f"tree_{i:03d}.json").read_text())
-        trees.append(DecisionTree.from_dict(payload))
+        path = directory / f"tree_{i:03d}.json"
+        tree = DecisionTree.from_dict(json.loads(path.read_text()))
+        for field in ("n_classes", "arity"):
+            if getattr(tree, field) != manifest[field]:
+                raise ValueError(f"{path}: {field} is {getattr(tree, field)}, "
+                                 f"the manifest's is {manifest[field]}")
+        trees.append(tree)
     return Pool(
         classifiers=tuple(trees),
         variant=manifest["variant"],

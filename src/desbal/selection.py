@@ -353,7 +353,8 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
     neighbours. Layout per classifier: hit/miss on each region neighbour,
     support assigned to each neighbour's true class, local accuracy, hit/miss
     on the kp DSEL samples with the most similar output profiles, and the
-    maximum support for the point itself. `kp` is at most the DSEL size.
+    point's support at the classifier's own label (its largest). `kp` is at
+    most the DSEL size.
     """
     hits_roc = ctx.hits[:, indices].transpose(1, 0, 2).astype(float)
     true_support = ctx.supports[:, indices, ctx.dsel.labels[indices]].transpose(1, 0, 2)
@@ -365,9 +366,10 @@ def _meta_features_all(ctx, indices, predictions, supports, kp: int,
         disagree[np.arange(len(exclude)), exclude] = M + 1
     profile_idx = _nearest(disagree, kp)
     hits_profiles = ctx.hits[:, profile_idx].transpose(1, 0, 2).astype(float)
-    max_support = supports.max(axis=2, keepdims=True)
+    # a plain gather: `take_along_axis` and `max` both cost more per decision
+    own_support = supports[np.arange(len(predictions))[:, None], np.arange(M), predictions, None]
     return np.concatenate(
-        [hits_roc, true_support, accuracy, hits_profiles, max_support], axis=2
+        [hits_roc, true_support, accuracy, hits_profiles, own_support], axis=2
     )
 
 

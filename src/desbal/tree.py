@@ -24,6 +24,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.min_impurity_decrease < 0:
             raise ValueError("min_impurity_decrease must be >= 0")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0 or None")
 
 
 class DecisionTree:

@@ -1,5 +1,8 @@
 """Benchmark catalogue resolution and synthetic stand-in shapes."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -33,12 +36,25 @@ def test_synthetic_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_wine_prefers_real_data():
-    pytest.importorskip("sklearn")
+def test_wine_ignores_installed_packages(monkeypatch):
+    # the config alone picks the source: an importable dataset package
+    # (here a stub scikit-learn with 4 rows of wine) changes nothing
+    stub = types.ModuleType("sklearn.datasets")
+    stub.load_wine = lambda: types.SimpleNamespace(
+        data=np.zeros((4, 13)), target=np.array([0, 1, 2, 0]),
+        target_names=np.array(["a", "b", "c"]))
+    monkeypatch.setitem(sys.modules, "sklearn", types.ModuleType("sklearn"))
+    monkeypatch.setitem(sys.modules, "sklearn.datasets", stub)
     ds = load_benchmark("wine")
-    assert ds.name == "wine"
-    assert ds.n_samples == 178
-    assert np.bincount(ds.labels).tolist() == [59, 71, 48]
+    assert ds.name == "wine-synthetic"
+    assert ds.features.tobytes() == synthetic_like("wine").features.tobytes()
+
+
+def test_missing_keel_file_raises(tmp_path):
+    # with a data directory, a missing file is an error naming its path,
+    # never a silent switch to the stand-in
+    with pytest.raises(FileNotFoundError, match="glass.dat"):
+        load_benchmark("glass", data_dir=tmp_path)
 
 
 def test_keel_file_preferred(tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from desbal.benchmarks import synthetic_like
 from desbal.cli import main
 from desbal.experiment import (
     HEADER_LINE, LOCK_FILE, RESULTS_FILE, load_config, validate_config,
@@ -233,6 +234,28 @@ def test_run_unplannable_dataset_exit_code(tmp_path, capsys, rows, metrics):
     assert main(["run", "--config", str(config)]) == 2
     out, err = capsys.readouterr()
     assert out.startswith("wrote 10 record(s)") and f"failed datasets: {bad}" in err
+
+
+def test_a_missing_data_dir_file_fails_that_dataset_alone(tmp_path, capsys):
+    # data_dir holds wine.dat only: glass fails, and never runs its stand-in
+    wine = synthetic_like("wine")
+    (tmp_path / "keel").mkdir()
+    (tmp_path / "keel" / "wine.dat").write_text("\n".join(
+        ["@relation wine", *(f"@attribute a{j} real" for j in range(wine.n_features)),
+         "@attribute class {c0, c1, c2}", "@data",
+         *(",".join(map(repr, row.tolist())) + f",c{label}"
+           for row, label in zip(wine.features, wine.labels))]) + "\n")
+    config = tmp_path / "run.conf"
+    config.write_text(f"datasets = builtin:wine, builtin:glass\nvariants = Ba\n"
+                      f"selectors = KNU\nmetrics = gmean\npool_size = 3\n"
+                      f"data_dir = {tmp_path / 'keel'}\noutput = {tmp_path / 'out'}\n")
+    missing = str(tmp_path / "keel" / "glass.dat")
+    assert main(["validate", "--config", str(config)]) == 1
+    assert missing in capsys.readouterr().err
+    assert main(["run", "--config", str(config)]) == 2
+    assert "failed datasets: builtin:glass" in capsys.readouterr().err
+    records = (tmp_path / "out" / RESULTS_FILE).read_text().splitlines()[1:]
+    assert len(records) == 10 and {r.split("\t")[0] for r in records} == {"wine"}
 
 
 def test_run_dataset_name_taken_exit_code(workspace, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from desbal.benchmarks import synthetic_like
 from desbal.data import (
     DataFormatError,
     Dataset,
@@ -37,14 +38,13 @@ KEEL_MIXED = """@relation toy
 
 
 def _wine_keel_text():
-    sklearn = pytest.importorskip("sklearn.datasets")
-    raw = sklearn.load_wine()
+    raw = synthetic_like("wine")
     lines = ["@relation wine"]
-    for j in range(raw.data.shape[1]):
+    for j in range(raw.n_features):
         lines.append(f"@attribute a{j} real")
     lines.append("@attribute class {0, 1, 2}")
     lines.append("@data")
-    for row, label in zip(raw.data, raw.target):
+    for row, label in zip(raw.features, raw.labels):
         lines.append(",".join(repr(float(v)) for v in row) + f",{label}")
     return "\n".join(lines)
 
@@ -468,3 +468,24 @@ class TestImbalanceProfile:
         profile = ImbalanceProfile.from_dataset(ds)
         assert profile.class_counts == (8, 2)
         assert profile.imbalance_ratio == pytest.approx(4.0)
+
+
+class TestSubset:
+    def _four_rows(self):
+        return Dataset("four", np.arange(4.0)[:, None], np.array([0, 1, 0, 1]), ("a", "b"))
+
+    def test_boolean_mask_selects_its_true_rows(self):
+        ds = self._four_rows()
+        sub = ds.subset([True, False, True, False])
+        assert sub.features[:, 0].tolist() == [0.0, 2.0]
+        assert sub.labels.tolist() == [0, 0]
+        assert ds.subset(np.zeros(4, dtype=bool)).n_samples == 0
+
+    def test_boolean_mask_of_the_wrong_length_raises(self):
+        with pytest.raises(ValueError, match=r"boolean row mask needs shape \(4,\)"):
+            self._four_rows().subset([True, False, True])
+
+    def test_row_numbers_and_empty_list(self):
+        ds = self._four_rows()
+        assert ds.subset([3, 1, 1]).features[:, 0].tolist() == [3.0, 1.0, 1.0]
+        assert ds.subset([]).n_samples == 0

@@ -204,3 +204,16 @@ class TestPersistence:
         path.write_text(json.dumps(saved))
         with pytest.raises(ValueError, match="not greater than its parent's"):
             load_pool(tmp_path)
+
+    @pytest.mark.parametrize("field", ["n_classes", "arity"])
+    def test_a_tree_that_disagrees_with_the_manifest_is_refused(self, tmp_path, field):
+        pool = generate_pool(_train(), "Ba", pool_size=2, seed=4)
+        save_pool(pool, tmp_path)
+        path = tmp_path / "tree_001.json"
+        saved = json.loads(path.read_text())
+        saved[field] += 1  # still a walkable tree on its own
+        if field == "n_classes":
+            saved["counts"] = [row + [0.0] for row in saved["counts"]]
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=f"tree_001.json: {field} is"):
+            load_pool(tmp_path)

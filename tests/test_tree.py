@@ -75,6 +75,12 @@ class TestFit:
         tree = fit_tree(X, y, TreeConfig(min_impurity_decrease=0.0, max_depth=1))
         assert tree.n_nodes <= 3
 
+    def test_max_depth_zero_is_a_leaf_and_negative_is_refused(self):
+        X, y = np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1])
+        assert fit_tree(X, y, TreeConfig(max_depth=0)).n_nodes == 1
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            TreeConfig(max_depth=-1)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_tree(np.empty((0, 2)), [], n_classes=2)
