@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import load_benchmark
+from .cpus import usable_cpus
 from .data import (
     FOLDS, REPLICATIONS, Dataset, parse_csv, parse_keel, standardize, stratified_5x2,
 )
@@ -283,18 +284,19 @@ def _planned_datasets(cfg: RunConfig, done: set):
 
 
 def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
-                  rep: int, fold: str, selectors) -> list:
+                  rep: int, fold: str, selectors, threads: int | None = None) -> list:
     """Score `selectors` on one (dataset, replication, fold, variant) cell.
 
     Grows the pool and the DSEL from the standardized training half, trains
     META-DES only when it is asked for, and runs each selector over the test
-    half. The cell's randomness comes only from its derived seed. Returns
+    half, drawing the DES-RRC table on `threads` (see `SelectionContext`).
+    The cell's randomness comes only from its derived seed. Returns
     (selector, {metric: value}, wall_time_s) per selector; wall_time_s is
     that selector's selection plus scoring.
     """
     fold_seed = derive_seed(cfg.seed, train.name, variant, rep, fold)
     pool = generate_pool(train, variant, cfg.pool_size, TreeConfig(), fold_seed)
-    ctx = SelectionContext(pool, build_dsel(train, variant, fold_seed))
+    ctx = SelectionContext(pool, build_dsel(train, variant, fold_seed), threads)
     scfg = SelectorConfig(k=cfg.k, seed=derive_seed(fold_seed, "selector"))
     if "META-DES" in selectors:
         ctx.meta = train_meta_classifier(ctx, train, k=scfg.k, kp=scfg.meta_kp)
@@ -363,12 +365,11 @@ def _shared_outcomes(executor, cells):
 
 
 def _worker_count(cells: int) -> int:
-    """Processes to run `cells` cells on, this one included: one per CPU of
-    this process's affinity mask, at most one per cell. Where `fork` or the
-    affinity mask is unavailable, this process counts as the one CPU."""
+    """Processes to run `cells` cells on, this one included: one per usable
+    CPU, at most one per cell. Where `fork` is unavailable, this process
+    counts as the one CPU."""
     fork = "fork" in multiprocessing.get_all_start_methods()
-    cpus = len(os.sched_getaffinity(0)) if fork and hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, cells)
+    return min(usable_cpus() if fork else 1, cells)
 
 
 def run_experiment(cfg: RunConfig) -> RunSummary:
@@ -419,6 +420,8 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
                          for rep, fold, train, test, fold_cells in plan
                          for variant, selectors in fold_cells]
                 workers = _worker_count(len(cells))
+                threads = usable_cpus() // max(workers, 1)  # each process's share, for its tables
+                cells = [cell + (threads,) for cell in cells]
                 logger.info("dataset %s: %d cells left, run in this process%s",
                             dataset.name, len(cells),
                             f" and {workers - 1} forked worker(s)" if workers > 1 else "")

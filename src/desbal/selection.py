@@ -11,12 +11,14 @@ lowest DSEL index.
 """
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .cpus import usable_cpus
 from .data import Dataset, _catalogue_lookup, _nearest, _neighbors
 from .pool import Pool
 from .rng import make_rng
@@ -78,11 +80,13 @@ class Query:
 
 
 class SelectionContext:
-    """Pool behaviour over a DSEL, precomputed once and queried per point."""
+    """Pool behaviour over a DSEL, precomputed once and queried per point.
+    `threads` draw the DES-RRC table: by default one per usable CPU."""
 
-    def __init__(self, pool: Pool, dsel: Dataset):
+    def __init__(self, pool: Pool, dsel: Dataset, threads: int | None = None):
         self.pool = pool
         self.dsel = dsel
+        self.threads = threads
         self.n_classes = pool.n_classes
         self.supports = pool.support_all(dsel.features)  # (M, n, L)
         ids = np.min_scalar_type(self.n_classes - 1)  # the smallest unsigned dtype holding L - 1
@@ -125,8 +129,8 @@ class SelectionContext:
         context, and a table per seed would grow with every new seed.
         """
         if self._rrc[0] != seed:
-            self._rrc = seed, _rrc_csrc_matrix(self.supports, self.dsel.labels,
-                                               self.n_classes, RRC_DRAWS, seed)
+            self._rrc = seed, _rrc_csrc_matrix(self.supports, self.dsel.labels, self.n_classes,
+                                               RRC_DRAWS, seed, self.threads or usable_cpus())
         return self._rrc[1]
 
 
@@ -281,7 +285,7 @@ RRC_REGION_FACTOR = 30
 RRC_DRAWS = 1000  # Monte-Carlo draws per distinct support
 
 
-def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
+def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed, threads):
     """Centred RRC win probabilities per (classifier, DSEL sample).
 
     The reference model of a support is a Dirichlet draw with concentration
@@ -290,7 +294,9 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
     a generator seeded by its content, independent of sample order. The
     rounded rows are deduplicated by one lexicographic sort, and only the
     true-class column of each win row is read, so the table's cost is its
-    gamma draws.
+    gamma draws. This thread and up to `threads - 1` more draw them in
+    strided shares, each into its own rows of `win`, so the bytes are the
+    same at any thread count.
     """
     M, n, L = supports.shape
     flat = np.round(supports.reshape(-1, L), 12)
@@ -302,10 +308,18 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed):
     inverse[order] = np.cumsum(first) - 1
     unique = ordered[first]
     win = np.empty((unique.shape[0], L))
-    for u, support in enumerate(unique):
-        rng = make_rng(seed, "rrc", support.tobytes().hex())
-        gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
-        win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
+
+    def draw(share):  # make_rng and numpy only; the gamma draws release the GIL
+        for u, support in zip(share, unique[share]):
+            rng = make_rng(seed, "rrc", support.tobytes().hex())
+            gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
+            win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
+
+    width = min(threads, max(len(unique), 1))
+    with ThreadPoolExecutor(width) as executor:  # starts one thread per submitted share
+        others = executor.map(draw, [range(i, len(unique), width) for i in range(1, width)])
+        draw(range(0, len(unique), width))
+        list(others)  # raises what a share raised; leaving the block joins every thread
     return win[inverse.reshape(M, n), labels] - 1.0 / n_classes
 
 

@@ -483,7 +483,7 @@ def _held_log(run):
 def _glass_cells(out_dir) -> RunConfig:
     return RunConfig(
         datasets=("builtin:glass",), output=str(out_dir), variants=("Ba", "Ba-SM"),
-        selectors=("STATIC", "KNU", "META-DES"), pool_size=5,
+        selectors=("STATIC", "KNU", "META-DES", "DES-RRC"), pool_size=5,
     )
 
 
@@ -558,11 +558,11 @@ class TestParallelCells:
         cfg = _glass_cells(tmp_path / "crash")
         evaluate_cell = experiment.evaluate_cell
 
-        def third_cell_raises(cfg, train, test, variant, rep, fold, selectors):
-            if (variant, rep, fold) == ("Ba", 0, "A"):  # plan order: rep 1 B Ba, B Ba-SM, A Ba
+        def third_cell_raises(*cell):
+            if cell[3:6] == ("Ba", 0, "A"):  # plan order: rep 1 B Ba, B Ba-SM, A Ba
                 logging.getLogger("desbal.pool").warning("third cell warns")
                 raise RuntimeError("third cell failed")
-            return evaluate_cell(cfg, train, test, variant, rep, fold, selectors)
+            return evaluate_cell(*cell)
 
         def crash():
             with pytest.raises(RuntimeError, match="third cell failed"):
@@ -578,11 +578,37 @@ class TestParallelCells:
         ]
         clean = _first_seven(Path(parallel_run[0].output) / RESULTS_FILE)
         cut = _first_seven(Path(cfg.output) / RESULTS_FILE)
-        assert cut == clean[:1 + 2 * 3 * 3]  # two cells of 3 selectors x 3 metrics
+        assert cut == clean[:1 + 2 * 4 * 3]  # two cells of 4 selectors x 3 metrics
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(experiment, "evaluate_cell", evaluate_cell)
         run_experiment(cfg)
         assert _first_seven(Path(cfg.output) / RESULTS_FILE) == clean
+
+    def test_tables_share_the_cpus_among_the_processes(self, parallel_run, tmp_path,
+                                                          monkeypatch):
+        """Each process running cells draws its DES-RRC tables on an equal share
+        of the usable CPUs: one thread beside a worker on two CPUs, two in each
+        of two processes on four, and every CPU in a process alone."""
+        evaluate_cell = experiment.evaluate_cell
+
+        def logs_its_threads(*cell):
+            logging.getLogger("desbal.experiment").info("cell on %d thread(s)", cell[-1])
+            return evaluate_cell(*cell)
+
+        def run(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return [message for _, _, message in _held_log(lambda: run_experiment(cfg))
+                    if message.startswith("cell on ")]
+
+        monkeypatch.setattr(experiment, "evaluate_cell", logs_its_threads)  # forks inherit it
+        cfg = _glass_cells(tmp_path / "out")
+        path = Path(cfg.output) / RESULTS_FILE
+        assert run(2) == ["cell on 1 thread(s)"] * 20
+        clean = _first_seven(Path(parallel_run[0].output) / RESULTS_FILE)
+        for cpus, cells, threads in [(4, 2, 2), (2, 1, 2)]:  # the last cells left
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-12 * cells]))
+            assert run(cpus) == [f"cell on {threads} thread(s)"] * cells
+            assert _first_seven(path) == clean
 
     def test_worker_cell_error_keeps_its_traceback(self, tmp_path, monkeypatch):
         evaluate_cell, parent = experiment.evaluate_cell, os.getpid()
@@ -657,8 +683,8 @@ class TestParallelCells:
         assert run_experiment(cfg).records_written == 0  # as report-grid resumes
         path = out / RESULTS_FILE
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-9]))  # the last cell: 3 selectors x 3 metrics
-        assert run_experiment(cfg).records_written == 9
+        path.write_text("".join(lines[:-12]))  # the last cell: 4 selectors x 3 metrics
+        assert run_experiment(cfg).records_written == 12
         assert _first_seven(path) == _first_seven(Path(parallel_run[0].output) / RESULTS_FILE)
 
 

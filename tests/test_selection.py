@@ -1,5 +1,8 @@
 """Selection schemes: rule-level contracts, properties, and oracle checks."""
 
+import os
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -459,16 +462,37 @@ def _fold_ctx(name, variant):
     return SelectionContext(pool, build_dsel(train, variant, 3))
 
 
+@pytest.fixture(scope="module")
+def glass_ba():
+    """The pool and DSEL of `_fold_ctx("glass", "Ba")`, for fresh contexts."""
+    ctx = _fold_ctx("glass", "Ba")
+    return ctx.pool, ctx.dsel
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 def _assert_table_matches_oracle(ctx):
-    got = selection_module._rrc_csrc_matrix(ctx.supports, ctx.dsel.labels, ctx.n_classes, 64, 5)
+    """The table's bytes equal the serial oracle's on 1, 2, 3 and 8 threads,
+    switched as often as the interpreter can."""
     want = ref.rrc_csrc_ref(ctx.supports, ctx.dsel.labels, ctx.n_classes, 64, 5)
-    assert got.shape == (ctx.pool_size, ctx.dsel.n_samples)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3, 8):
+            got = selection_module._rrc_csrc_matrix(ctx.supports, ctx.dsel.labels,
+                                                    ctx.n_classes, 64, 5, threads)
+            assert got.shape == (ctx.pool_size, ctx.dsel.n_samples)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), threads
+    finally:
+        sys.setswitchinterval(switch)
     return got
 
 
 class TestRrcTable:
-    """The DES-RRC table against `np.unique` plus the whole (M, n, L) gather."""
+    """The DES-RRC table against `np.unique` plus the whole (M, n, L) gather,
+    drawn serially, on any number of threads."""
 
     def test_glass_ba_rm_pool_100(self):
         ctx = _fold_ctx("glass", "Ba-RM")
@@ -483,7 +507,7 @@ class TestRrcTable:
         _assert_table_matches_oracle(ctx)
 
     def test_supports_equal_to_12_decimals_share_one_draw(self):
-        n_classes = 3
+        n_classes = 3  # 3 distinct supports, fewer than the most threads
         base = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
         nudge = np.array([1e-14, -3e-14, 4e-14])
         features = np.arange(12.0)[:, None]
@@ -503,6 +527,57 @@ class TestRrcTable:
         table = _assert_table_matches_oracle(ctx)
         assert table[0].tobytes() == table[1].tobytes()
 
+    @staticmethod
+    def _drawing_threads(monkeypatch):
+        """The thread of every `make_rng` call the table makes."""
+        idents, make_rng = [], selection_module.make_rng
+
+        def recorded(*parts):
+            idents.append(threading.get_ident())
+            return make_rng(*parts)
+
+        monkeypatch.setattr(selection_module, "make_rng", recorded)
+        return idents
+
+    @pytest.mark.parametrize("cpus, threads, width", [
+        (1, None, 1), (2, None, 2), (3, None, 3), (8, None, 8), (8, 1, 1), (1, 2, 2),
+    ])
+    def test_threads_end_with_the_build(self, glass_ba, monkeypatch, cpus, threads, width):
+        """A context draws on one thread per usable CPU unless given `threads`."""
+        _usable_cpus(monkeypatch, cpus)
+        ctx = SelectionContext(*glass_ba, threads)
+        idents = self._drawing_threads(monkeypatch)
+        before = threading.active_count()
+        ctx.rrc_csrc(seed=1)
+        assert threading.active_count() == before
+        # this thread draws the first share and a thread of the build each other
+        # share (an idle one may take a second), so on one thread only this one
+        assert threading.get_ident() in idents
+        assert min(width, 2) <= len(set(idents)) <= width
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("nth", [1, 2, 9])
+    def test_a_raising_draw_raises_and_leaves_no_thread(self, glass_ba, monkeypatch, cpus,
+                                                         nth):
+        ctx = SelectionContext(*glass_ba)
+        calls, make_rng = [], selection_module.make_rng
+
+        def fails_once(*parts):
+            calls.append(parts)
+            if len(calls) == nth:
+                raise RuntimeError("a draw failed")
+            return make_rng(*parts)
+
+        monkeypatch.setattr(selection_module, "make_rng", fails_once)
+        _usable_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="a draw failed"):
+            ctx.rrc_csrc(seed=1)
+        assert threading.active_count() == before
+        monkeypatch.setattr(selection_module, "make_rng", make_rng)
+        assert ctx.rrc_csrc(seed=1).tobytes() == ref.rrc_csrc_ref(
+            ctx.supports, ctx.dsel.labels, ctx.n_classes, RRC_DRAWS, 1).tobytes()
+
 
 class TestRrcCache:
     @staticmethod
@@ -511,7 +586,7 @@ class TestRrcCache:
         build = selection_module._rrc_csrc_matrix
 
         def counted(*args):
-            builds.append(args[-2:])  # (draws, seed)
+            builds.append(args[3:5])  # (draws, seed)
             return build(*args)
 
         monkeypatch.setattr(selection_module, "_rrc_csrc_matrix", counted)
