@@ -25,7 +25,7 @@ def _cmd_validate(args) -> int:
     """`run`'s checks before its first cell, in its order, writing nothing."""
     try:
         problems = preflight(load_config(args.config))
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     if problems:
@@ -38,7 +38,7 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     try:
         summary = run_experiment(load_config(args.config))
-    except (ConfigError, IncompleteGridError, OSError) as exc:
+    except (ConfigError, IncompleteGridError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(
@@ -60,7 +60,7 @@ def _cmd_report(args) -> int:
         return 1
     print(text, end="")
     out = Path(args.input) / f"report_{metric}.txt"
-    out.write_text(text)
+    out.write_text(text, encoding="utf-8")
     print(f"(written to {out})")
     return 0
 

@@ -132,7 +132,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 def validate_config(cfg: RunConfig) -> list:
@@ -159,7 +159,7 @@ def validate_config(cfg: RunConfig) -> list:
         problems.append("output is empty; name the directory to write into")
     elif any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         problems.append(f"output {out_dir} is not a directory")
-    elif (manifest.exists() and manifest.read_text().partition("\n")[0]
+    elif (manifest.exists() and manifest.read_text(encoding="utf-8").partition("\n")[0]
           != f"config_hash = {config_hash(cfg)}"):
         problems.append(f"output directory {out_dir} belongs to a different configuration")
     if cfg.pool_size < 1:
@@ -179,8 +179,8 @@ def resolve_dataset(spec: str, cfg: RunConfig) -> Dataset:
         return load_benchmark(spec.split(":", 1)[1], data_dir=cfg.data_dir or None)
     path = Path(spec)
     if path.suffix.lower() == ".csv":
-        return parse_csv(path.read_text(), cfg.csv_label_column, name=path.stem)
-    return parse_keel(path.read_text(), name=path.stem)
+        return parse_csv(path.read_text(encoding="utf-8"), cfg.csv_label_column, name=path.stem)
+    return parse_keel(path.read_text(encoding="utf-8"), name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +196,30 @@ class RunSummary:
     failed_datasets: list = field(default_factory=list)
 
 
-def _check_header(path: Path, text: str) -> None:
-    """Refuse a results file's `text` unless its first line is the header or a torn
-    (unterminated) prefix of it and no later line repeats it, as two writers would."""
-    if not HEADER_LINE.startswith(text[: text.find("\n") + 1] or text):  # with its newline
+def _read_results(path: Path, cut: bool = False) -> tuple:
+    """The complete rows of a results file and the byte length of its complete
+    lines, read in one pass. An unterminated last line, left by a write cut
+    short, is never a record: `cut` (the run's resume) truncates the file to
+    drop it. An absent or empty file, or a lone header, whole or torn, holds
+    no row. A first line that is neither the header nor a torn prefix of it, a
+    later line repeating it (as two writers would leave), or a complete line
+    that is not UTF-8 is refused, before any cut."""
+    data = path.read_bytes() if path.exists() else b""
+    header, end = HEADER_LINE.encode(), data.rfind(b"\n") + 1
+    if not header.startswith(data[: data.find(b"\n") + 1] or data):  # with its newline
         raise IncompleteGridError(f"unexpected results header in {path}")
-    if "\n" + HEADER_LINE in text + "\n":
+    if b"\n" + header in data + b"\n":
         raise IncompleteGridError(f"results header repeated inside {path}")
-
-
-def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line, left by a write cut short, off the file;
-    the header is checked first, so a foreign file is refused untouched."""
-    content = path.read_bytes() if path.exists() else b""
-    _check_header(path, content.decode(errors="replace"))
-    end = content.rfind(b"\n") + 1
-    if end < len(content):
-        logger.warning("%s: dropping the torn last line %r", path, content[end:])
+    try:
+        text = data[:end].decode()  # no newline translation
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IncompleteGridError(f"line {line} of {path} is not UTF-8") from None
+    if cut and end < len(data):
+        logger.warning("%s: dropping the torn last line %r", path, data[end:])
         os.truncate(path, end)
-
-
-def _read_records(path: Path) -> list:
-    """The complete rows of a results file; an absent or empty file, or a lone
-    header, whole or torn, holds none; a foreign or repeated header is refused."""
-    if not path.exists():
-        return []
-    text = path.read_bytes().decode()  # no newline translation, as on resume
-    _check_header(path, text)
     rows = (line.split("\t") for line in text.split("\n")[1:])
-    return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)]
+    return [parts for parts in rows if len(parts) == len(RECORD_COLUMNS)], end
 
 
 def _lock(fh, out_dir: Path, exclusive: bool) -> None:
@@ -391,24 +386,25 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
         raise ConfigError("; ".join(problems))
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / LOCK_FILE).open("a") as lock:  # forked workers close their copy, so
+    with (out_dir / LOCK_FILE).open("ab") as lock:  # forked workers close their copy, so
         _lock(lock, out_dir, exclusive=True)  # none outliving this process keeps the lock
         results_path = out_dir / RESULTS_FILE
-        _drop_torn_tail(results_path)
-        done = {tuple(parts[:6]) for parts in _read_records(results_path)}
+        rows, complete = _read_results(results_path, cut=True)
+        done = {tuple(parts[:6]) for parts in rows}
+        del rows  # not held through the run, where the cyclic collector rescans them
         manifest = out_dir / MANIFEST_FILE
         if not manifest.exists():  # once results.tsv is known to be ours; renamed into place,
             tmp = manifest.with_name(MANIFEST_FILE + ".tmp")  # a crash leaves it whole or absent
             tmp.write_text(
                 f"config_hash = {config_hash(cfg)}\ncode_version = {__version__}\n"
-                f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}"
+                f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}",
+                encoding="utf-8",
             )
             os.replace(tmp, manifest)
         summary = RunSummary(results_path=results_path, records_skipped=len(done))
-        new_file = not results_path.exists() or results_path.stat().st_size == 0
 
-        with results_path.open("a") as out:
-            if new_file:
+        with results_path.open("a", encoding="utf-8") as out:
+            if not complete:
                 out.write(HEADER_LINE)
             for spec, planned in _planned_datasets(cfg, done):
                 if isinstance(planned, Exception):
@@ -464,9 +460,9 @@ def preflight(cfg: RunConfig) -> list:
     out_dir, lock = Path(cfg.output), Path(cfg.output) / LOCK_FILE
     try:
         if lock.exists():
-            with lock.open() as fh:
+            with lock.open("rb") as fh:
                 _lock(fh, out_dir, exclusive=False)
-        done = {tuple(parts[:6]) for parts in _read_records(out_dir / RESULTS_FILE)}
+        done = {tuple(parts[:6]) for parts in _read_results(out_dir / RESULTS_FILE)[0]}
     except (ConfigError, IncompleteGridError) as exc:
         return [str(exc)]
     return [f"dataset {spec}: {planned}" for spec, planned in _planned_datasets(cfg, done)
@@ -479,7 +475,7 @@ def preflight(cfg: RunConfig) -> list:
 
 
 def _manifest_config(input_dir: Path) -> RunConfig:
-    text = (Path(input_dir) / MANIFEST_FILE).read_text()
+    text = (Path(input_dir) / MANIFEST_FILE).read_text(encoding="utf-8")
     marker = "--- config ---\n"
     if marker not in text:
         raise IncompleteGridError("manifest is missing the config block")
@@ -546,7 +542,7 @@ def make_report(input_dir, metric: str) -> str:
     results_path = input_dir / RESULTS_FILE
     if not results_path.exists():
         raise IncompleteGridError(f"no {RESULTS_FILE} in {input_dir}")
-    records = _read_records(results_path)
+    records, _ = _read_results(results_path)
     cfg = _manifest_config(input_dir)
     if metric not in cfg.metrics:
         raise ValueError(f"this run records {', '.join(cfg.metrics)}, not {metric}")

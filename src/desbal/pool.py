@@ -129,20 +129,20 @@ def save_pool(pool: Pool, directory) -> None:
         "n_classes": pool.n_classes,
         "arity": pool.classifiers[0].arity,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     for i, tree in enumerate(pool.classifiers):
-        (directory / f"tree_{i:03d}.json").write_text(json.dumps(tree.to_dict()))
+        (directory / f"tree_{i:03d}.json").write_text(json.dumps(tree.to_dict()), encoding="utf-8")
 
 
 def load_pool(directory) -> Pool:
     """Read a pool `save_pool` wrote. A ValueError names the first tree file
     whose `n_classes` or `arity` differs from the manifest's."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     trees = []
     for i in range(manifest["pool_size"]):
         path = directory / f"tree_{i:03d}.json"
-        tree = DecisionTree.from_dict(json.loads(path.read_text()))
+        tree = DecisionTree.from_dict(json.loads(path.read_text(encoding="utf-8")))
         for field in ("n_classes", "arity"):
             if getattr(tree, field) != manifest[field]:
                 raise ValueError(f"{path}: {field} is {getattr(tree, field)}, "

@@ -319,6 +319,69 @@ def test_a_results_header_inside_the_file_is_refused(workspace, capsys):
     assert _snapshot(tmp_path) == before
 
 
+def test_an_undecodable_results_line_is_refused(workspace, capsys):
+    # desbal writes results.tsv as UTF-8; a complete line that is not is refused
+    # by every command, as a foreign header is
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    results = tmp_path / "out" / RESULTS_FILE
+    lines = results.read_bytes().splitlines(keepends=True)
+    results.write_bytes(b"".join(lines[:3] + [b"\xff" + lines[3]] + lines[4:]))
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config)]) == 1
+    assert main(["run", "--config", str(config)]) == 1
+    assert main(["report", "--input", str(tmp_path / "out"), "--metric", "gmean"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line 4 of {results} is not UTF-8"] * 3
+    assert _snapshot(tmp_path) == before
+
+
+def test_an_undecodable_config_is_refused(workspace, capsys):
+    # a Latin-1 "é" in a comment: a config is read as UTF-8
+    tmp_path, config = workspace
+    config.write_bytes("# café\n".encode("latin-1") + config.read_bytes())
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config)]) == 1
+    assert main(["run", "--config", str(config)]) == 1
+    reason = "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"invalid config: {reason}", f"error: {reason}"]
+    assert _snapshot(tmp_path) == before
+
+
+def test_no_command_reads_or_writes_in_the_locale_encoding(workspace):
+    # under -X warn_default_encoding a text open() without an encoding warns,
+    # and -W error makes the warning fail the command
+    tmp_path, config = workspace
+    (tmp_path / "café.csv").write_bytes((tmp_path / "toy.csv").read_bytes())
+    text = config.read_text().replace("toy.csv", "café.csv")
+    text = text.replace("pool_size = 4", "pool_size = 2")
+    configs = {}
+    for name in ("child", "here"):
+        configs[name] = tmp_path / f"{name}.conf"
+        configs[name].write_text(text.replace(str(tmp_path / "out"), str(tmp_path / name)),
+                                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for args in (["validate", "--config", str(configs["child"])],
+                 ["run", "--config", str(configs["child"])],
+                 ["report", "--input", str(tmp_path / "child"), "--metric", "gmean"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "desbal.cli", *args], capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+    assert main(["run", "--config", str(configs["here"])]) == 0
+
+    def first_seven(name):
+        text = (tmp_path / name / RESULTS_FILE).read_text(encoding="utf-8")
+        return [line.split("\t")[:7] for line in text.splitlines()]
+
+    assert first_seven("child") == first_seven("here")
+    assert first_seven("here")[1][0] == "café"
+
+
 def test_report_missing_input(tmp_path, capsys):
     assert main(["report", "--input", str(tmp_path / "nope"), "--metric", "gmean"]) == 1
 

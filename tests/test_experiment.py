@@ -25,6 +25,7 @@ from desbal.experiment import (
     config_hash,
     make_report,
     parse_config_text,
+    preflight,
     resolve_dataset,
     run_experiment,
     validate_config,
@@ -53,6 +54,14 @@ def csv_dataset(tmp_path):
             rows.append(f"{x[0]:.6f},{x[1]:.6f},{x[2]:.6f},{label}")
     path = tmp_path / "toy.csv"
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture
+def cafe_dataset(csv_dataset):
+    """`csv_dataset`'s rows as café.csv: its name ends in a two-byte UTF-8 character."""
+    path = csv_dataset.with_name("café.csv")
+    path.write_bytes(csv_dataset.read_bytes())
     return path
 
 
@@ -410,23 +419,26 @@ class TestRun:
     def test_reading_and_resuming_accept_the_same_first_lines(self, tmp_path, first, accepted):
         # an unterminated prefix of the header is a header torn by a cut
         path = tmp_path / RESULTS_FILE
-        for step in (experiment._read_records, experiment._drop_torn_tail):
+        for cut in (False, True):  # as validate and report read it, and as run resumes it
             path.write_text(first)
             try:
-                step(path)
+                experiment._read_results(path, cut)
             except IncompleteGridError:
-                assert not accepted, step.__name__
+                assert not accepted, cut
                 assert path.read_bytes() == first.encode()
             else:
-                assert accepted, step.__name__
+                assert accepted, cut
 
-    def test_resume_after_a_cut_at_any_byte(self, tmp_path):
+    def test_resume_after_a_cut_at_any_byte(self, cafe_dataset, tmp_path):
         # a crash can cut results.tsv at any byte of the records last written
-        # or of the header; resuming must give the uninterrupted run
+        # (café's, so inside its two-byte "é" too) or of the header; validate
+        # and report must take the cut file as it is, and resuming must give
+        # the uninterrupted run
         out = tmp_path / "cut"
         cfg = RunConfig(
-            datasets=("builtin:glass",), output=str(out), variants=("Ba", "Ba-SM"),
-            selectors=("STATIC", "KNU"), metrics=("auc", "gmean"), pool_size=2,
+            datasets=("builtin:glass", str(cafe_dataset)), output=str(out),
+            variants=("Ba", "Ba-SM"), selectors=("STATIC", "KNU"), metrics=("auc", "gmean"),
+            pool_size=2,
         )
         run_experiment(cfg)
         path = out / RESULTS_FILE
@@ -439,8 +451,16 @@ class TestRun:
         def first_seven(data):
             return [line.split(b"\t")[:7] for line in data.splitlines()]
 
-        for offset in [0, 1, header - 1, header, *range(last_three, len(full))]:
+        offsets = [0, 1, header - 1, header, *range(last_three, len(full))]
+        assert sum(full[:offset].endswith("café".encode()[:-1]) for offset in offsets) == 3
+        for offset in offsets:
             path.write_bytes(full[:offset])
+            assert preflight(cfg) == [], offset
+            try:  # the grid misses the cut records, unless only a gmean record was cut
+                assert make_report(out, "auc") == report, offset
+            except IncompleteGridError:
+                pass
+            assert path.read_bytes() == full[:offset]
             run_experiment(cfg)
             assert first_seven(path.read_bytes()) == first_seven(full), offset
             assert make_report(out, "auc") == report, offset
@@ -457,6 +477,90 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert lines[0] == "\t".join(RECORD_COLUMNS)
         assert lines.count(lines[0]) == 1
+
+
+
+HEADER = HEADER_LINE.encode()
+
+# results.tsv states, each made from the lines of a complete 10-record café grid
+# (None: no file); the last record's line is b"café\tBa\tSTATIC\t5\tB\tgmean\t..."
+FILE_STATES = {
+    "absent": lambda lines: None,
+    "empty": lambda lines: b"",
+    "torn-header": lambda lines: HEADER[:10],
+    "lone-header": lambda lines: HEADER,
+    "complete": lambda lines: b"".join(lines),
+    "torn-8-columns": lambda lines: b"".join(lines)[:-3],  # in wall_time_s
+    "torn-5-columns": lambda lines: b"".join(lines[:-1]) + lines[-1].split(b"\tgmean")[0],
+    "torn-inside-a-character": lambda lines: b"".join(lines[:-1]) + lines[-1][:4],
+    "foreign-header": lambda lines: b"id\tscore\n1\t0.5\n",
+    "repeated-header-torn": lambda lines: b"".join(lines) + HEADER[:-1],
+    "repeated-header-whole": lambda lines: b"".join(lines[:4] + lines[:1] + lines[4:]),
+    "undecodable-line": lambda lines: b"".join(
+        lines[:3] + [lines[3].replace("é".encode(), "é".encode("latin-1"))] + lines[4:]),
+}
+REFUSALS = {
+    "foreign-header": "unexpected results header in {path}",
+    "repeated-header-torn": "results header repeated inside {path}",
+    "repeated-header-whole": "results header repeated inside {path}",
+    "undecodable-line": "line 4 of {path} is not UTF-8",
+}
+
+
+class TestOneReader:
+    @pytest.mark.parametrize("state", list(FILE_STATES))
+    def test_run_validate_and_report_read_the_same_rows(self, cafe_dataset, tmp_path,
+                                                        monkeypatch, state):
+        # the rows validate and report read are the rows run keeps, each refusal
+        # is one message in all three, and only run writes: it cuts a torn tail
+        cfg = RunConfig(datasets=(str(cafe_dataset),), output=str(tmp_path / "out"),
+                        variants=("Ba",), selectors=("STATIC",), metrics=("gmean",),
+                        pool_size=2)
+        path = tmp_path / "out" / RESULTS_FILE
+        run_experiment(cfg)
+        full, full_report = path.read_bytes(), make_report(cfg.output, "gmean")
+        data = FILE_STATES[state](full.splitlines(keepends=True))
+        path.unlink() if data is None else path.write_bytes(data)
+
+        def on_disk():
+            return path.read_bytes() if path.exists() else None
+
+        dones, report_records = [], []  # what preflight and run plan on, what report ranks
+        planned, fold_means = experiment._planned_datasets, experiment._fold_means
+        monkeypatch.setattr(experiment, "_planned_datasets",
+                            lambda cfg, done: dones.append(done) or planned(cfg, done))
+        monkeypatch.setattr(experiment, "_fold_means",
+                            lambda records, *a: report_records.append(records)
+                            or fold_means(records, *a))
+        problems = preflight(cfg)
+        assert on_disk() == data
+        try:
+            report = make_report(cfg.output, "gmean")
+        except IncompleteGridError as exc:
+            report = str(exc)
+        assert on_disk() == data
+        if state in REFUSALS:
+            message = REFUSALS[state].format(path=path)
+            assert problems == [message] and report == message
+            with pytest.raises(IncompleteGridError) as refused:
+                run_experiment(cfg)
+            assert str(refused.value) == message
+            assert on_disk() == data and dones == report_records == []
+            return
+
+        written = data or b""
+        complete = written[: written.rfind(b"\n") + 1]
+        rows = [line.split("\t") for line in complete.decode().split("\n")[1:-1]]
+        assert problems == [] and all(len(row) == len(RECORD_COLUMNS) for row in rows)
+        assert report_records == ([rows] if rows else [])
+        assert (report == full_report) == (len(rows) == 10)
+        summary = run_experiment(cfg)
+        assert summary.records_skipped == len(rows)
+        assert dones == [{tuple(row[:6]) for row in rows}] * 2
+        resumed = path.read_bytes()
+        assert resumed.startswith(complete or HEADER)
+        assert [line.split(b"\t")[:7] for line in resumed.splitlines()] == [
+            line.split(b"\t")[:7] for line in full.splitlines()]
 
 
 def _first_seven(path):
