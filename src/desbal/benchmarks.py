@@ -66,4 +66,4 @@ def load_benchmark(name: str, data_dir=None) -> Dataset:
         raise ValueError(f"unknown benchmark {name!r}; choose from {tuple(CATALOG)}")
     if data_dir is None:
         return synthetic_like(key)
-    return parse_keel((Path(data_dir) / f"{key}.dat").read_text(encoding="utf-8"), name=key)
+    return parse_keel((Path(data_dir) / f"{key}.dat").read_text(encoding="utf-8-sig"), name=key)

@@ -277,8 +277,9 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
         cell = columns[j][row]
         raise DataFormatError(
             f"unknown class value {cell!r} in column {label_name}" if j == label_idx
-            else f"non-numeric cell {cell!r} in numeric column {j}" if kinds[j] is None
-            else f"unknown nominal category {cell!r} in column {j}"
+            else f"unknown nominal category {cell!r} in column {j}" if kinds[j] is not None
+            else f"non-finite cell {cell!r} in numeric column {j}" if _is_float(cell)
+            else f"non-numeric cell {cell!r} in numeric column {j}"
         )
     features = np.column_stack([np.empty((len(kept), 0))] + [
         values if kind is None else np.eye(len(kind))[values]
@@ -289,12 +290,14 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
 
 def _decode(cells, categories):
     """(values, first bad row or None) of one column: the Python floats of a
-    numeric column, or each nominal cell's first matching category."""
+    numeric column, where a cell that is no finite float is bad, or each
+    nominal cell's first matching category."""
     if categories is None:
         try:
-            return np.fromiter(map(float, cells), float, len(cells)), None
-        except ValueError:
-            return None, next(i for i, v in enumerate(cells) if not _is_float(v))
+            values = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:  # a non-number reads as NaN, bad as a NaN is
+            values = np.array([float(v) if _is_float(v) else np.nan for v in cells])
+        return values, next(iter(np.flatnonzero(~np.isfinite(values)).tolist()), None)
     first = {c: categories.index(c) for c in categories}
     ids = np.array([first.get(v, -1) for v in cells])
     return ids, next(iter(np.flatnonzero(ids < 0).tolist()), None)

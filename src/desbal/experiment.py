@@ -2,7 +2,6 @@
 combinations, crash-safe result persistence, and report generation."""
 
 import fcntl
-import hashlib
 import logging
 import logging.handlers
 import multiprocessing
@@ -16,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .benchmarks import load_benchmark
 from .cpus import usable_cpus
 from .data import (
@@ -49,8 +47,7 @@ RECORD_COLUMNS = (
 
 HEADER_LINE = "\t".join(RECORD_COLUMNS) + "\n"
 RESULTS_FILE = "results.tsv"
-MANIFEST_FILE = "manifest.txt"
-LOCK_FILE = "run.lock"  # flocked by the run writing the output
+MANIFEST_FILE = "manifest.txt"  # the run's canonical config
 
 
 class ConfigError(ValueError):
@@ -132,7 +129,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def validate_config(cfg: RunConfig) -> list:
@@ -159,8 +156,7 @@ def validate_config(cfg: RunConfig) -> list:
         problems.append("output is empty; name the directory to write into")
     elif any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         problems.append(f"output {out_dir} is not a directory")
-    elif (manifest.exists() and manifest.read_text(encoding="utf-8").partition("\n")[0]
-          != f"config_hash = {config_hash(cfg)}"):
+    elif manifest.exists() and _manifest_text(manifest) != cfg.canonical_text():
         problems.append(f"output directory {out_dir} belongs to a different configuration")
     if cfg.pool_size < 1:
         problems.append("pool_size must be >= 1")
@@ -169,8 +165,12 @@ def validate_config(cfg: RunConfig) -> list:
     return problems
 
 
-def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(cfg.canonical_text().encode()).hexdigest()[:16]
+def _manifest_text(path: Path) -> str:
+    """The config text of the manifest at `path`: what follows its last
+    `--- config ---` line (older runs wrote other lines above one), else all of it."""
+    text = path.read_text(encoding="utf-8")
+    _, marker, config = ("\n" + text).rpartition("\n--- config ---\n")
+    return config if marker else text
 
 
 def resolve_dataset(spec: str, cfg: RunConfig) -> Dataset:
@@ -178,9 +178,10 @@ def resolve_dataset(spec: str, cfg: RunConfig) -> Dataset:
     if spec.startswith("builtin:"):
         return load_benchmark(spec.split(":", 1)[1], data_dir=cfg.data_dir or None)
     path = Path(spec)
+    text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not data
     if path.suffix.lower() == ".csv":
-        return parse_csv(path.read_text(encoding="utf-8"), cfg.csv_label_column, name=path.stem)
-    return parse_keel(path.read_text(encoding="utf-8"), name=path.stem)
+        return parse_csv(text, cfg.csv_label_column, name=path.stem)
+    return parse_keel(text, name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def _read_results(path: Path, cut: bool = False) -> tuple:
 
 
 def _lock(fh, out_dir: Path, exclusive: bool) -> None:
-    """Flock the lock file `fh` at once (held until its last descriptor closes), else refuse."""
+    """Flock the results file `fh` at once (held until its last descriptor closes), else refuse."""
     try:
         fcntl.flock(fh, (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH) | fcntl.LOCK_NB)
     except BlockingIOError:
@@ -386,83 +387,79 @@ def run_experiment(cfg: RunConfig) -> RunSummary:
         raise ConfigError("; ".join(problems))
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / LOCK_FILE).open("ab") as lock:  # forked workers close their copy, so
-        _lock(lock, out_dir, exclusive=True)  # none outliving this process keeps the lock
-        results_path = out_dir / RESULTS_FILE
+    results_path = out_dir / RESULTS_FILE
+    with results_path.open("a", encoding="utf-8") as out:  # forked workers close their copy,
+        _lock(out, out_dir, exclusive=True)  # so none outliving this process keeps the lock
         rows, complete = _read_results(results_path, cut=True)
         done = {tuple(parts[:6]) for parts in rows}
         del rows  # not held through the run, where the cyclic collector rescans them
         manifest = out_dir / MANIFEST_FILE
         if not manifest.exists():  # once results.tsv is known to be ours; renamed into place,
             tmp = manifest.with_name(MANIFEST_FILE + ".tmp")  # a crash leaves it whole or absent
-            tmp.write_text(
-                f"config_hash = {config_hash(cfg)}\ncode_version = {__version__}\n"
-                f"created_unix = {int(time.time())}\n--- config ---\n{cfg.canonical_text()}",
-                encoding="utf-8",
-            )
+            tmp.write_text(cfg.canonical_text(), encoding="utf-8")
             os.replace(tmp, manifest)
+        if not complete:
+            out.write(HEADER_LINE)
+            out.flush()  # before a worker forks with a copy of the buffer
         summary = RunSummary(results_path=results_path, records_skipped=len(done))
-
-        with results_path.open("a", encoding="utf-8") as out:
-            if not complete:
-                out.write(HEADER_LINE)
-            for spec, planned in _planned_datasets(cfg, done):
-                if isinstance(planned, Exception):
-                    logger.error("dataset %s skipped: %s", spec, planned)
-                    summary.failed_datasets.append(spec)
-                    continue
-                dataset, plan = planned
-                cells = [(cfg, train, test, variant, rep, fold, selectors)
-                         for rep, fold, train, test, fold_cells in plan
-                         for variant, selectors in fold_cells]
-                workers = _worker_count(len(cells))
-                threads = usable_cpus() // max(workers, 1)  # each process's share, for its tables
-                cells = [cell + (threads,) for cell in cells]
-                logger.info("dataset %s: %d cells left, run in this process%s",
-                            dataset.name, len(cells),
-                            f" and {workers - 1} forked worker(s)" if workers > 1 else "")
-                executor = ProcessPoolExecutor(
-                    workers - 1, mp_context=multiprocessing.get_context("fork"),
-                    initializer=os.close, initargs=(lock.fileno(),),
-                ) if workers > 1 else None
-                try:
-                    outcomes = _shared_outcomes(executor, cells)
-                    for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
-                        for record in records:
-                            logging.getLogger(record.name).handle(record)
-                        if isinstance(scored, Exception):  # its cause shows the cell's frames
-                            raise scored from CellError(scored.cell_traceback)
-                        variant, rep, fold = cell[3:6]
-                        for selector, values, seconds in scored:
-                            for metric in cfg.metrics:
-                                key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
-                                if key not in done:
-                                    out.write("\t".join(key)
-                                              + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
-                                    summary.records_written += 1
-                        out.flush()
-                        if n + 1 == len(cells) or cells[n + 1][4:6] != (rep, fold):  # fold's last
-                            logger.info("%s replication %d fold %s done",
-                                        dataset.name, rep + 1, fold)
-                finally:
-                    if executor:  # cells not yet started are dropped, running ones finish
-                        executor.shutdown(cancel_futures=True)
+        for spec, planned in _planned_datasets(cfg, done):
+            if isinstance(planned, Exception):
+                logger.error("dataset %s skipped: %s", spec, planned)
+                summary.failed_datasets.append(spec)
+                continue
+            dataset, plan = planned
+            cells = [(cfg, train, test, variant, rep, fold, selectors)
+                     for rep, fold, train, test, fold_cells in plan
+                     for variant, selectors in fold_cells]
+            workers = _worker_count(len(cells))
+            threads = usable_cpus() // max(workers, 1)  # each process's share, for its tables
+            cells = [cell + (threads,) for cell in cells]
+            logger.info("dataset %s: %d cells left, run in this process%s",
+                        dataset.name, len(cells),
+                        f" and {workers - 1} forked worker(s)" if workers > 1 else "")
+            executor = ProcessPoolExecutor(
+                workers - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=os.close, initargs=(out.fileno(),),
+            ) if workers > 1 else None
+            try:
+                outcomes = _shared_outcomes(executor, cells)
+                for n, (cell, (scored, records)) in enumerate(zip(cells, outcomes)):
+                    for record in records:
+                        logging.getLogger(record.name).handle(record)
+                    if isinstance(scored, Exception):  # its cause shows the cell's frames
+                        raise scored from CellError(scored.cell_traceback)
+                    variant, rep, fold = cell[3:6]
+                    for selector, values, seconds in scored:
+                        for metric in cfg.metrics:
+                            key = (dataset.name, variant, selector, str(rep + 1), fold, metric)
+                            if key not in done:
+                                out.write("\t".join(key)
+                                          + f"\t{values[metric]:.12g}\t{seconds:.3f}\n")
+                                summary.records_written += 1
+                    out.flush()
+                    if n + 1 == len(cells) or cells[n + 1][4:6] != (rep, fold):  # fold's last
+                        logger.info("%s replication %d fold %s done",
+                                    dataset.name, rep + 1, fold)
+            finally:
+                if executor:  # cells not yet started are dropped, running ones finish
+                    executor.shutdown(cancel_futures=True)
         return summary
 
 
 def preflight(cfg: RunConfig) -> list:
     """`run_experiment`'s checks before its first cell, in its order, writing nothing: the
-    config's, the lock's (taken shared for a moment, if its file exists), the results
-    header's, then each entry's load and plan against its records."""
+    config's, the lock's (taken shared for a moment on the results file, if it exists), the
+    results header's, then each entry's load and plan against its records."""
     problems = validate_config(cfg)
     if problems:
         return problems
-    out_dir, lock = Path(cfg.output), Path(cfg.output) / LOCK_FILE
+    out_dir = Path(cfg.output)
+    results_path = out_dir / RESULTS_FILE
     try:
-        if lock.exists():
-            with lock.open("rb") as fh:
+        if results_path.exists():
+            with results_path.open("rb") as fh:
                 _lock(fh, out_dir, exclusive=False)
-        done = {tuple(parts[:6]) for parts in _read_results(out_dir / RESULTS_FILE)[0]}
+        done = {tuple(parts[:6]) for parts in _read_results(results_path)[0]}
     except (ConfigError, IncompleteGridError) as exc:
         return [str(exc)]
     return [f"dataset {spec}: {planned}" for spec, planned in _planned_datasets(cfg, done)
@@ -472,14 +469,6 @@ def preflight(cfg: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------
-
-
-def _manifest_config(input_dir: Path) -> RunConfig:
-    text = (Path(input_dir) / MANIFEST_FILE).read_text(encoding="utf-8")
-    marker = "--- config ---\n"
-    if marker not in text:
-        raise IncompleteGridError("manifest is missing the config block")
-    return parse_config_text(text.split(marker, 1)[1])
 
 
 def _fold_means(records, metric: str, axes):
@@ -543,7 +532,7 @@ def make_report(input_dir, metric: str) -> str:
     if not results_path.exists():
         raise IncompleteGridError(f"no {RESULTS_FILE} in {input_dir}")
     records, _ = _read_results(results_path)
-    cfg = _manifest_config(input_dir)
+    cfg = parse_config_text(_manifest_text(input_dir / MANIFEST_FILE))
     if metric not in cfg.metrics:
         raise ValueError(f"this run records {', '.join(cfg.metrics)}, not {metric}")
     variants = tuple(normalize_variant(v) for v in cfg.variants)

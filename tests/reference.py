@@ -23,6 +23,7 @@ runner-up, and `dataclasses.replace` rows and FIRE results.
 """
 
 import logging
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -627,7 +628,8 @@ def decode_ref(rows, label_idx, label_name, specs=None):
     with repeats removed (a numeric class: its distinct numeric cells by
     value, so a non-number is an unknown class value).
     Every cell takes its first matching category; a nominal feature becomes
-    one indicator per declared category. Returns (features, labels,
+    one indicator per declared category, and a numeric feature cell must be a
+    finite float. Returns (features, labels,
     class_names), or the error message of the first bad cell in row order.
     """
     kept = [row for row in rows if "?" not in row]
@@ -657,6 +659,8 @@ def decode_ref(rows, label_idx, label_name, specs=None):
             if spec is None:
                 if not _parses(row[j]):
                     return f"non-numeric cell {row[j]!r} in numeric column {j}"
+                if not math.isfinite(float(row[j])):
+                    return f"non-finite cell {row[j]!r} in numeric column {j}"
                 out.append(float(row[j]))
             elif row[j] in spec:
                 out.extend(1.0 if i == spec.index(row[j]) else 0.0 for i in range(len(spec)))

@@ -69,6 +69,12 @@ def test_keel_file_preferred(tmp_path):
     assert ds.n_samples == 10  # the dropped-in file wins over the stand-in
 
 
+def test_a_keel_file_with_a_byte_order_mark_keeps_its_relation(tmp_path):
+    text = "@relation mini\n@attribute a real\n@attribute cls {x, y}\n@data\n1.0, x\n2.0, y\n"
+    (tmp_path / "wine.dat").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_benchmark("wine", data_dir=tmp_path).name == "mini"
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_keel_round_trip_of_the_catalogue(tmp_path, name):
     # every shape the catalogue holds, up to 8 classes and 2-row classes,

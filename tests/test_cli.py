@@ -1,6 +1,7 @@
 """Command line verbs and exit codes."""
 
 import fcntl
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from desbal.benchmarks import synthetic_like
 from desbal.cli import main
 from desbal.experiment import (
-    HEADER_LINE, LOCK_FILE, RESULTS_FILE, load_config, validate_config,
+    HEADER_LINE, MANIFEST_FILE, RESULTS_FILE, load_config, validate_config,
 )
 
 CONFIG = """datasets = {path}
@@ -281,13 +282,13 @@ def test_run_refuses_foreign_results_file(workspace, capsys):
 
 @pytest.mark.parametrize("records_before", [False, True], ids=["fresh", "resumed"])
 def test_an_output_in_use_is_refused_untouched(workspace, capsys, records_before):
-    # another process's run holds the lock as this test's open lock file does
+    # another process's run holds the lock as this test's open results file does
     tmp_path, config = workspace
     out = tmp_path / "out"
     if records_before:
         assert main(["run", "--config", str(config)]) == 0
     out.mkdir(exist_ok=True)
-    with (out / LOCK_FILE).open("a") as held:
+    with (out / RESULTS_FILE).open("a") as held:
         fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
         before = _snapshot(tmp_path)
         capsys.readouterr()
@@ -349,6 +350,83 @@ def test_an_undecodable_config_is_refused(workspace, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"invalid config: {reason}", f"error: {reason}"]
     assert _snapshot(tmp_path) == before
+
+
+def test_a_config_with_a_byte_order_mark_is_read(workspace, capsys):
+    # as some editors save UTF-8; the mark is not part of the first key
+    tmp_path, config = workspace
+    plain = load_config(config)
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert load_config(config) == plain
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
+def test_a_non_finite_cell_fails_that_dataset_alone(workspace, capsys):
+    # float() reads nan and inf, but neither is a feature value
+    tmp_path, config = workspace
+    rows = [row.split(",") for row in (tmp_path / "toy.csv").read_text().splitlines()]
+    rows[9][1], rows[4][0] = "inf", "nan"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    config.write_text(config.read_text().replace("datasets = ", f"datasets = {bad}, "))
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset {bad}: non-finite cell 'nan' in numeric column 0\n")
+    assert main(["run", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("wrote 40 record(s)") and f"failed datasets: {bad}" in err
+
+
+def _older_layout(out, text):
+    """Rewrite the output `out` as runs laid it out before the lock moved onto
+    results.tsv: a manifest of `text`, the config, headed by its hash, the
+    code version and a time, and a stale run.lock beside it."""
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    (out / MANIFEST_FILE).write_text(
+        f"config_hash = {digest}\ncode_version = 0.1.0\ncreated_unix = 1700000000\n"
+        f"--- config ---\n{text}", encoding="utf-8")
+    (out / "run.lock").write_bytes(b"")
+
+
+def test_an_output_in_the_older_layout_still_works(workspace, capsys):
+    tmp_path, config = workspace
+    report = ["report", "--input", str(tmp_path / "out"), "--metric", "gmean"]
+    assert main(["run", "--config", str(config)]) == 0
+    assert main(report) == 0
+    capsys.readouterr()
+    fresh = (tmp_path / "out" / "report_gmean.txt").read_bytes()
+    _older_layout(tmp_path / "out", load_config(config).canonical_text())
+    manifest = (tmp_path / "out" / MANIFEST_FILE).read_bytes()
+    assert main(["validate", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config ok", f"wrote 0 record(s) to {tmp_path / 'out' / RESULTS_FILE} (40 already present)"]
+    assert main(report) == 0
+    assert (tmp_path / "out" / "report_gmean.txt").read_bytes() == fresh
+    assert (tmp_path / "out" / MANIFEST_FILE).read_bytes() == manifest  # left as it was
+    # an older manifest of another config still names another config
+    other = load_config(config).canonical_text().replace("seed = 7", "seed = 8")
+    _older_layout(tmp_path / "out", other)
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config)]) == 1
+    assert main(["run", "--config", str(config)]) == 1
+    reason = f"output directory {tmp_path / 'out'} belongs to a different configuration"
+    assert capsys.readouterr().err.splitlines() == [f"error: {reason}"] * 2
+    assert _snapshot(tmp_path) == before
+
+
+def test_the_manifest_is_the_runs_config(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    manifest = tmp_path / "out" / MANIFEST_FILE
+    assert load_config(manifest) == load_config(config)
+    capsys.readouterr()
+    assert main(["validate", "--config", str(manifest)]) == 0
+    assert main(["run", "--config", str(manifest)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "config ok" and out[1].startswith("wrote 0 record(s) ")
 
 
 def test_no_command_reads_or_writes_in_the_locale_encoding(workspace):

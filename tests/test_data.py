@@ -196,6 +196,23 @@ class TestEncodeNominals:
         assert csv.labels.tolist() == [0, 1, 0, 1, 0]
         assert csv.class_names == ("x", "y")
 
+    @pytest.mark.parametrize("file, text, name", [
+        ("bom.csv", "1.0,2.0,a\n2.0,1.0,b\n3.0,0.5,a\n0.5,3.0,b\n", "bom"),
+        ("bom.dat", "@relation named\n@attribute x real\n@attribute cls {a, b}\n@data\n"
+                    "1.0, a\n2.0, b\n3.0, a\n0.5, b\n", "named"),
+    ])
+    def test_a_byte_order_mark_is_not_data(self, tmp_path, file, text, name):
+        # as some editors save UTF-8: a headerless CSV keeps its first row, and
+        # a Keel file its @relation line
+        cfg = RunConfig(datasets=(), output="")
+        (tmp_path / file).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = resolve_dataset(str(tmp_path / file), cfg)
+        (tmp_path / file).write_bytes(text.encode())
+        plain = resolve_dataset(str(tmp_path / file), cfg)
+        assert ds.n_samples == 4 and ds.name == plain.name == name
+        assert ds.features.tolist() == plain.features.tolist()
+        assert ds.labels.tolist() == plain.labels.tolist()
+
 
 class TestDecodeRules:
     """Rows holding `?` are dropped before any column is read, and the class
@@ -266,6 +283,28 @@ class TestDecodeRules:
             parse_keel(head + "1.0, p, a\n2.0, r, b\nz, p, d\n")
         with pytest.raises(DataFormatError, match="unknown class value 'd' in column cls"):
             parse_keel(head + "1.0, p, a\nz, r, d\n")
+
+    def test_non_finite_numeric_cell_is_bad(self):
+        # float() reads nan, inf and -inf, but a feature value is finite; the
+        # first bad cell in row order is reported, a non-number included
+        rows = [f"{i}.0,{i % 3}.5,{'ab'[i % 2]}" for i in range(60)]
+        rows[30], rows[7] = "2.0,inf,a", "nan,1.0,b"
+        with pytest.raises(DataFormatError, match="^non-finite cell 'nan' in numeric column 0$"):
+            parse_csv("\n".join(rows))
+        rows[7] = "1.0,1.0,b"
+        with pytest.raises(DataFormatError, match="^non-finite cell 'inf' in numeric column 1$"):
+            parse_csv("\n".join(rows))
+        head = "@relation t\n@attribute x real\n@attribute y real\n@attribute cls {a, b}\n@data\n"
+        with pytest.raises(DataFormatError, match="^non-finite cell '-inf' in numeric column 1$"):
+            parse_keel(head + "1.0, 2.0, a\n3.0, -inf, b\nnan, z, a\n")
+        rows = [["1", "2", "a"], ["3", "Infinity", "b"], ["NaN", "4", "a"]]
+        text = "".join(",".join(row) + "\n" for row in rows)
+        assert _outcome(lambda: parse_csv(text)) == ref.decode_ref(rows, 2, "col2") == (
+            "non-finite cell 'Infinity' in numeric column 1")
+        # the class column keeps its own rules
+        ds = parse_keel("@relation t\n@attribute x real\n@attribute cls {nan, inf}\n@data\n"
+                        "1.0, nan\n2.0, inf\n")
+        assert ds.class_names == ("nan", "inf") and ds.labels.tolist() == [0, 1]
 
 
 NUMBERS = ("0", "1", "2.5", "-0.0", "1e3", "0.1", "7", "-3.25")

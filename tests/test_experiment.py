@@ -1,5 +1,6 @@
 """Runner configuration, record persistence, resumption and reporting."""
 
+import hashlib
 import logging
 import multiprocessing
 import os
@@ -14,7 +15,6 @@ import pytest
 import desbal.experiment as experiment
 from desbal.experiment import (
     HEADER_LINE,
-    LOCK_FILE,
     MANIFEST_FILE,
     RECORD_COLUMNS,
     RESULTS_FILE,
@@ -22,7 +22,6 @@ from desbal.experiment import (
     IncompleteGridError,
     RunConfig,
     _plan,
-    config_hash,
     make_report,
     parse_config_text,
     preflight,
@@ -94,7 +93,7 @@ class TestConfig:
         assert cfg.seed == 11
         reparsed = parse_config_text(cfg.canonical_text())
         assert reparsed == cfg
-        assert config_hash(reparsed) == config_hash(cfg)
+        assert reparsed.canonical_text() == cfg.canonical_text()
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -168,14 +167,21 @@ class TestConfig:
         assert not (tmp_path / "r").exists()
 
     def test_config_hash_is_pinned(self):
-        # the hash names an output directory: a new RunConfig field, or any
-        # change to canonical_text, would lock every existing one out
+        # the canonical text names an output directory: a new RunConfig field,
+        # or any change to canonical_text, would lock every existing one out
         cfg = RunConfig(
             datasets=("builtin:glass", "data/toy.csv"), output="out", variants=("Ba", "Ba-SM"),
             selectors=("STATIC", "META-DES"), metrics=("auc",), pool_size=5, k=3, seed=7,
             csv_label_column=0, data_dir="keel",
         )
-        assert config_hash(cfg) == "71cc3a3769981b07"
+        text = cfg.canonical_text()
+        assert text == (
+            "datasets = builtin:glass, data/toy.csv\noutput = out\nvariants = Ba, Ba-SM\n"
+            "selectors = STATIC, META-DES\nmetrics = auc\npool_size = 5\nk = 3\nseed = 7\n"
+            "csv_label_column = 0\ndata_dir = keel\n"
+        )
+        # the config_hash older manifests carry of the same text
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "71cc3a3769981b07"
 
     def test_unknown_selector_fails_before_training(self, csv_dataset, tmp_path):
         out = tmp_path / "never"
@@ -288,7 +294,7 @@ class TestRun:
         assert {r[0] for r in records} == {wine}
         # the run's whole output: no per-fold file, for the skipped dataset or any other
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-            MANIFEST_FILE, RESULTS_FILE, LOCK_FILE]
+            MANIFEST_FILE, RESULTS_FILE]
 
     def test_one_row_training_half_runs_without_metades(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -332,14 +338,29 @@ class TestRun:
             run_experiment(other)
 
     def test_manifest_hash_read_from_its_own_line(self, csv_dataset, tmp_path):
+        # only the text after the last `--- config ---` line names the output
         cfg = _config(csv_dataset, tmp_path / "other")
         (tmp_path / "other").mkdir()
-        (tmp_path / "other" / "manifest.txt").write_text(
-            f"config_hash = {'0' * 16}\ncode_version = 0\n"
-            f"config_hash = {config_hash(cfg)}\n--- config ---\n"
-        )
+        manifest = tmp_path / "other" / MANIFEST_FILE
+        manifest.write_text(f"--- config ---\n{cfg.canonical_text()}--- config ---\n")
         with pytest.raises(ConfigError, match="different configuration"):
             run_experiment(cfg)
+        manifest.write_text(f"--- config ---\n--- config ---\n{cfg.canonical_text()}")
+        assert validate_config(cfg) == []
+        # a value ending in the marker is no marker line
+        cfg = _config(csv_dataset, tmp_path / "other" / "ends--- config ---")
+        Path(cfg.output).mkdir()
+        (Path(cfg.output) / MANIFEST_FILE).write_text(cfg.canonical_text())
+        assert validate_config(cfg) == []
+
+    def test_a_run_leaves_its_results_and_its_config(self, csv_dataset, tmp_path):
+        # manifest.txt is the canonical config, UTF-8 without a byte-order mark;
+        # the lock is taken on results.tsv, so no lock file is left
+        cfg = _config(csv_dataset, tmp_path / "two")
+        run_experiment(cfg)
+        assert sorted(p.name for p in (tmp_path / "two").iterdir()) == [
+            MANIFEST_FILE, RESULTS_FILE]
+        assert (tmp_path / "two" / MANIFEST_FILE).read_bytes() == cfg.canonical_text().encode()
 
     def test_resume_recomputes_one_deleted_cell(self, csv_dataset, tmp_path):
         cfg = _config(csv_dataset, tmp_path / "cell")
@@ -377,7 +398,7 @@ class TestRun:
     def test_interrupted_manifest_write_resumes(self, csv_dataset, tmp_path,
                                                 monkeypatch, cut):
         cfg = _config(csv_dataset, tmp_path / "crash")
-        _crash_writes(monkeypatch, "config_hash = ", cut)
+        _crash_writes(monkeypatch, "datasets = ", cut)
         with pytest.raises(OSError, match="crash"):
             run_experiment(cfg)
         monkeypatch.undo()
@@ -638,13 +659,15 @@ class TestParallelCells:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files by /proc")
     def test_workers_hold_no_descriptor_of_the_lock(self, tmp_path, monkeypatch):
-        """A forked worker shares the run's lock until it closes its copy of the
-        descriptor; closed, a worker outliving a killed run leaves the output free."""
-        evaluate_cell, lock = experiment.evaluate_cell, os.path.realpath(tmp_path / "out")
+        """A forked worker shares the run's lock on the results file until it
+        closes its copy of the descriptor; closed, a worker outliving a killed
+        run leaves the output free."""
+        evaluate_cell = experiment.evaluate_cell
+        results = os.path.realpath(tmp_path / "out" / RESULTS_FILE)
 
         def logs_lock_descriptors(*cell):
             fds = [fd for fd in os.listdir("/proc/self/fd")
-                   if os.path.realpath(f"/proc/self/fd/{fd}") == f"{lock}/{LOCK_FILE}"]
+                   if os.path.realpath(f"/proc/self/fd/{fd}") == results]
             logging.getLogger("desbal.experiment").info("cell in %d %d", os.getpid(), len(fds))
             return evaluate_cell(*cell)
 
@@ -819,11 +842,7 @@ def _craft_records(tmp_path, values):
     )
     out = tmp_path
     out.mkdir(exist_ok=True)
-    with open(out / "manifest.txt", "w") as fh:
-        fh.write(
-            f"config_hash = {config_hash(cfg)}\ncode_version = test\n"
-            f"--- config ---\n{cfg.canonical_text()}"
-        )
+    (out / MANIFEST_FILE).write_text(cfg.canonical_text())
     with open(out / "results.tsv", "w") as fh:
         fh.write(
             "dataset\tvariant\tselector\treplication\tfold\tmetric\tvalue\twall_time_s\n"
