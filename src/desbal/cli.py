@@ -55,12 +55,12 @@ def _cmd_report(args) -> int:
     try:
         metric = normalize_metric(args.metric)
         text = make_report(args.input, metric)
+        out = Path(args.input) / f"report_{metric}.txt"
+        out.write_text(text, encoding="utf-8")  # before any output, so a failed write prints none
     except (IncompleteGridError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text, end="")
-    out = Path(args.input) / f"report_{metric}.txt"
-    out.write_text(text, encoding="utf-8")
     print(f"(written to {out})")
     return 0
 

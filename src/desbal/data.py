@@ -4,7 +4,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 logger = logging.getLogger(__name__)
 
@@ -110,10 +109,22 @@ def _nearest(dists, k: int) -> np.ndarray:
     return np.argsort(dists, axis=-1, kind="stable")[..., :k]
 
 
+_cdist = None  # scipy.spatial.distance.cdist, bound by the first `_distances`
+
+
+def _distances(a, b) -> np.ndarray:
+    """Euclidean distance of each row of `a` to each row of `b`. scipy.spatial
+    loads at the first call, so commands that measure none never load it."""
+    global _cdist
+    if _cdist is None:
+        from scipy.spatial.distance import cdist as _cdist
+    return _cdist(a, b)
+
+
 def _neighbors(features, of, k: int) -> np.ndarray:
     """The k rows of `features` nearest to each row `of` names, nearest first,
     that row itself excluded; k is clamped to the other rows, unwarned."""
-    dists = cdist(features[of], features)
+    dists = _distances(features[of], features)
     dists[np.arange(len(of)), of] = np.inf
     return _nearest(dists, min(k, features.shape[0] - 1))
 
@@ -251,8 +262,9 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
     they are read from the kept rows (numeric when every cell parses as a
     float, else nominal in first-appearance order). Every nominal column, the
     class included, maps a cell to its first matching category; a nominal
-    feature becomes indicator columns in place. The first bad cell in row
-    order is reported."""
+    feature becomes indicator columns in place. A numeric class column's
+    classes are its distinct finite numbers by value. The first bad cell in
+    row order is reported."""
     width = len(rows[0]) if specs is None else len(specs)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -266,7 +278,8 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
     if specs is None:
         specs = [None if all(map(_is_float, c)) else tuple(dict.fromkeys(c)) for c in columns]
     declared = specs[label_idx] or sorted(  # equal numbers keep their row order
-        dict.fromkeys(filter(_is_float, columns[label_idx])), key=float)
+        dict.fromkeys(c for c in columns[label_idx] if _is_float(c) and np.isfinite(float(c))),
+        key=float)
     class_names = tuple(dict.fromkeys(declared))  # a class declared twice is one
     kinds = [class_names if j == label_idx else spec for j, spec in enumerate(specs)]
     decoded = [_decode(cells, kind) for cells, kind in zip(columns, kinds)]
@@ -276,7 +289,9 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
         row, _, j = min(bad)
         cell = columns[j][row]
         raise DataFormatError(
-            f"unknown class value {cell!r} in column {label_name}" if j == label_idx
+            f"non-finite class value {cell!r} in column {label_name}"
+            if j == label_idx and specs[j] is None and _is_float(cell)
+            else f"unknown class value {cell!r} in column {label_name}" if j == label_idx
             else f"unknown nominal category {cell!r} in column {j}" if kinds[j] is not None
             else f"non-finite cell {cell!r} in numeric column {j}" if _is_float(cell)
             else f"non-numeric cell {cell!r} in numeric column {j}"

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .cpus import usable_cpus
-from .data import Dataset, _catalogue_lookup, _nearest, _neighbors
+from .data import Dataset, _catalogue_lookup, _distances, _nearest, _neighbors
 from .pool import Pool
 from .rng import make_rng
 
@@ -110,7 +109,7 @@ class SelectionContext:
         if k < 1:
             raise ValueError(f"region size k must be at least 1, got k={k}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        dists = cdist(X, self.dsel.features)
+        dists = _distances(X, self.dsel.features)
         order = _nearest(dists, k)  # (Q, K)
         supports = self.pool.support_all(X, axis=1)  # (Q, M, L)
         predictions = supports.argmax(axis=2)

@@ -625,8 +625,9 @@ def decode_ref(rows, label_idx, label_name, specs=None):
     Rows holding `?` are dropped first. A missing spec is read from the kept
     rows: numeric (None) when every cell parses as a float, else the
     categories in first-appearance order. Class names are the class spec
-    with repeats removed (a numeric class: its distinct numeric cells by
-    value, so a non-number is an unknown class value).
+    with repeats removed (a numeric class: its distinct finite numeric cells
+    by value, so a non-number is an unknown class value and a nan or inf a
+    non-finite one).
     Every cell takes its first matching category; a nominal feature becomes
     one indicator per declared category, and a numeric feature cell must be a
     finite float. Returns (features, labels,
@@ -642,7 +643,8 @@ def decode_ref(rows, label_idx, label_name, specs=None):
             numeric = all(_parses(c) for c in cells)
             specs.append(None if numeric else tuple(dict.fromkeys(cells)))
     if specs[label_idx] is None:
-        cells = dict.fromkeys(row[label_idx] for row in kept if _parses(row[label_idx]))
+        cells = dict.fromkeys(row[label_idx] for row in kept
+                              if _parses(row[label_idx]) and math.isfinite(float(row[label_idx])))
         class_names = tuple(sorted(cells, key=float))
     else:
         class_names = tuple(dict.fromkeys(specs[label_idx]))
@@ -650,6 +652,8 @@ def decode_ref(rows, label_idx, label_name, specs=None):
     for row in kept:
         cell = row[label_idx]
         if cell not in class_names:
+            if specs[label_idx] is None and _parses(cell):
+                return f"non-finite class value {cell!r} in column {label_name}"
             return f"unknown class value {cell!r} in column {label_name}"
         labels.append(class_names.index(cell))
         out = []

@@ -378,6 +378,22 @@ def test_a_non_finite_cell_fails_that_dataset_alone(workspace, capsys):
     assert out.startswith("wrote 40 record(s)") and f"failed datasets: {bad}" in err
 
 
+def test_a_non_finite_class_cell_fails_that_dataset_alone(workspace, capsys):
+    # a nan class would take its id from row order, nan being unordered
+    tmp_path, config = workspace
+    rows = [row.split(",") for row in (tmp_path / "toy.csv").read_text().splitlines()]
+    rows[20][2], rows[6][2] = "inf", "nan"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    config.write_text(config.read_text().replace("datasets = ", f"datasets = {bad}, "))
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset {bad}: non-finite class value 'nan' in column col2\n")
+    assert main(["run", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("wrote 40 record(s)") and f"failed datasets: {bad}" in err
+
+
 def _older_layout(out, text):
     """Rewrite the output `out` as runs laid it out before the lock moved onto
     results.tsv: a manifest of `text`, the config, headed by its hash, the
@@ -477,23 +493,47 @@ def test_report_unrecorded_metric(workspace, capsys):
 
 def test_fresh_process_never_loads_scipy_stats(workspace):
     # scipy.stats costs about half a second and 30 MB per process; desbal
-    # needs only scipy.spatial and scipy.special
+    # needs scipy.special, and scipy.spatial (with scipy.linalg and
+    # scipy.sparse, about 0.1 s and 12 MB) only at its first distance, which
+    # validate and report never measure
     tmp_path, config = workspace
     assert main(["run", "--config", str(config)]) == 0
+    fresh = tmp_path / "fresh.conf"
+    fresh.write_text(config.read_text().replace(str(tmp_path / "out"), str(tmp_path / "fresh")))
+    heavy = ("scipy.stats", "scipy.spatial", "scipy.linalg", "scipy.sparse")
     code = (
         "import sys\n"
         "import desbal, desbal.cli\n"
+        f"assert desbal.cli.main(['validate', '--config', {str(config)!r}]) == 0\n"
         f"assert desbal.cli.main(['report', '--input', {str(tmp_path / 'out')!r},"
         " '--metric', 'gmean']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))\n"
+        "desbal.experiment.usable_cpus = lambda: 1  # every cell in this process\n"
+        f"assert desbal.cli.main(['run', '--config', {str(fresh)!r}]) == 0\n"
+        "print('scipy.spatial' in sys.modules, 'scipy.stats' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    assert "Average rank" in done.stdout
-    assert done.stdout.splitlines()[-1] == "[]"
+    lines = done.stdout.splitlines()
+    assert lines[0] == "config ok" and "Average rank" in done.stdout
+    assert lines[-3:] == ["[]", "wrote 40 record(s) to "
+                          f"{tmp_path / 'fresh' / RESULTS_FILE} (0 already present)", "True False"]
+
+
+def test_a_failed_report_write_is_one_error_line(workspace, capsys):
+    # the report file is written before anything is printed
+    tmp_path, config = workspace
+    assert main(["run", "--config", str(config)]) == 0
+    target = tmp_path / "out" / "report_gmean.txt"
+    target.mkdir()
+    with pytest.raises(OSError) as raised:
+        target.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--input", str(tmp_path / "out"), "--metric", "gmean"]) == 1
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
 
 
 def test_report_unknown_metric(workspace, capsys):

@@ -306,6 +306,24 @@ class TestDecodeRules:
                         "1.0, nan\n2.0, inf\n")
         assert ds.class_names == ("nan", "inf") and ds.labels.tolist() == [0, 1]
 
+    def test_non_finite_class_cell_is_bad(self):
+        # a numeric class column's classes are its finite numbers: a nan among
+        # them, unordered, would take its id from row order
+        for text in ("2,1\n1,nan\n3,0\n", "3,0\n2,1\n1,nan\n", "1,0\n2,nan\n3,inf\n"):
+            rows = [line.split(",") for line in text.splitlines()]
+            assert _outcome(lambda: parse_csv(text)) == ref.decode_ref(rows, 1, "col1") == (
+                "non-finite class value 'nan' in column col1")
+        with pytest.raises(DataFormatError, match="^non-finite class value 'inf' in column col1$"):
+            parse_csv("1,0\n2,1\n3,inf\n")
+        head = "@relation t\n@attribute x real\n@attribute cls real\n@data\n"
+        text = head + "1.0, 1\n2.0, -inf\nz, nan\n3.0, 0\n"
+        rows = [["1.0", "1"], ["2.0", "-inf"], ["z", "nan"], ["3.0", "0"]]
+        want = ref.decode_ref(rows, 1, "cls", [None, None])
+        assert _outcome(lambda: parse_keel(text)) == want == (
+            "non-finite class value '-inf' in column cls")
+        with pytest.raises(DataFormatError, match="^non-finite class value 'nan' in column cls$"):
+            parse_keel(head + "1.0, 1\n2.0, 0\n3.0, nan\n")
+
 
 NUMBERS = ("0", "1", "2.5", "-0.0", "1e3", "0.1", "7", "-3.25")
 WORDS = ("sun", "rain", "hail", "snow", "fog")
