@@ -3,8 +3,8 @@
 A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
 Each test point becomes a `Query`: its distances to the DSEL, the pool's
 outputs for it, and its region of competence with the pool's behaviour on
-it, gathered once per batch of queries. A scheme that judges competence on
-the region alone reads the query and nothing else.
+it and its statistics, gathered once per batch of queries. A scheme that
+judges competence on the region alone reads the query and nothing else.
 Determinism rules used throughout: competence ties break to the lowest
 classifier index, vote ties to the lowest class id, distance ties to the
 lowest DSEL index.
@@ -12,7 +12,7 @@ lowest DSEL index.
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -53,7 +53,8 @@ class Query:
 
     `hits[i, j]` tells whether classifier i labels neighbour j correctly and
     `agrees[i, j]` whether it gives neighbour j the label it gives the query;
-    `labels` are the neighbours' true classes.
+    `labels` are the neighbours' true classes. The last four fields are the
+    region's `_region_stats`, from a batch of one when built without them.
     """
 
     indices: np.ndarray  # (K,) DSEL rows
@@ -63,6 +64,17 @@ class Query:
     hits: np.ndarray  # (M, K) bool
     agrees: np.ndarray  # (M, K) bool
     labels: np.ndarray  # (K,) class ids
+    n_correct: np.ndarray | None = None  # (M,) correct neighbours
+    streak: np.ndarray | None = None  # (M,) initial run of correct neighbours
+    class_accuracy: np.ndarray | None = None  # (M,) float, LCA's local class accuracy
+    dfp_mask: np.ndarray | None = None  # (M,) bool, the DFP survivors
+
+    def __post_init__(self):
+        if self.n_correct is None:
+            stats = _region_stats(self.hits.T[:, None], self.labels[None],
+                                  self.predictions[None], self.n_classes)
+            for name, stat in zip(STAT_FIELDS, stats):
+                object.__setattr__(self, name, stat[0])
 
     @property
     def pool_size(self) -> int:
@@ -75,7 +87,39 @@ class Query:
     def rows(self, keep) -> "Query":
         """The same query as seen by the classifiers `keep` alone."""
         return Query(self.indices, self.distances, self.predictions[keep], self.supports[keep],
-                     self.hits[keep], self.agrees[keep], self.labels)
+                     self.hits[keep], self.agrees[keep], self.labels, self.n_correct[keep],
+                     self.streak[keep], self.class_accuracy[keep], self.dfp_mask[keep])
+
+
+STAT_FIELDS = ("n_correct", "streak", "class_accuracy", "dfp_mask")
+
+
+def _region_stats(hits, labels, predictions, n_classes) -> tuple:
+    """Per-classifier statistics (Q, M) of Q regions, from `hits` laid out
+    neighbour-major (K, Q, M), `labels` (Q, K) and `predictions` (Q, M): the
+    correct-neighbour count and initial run of correct neighbours, in the
+    smallest unsigned dtype that holds K; the local class accuracy, the
+    correct share of the neighbours of the classifier's own label (0 with
+    none); and the DFP survivor mask. A classifier survives when its correct
+    neighbours span two classes or more (it labels both members of some
+    frienemy pair correctly). A region where none survives keeps the whole
+    pool; so does every single-class or empty region.
+    """
+    K, Q, M = hits.shape
+    count, ids = np.min_scalar_type(K), np.min_scalar_type(n_classes + 1)
+    hit = hits.view(np.uint8)
+    streak, run = np.zeros((Q, M), count), np.ones((Q, M), bool)
+    for row in hits:
+        streak += np.logical_and(run, row, out=run)
+    lab = labels.T.astype(ids)[:, :, None]  # (K, Q, 1)
+    same = lab == predictions.astype(ids)
+    accuracy = np.divide((hits & same).sum(axis=0, dtype=count),
+                         np.maximum(same.sum(axis=0, dtype=count), 1))
+    top = (hit * (lab + 1)).max(axis=0, initial=0)  # 1 + the highest correct class, 0 with none
+    bottom = (hit * (n_classes - lab)).max(axis=0, initial=0)  # n_classes - the lowest
+    survives = top > n_classes + 1 - bottom
+    survives |= ~survives.any(axis=1, keepdims=True)
+    return hit.sum(axis=0, dtype=count), streak, accuracy, survives
 
 
 class SelectionContext:
@@ -105,7 +149,8 @@ class SelectionContext:
         """Queries for a whole test matrix with one pass of the pool over it
         and one gather of the pool's behaviour on every region, laid out
         query-major: each query's fields are contiguous rows of C-ordered
-        (Q, M, L) supports, (Q, M) predictions and (Q, M, K) hits/agrees."""
+        (Q, M, L) supports, (Q, M) predictions and (Q, M, K) hits/agrees,
+        with the statistics of every region from one `_region_stats` call."""
         if k < 1:
             raise ValueError(f"region size k must be at least 1, got k={k}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -113,11 +158,13 @@ class SelectionContext:
         order = _nearest(dists, k)  # (Q, K)
         supports = self.pool.support_all(X, axis=1)  # (Q, M, L)
         predictions = supports.argmax(axis=2)
-        hits = self.hits[:, order].swapaxes(0, 1).copy()  # (Q, M, K)
+        by_neighbour = np.ascontiguousarray(self.hits.T)[order.T]  # (K, Q, M)
+        hits = by_neighbour.transpose(1, 2, 0).copy()  # (Q, M, K)
         agrees = (self.predictions[:, order] == predictions.T[:, :, None]).swapaxes(0, 1).copy()
         labels = self.dsel.labels[order]
-        return [Query(order[q], dists[q], predictions[q], supports[q], hits[q], agrees[q],
-                      labels[q]) for q in range(X.shape[0])]
+        stats = _region_stats(by_neighbour, labels, predictions, self.n_classes)
+        return [Query(*fields) for fields in zip(order, dists, predictions, supports, hits,
+                                                 agrees, labels, *stats)]
 
     def rrc_csrc(self, seed: int = 0) -> np.ndarray:
         """Centered correct-classification probability of the randomized
@@ -180,27 +227,14 @@ def select_static(query: Query) -> SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-def _consecutive_hits(hits) -> np.ndarray:
-    """Length of each classifier's initial run of correct neighbours."""
-    padded = np.concatenate([hits, np.zeros((hits.shape[0], 1), dtype=bool)], axis=1)
-    return (~padded).argmax(axis=1)
-
-
 def select_rank(query: Query) -> SelectionResult:
     """Modified classifier rank: longest streak of correct nearest neighbours."""
-    runs = _consecutive_hits(query.hits)
-    return _vote(query, np.array([runs.argmax()]))
+    return _vote(query, np.array([query.streak.argmax()]))
 
 
 def select_lca(query: Query) -> SelectionResult:
     """Local class accuracy over the neighbours sharing the predicted label."""
-    same = query.labels[None, :] == query.predictions[:, None]  # (M, K)
-    n_same = same.sum(axis=1)
-    competence = np.divide(
-        (query.hits & same).sum(axis=1), n_same,
-        out=np.zeros(query.pool_size), where=n_same > 0,
-    )
-    return _vote(query, np.array([competence.argmax()]))
+    return _vote(query, np.array([query.class_accuracy.argmax()]))
 
 
 def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionResult:
@@ -234,15 +268,14 @@ def select_kne(query: Query) -> SelectionResult:
     region size, and every classifier reaching it is selected. With no streak
     at all every classifier ties at zero, so the whole pool votes.
     """
-    runs = _consecutive_hits(query.hits)
-    return _vote(query, np.flatnonzero(runs == runs.max()))
+    return _vote(query, np.flatnonzero(query.streak == query.streak.max()))
 
 
 def select_knu(query: Query) -> SelectionResult:
     """KNORA-Union: one vote per correctly recognized neighbour."""
-    votes = query.hits.sum(axis=1)
+    votes = query.n_correct
     selected = np.flatnonzero(votes > 0)
-    return _vote(query, selected, votes[selected])
+    return _vote(query, selected, votes[selected].astype(int))  # int weights, a bool sum's
 
 
 def select_desknn(query: Query, n: int | None = None,
@@ -259,8 +292,9 @@ def select_desknn(query: Query, n: int | None = None,
     M = query.pool_size
     n = max(1, min(int(np.ceil(0.5 * M)) if n is None else n, M))
     j = max(1, min(int(np.ceil(0.3 * M)) if j is None else j, n))
-    # hit counts order identically to accuracies and tie exactly
-    by_accuracy = np.argsort(-query.hits.sum(axis=1), kind="stable")
+    # hit counts order identically to accuracies and tie exactly; `~` reverses
+    # the order of the unsigned counts, where negation would wrap
+    by_accuracy = np.argsort(~query.n_correct, kind="stable")
     candidates = by_accuracy[:n]
     wrong = (~query.hits[candidates]).astype(int)
     div_sum = wrong @ wrong.sum(axis=0) - wrong.sum(axis=1)
@@ -271,7 +305,7 @@ def select_desknn(query: Query, n: int | None = None,
 
 def select_desp(query: Query) -> SelectionResult:
     """Keep classifiers whose local accuracy beats a random guesser (1/L)."""
-    competence = query.hits.sum(axis=1) / query.hits.shape[1] - 1.0 / query.n_classes
+    competence = query.n_correct / query.hits.shape[1] - 1.0 / query.n_classes
     return _vote(query, np.flatnonzero(competence > 0))
 
 
@@ -306,12 +340,13 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed, threads):
     inverse = np.empty(len(ordered), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     unique = ordered[first]
+    shapes = L * unique + 1e-3  # the Dirichlet concentrations
     win = np.empty((unique.shape[0], L))
 
     def draw(share):  # make_rng and numpy only; the gamma draws release the GIL
         for u, support in zip(share, unique[share]):
             rng = make_rng(seed, "rrc", support.tobytes().hex())
-            gammas = rng.gamma(shape=L * support + 1e-3, size=(draws, L))
+            gammas = rng.standard_gamma(shapes[u], size=(draws, L))
             win[u] = np.bincount(np.argmax(gammas, axis=1), minlength=L) / draws
 
     width = min(threads, max(len(unique), 1))
@@ -491,29 +526,17 @@ def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
 
 
 def dfp_prune(query: Query) -> np.ndarray:
-    """Dynamic frienemy pruning: keep classifiers that recognize the border.
-
-    A classifier survives when its correctly labelled region samples span at
-    least two classes (equivalently, it labels both members of some frienemy
-    pair correctly). Single-class regions and empty survivor sets keep the
-    whole pool.
-    """
-    everyone = np.arange(query.pool_size)
-    hits, labels = query.hits, query.labels
-    if (labels == labels[:1]).all():  # one class, or an empty region
-        return everyone
-    # some correct neighbour's class differs from that of the first correct one
-    crosses = hits & (labels != labels[hits.argmax(axis=1)][:, None])
-    survivors = np.flatnonzero(crosses.any(axis=1))
-    return survivors if survivors.size else everyone
+    """Dynamic frienemy pruning: the classifiers that recognize the border,
+    by `_region_stats`'s survivor rule on a batch of the query alone."""
+    return np.flatnonzero(replace(query, **dict.fromkeys(STAT_FIELDS)).dfp_mask)
 
 
 def select_fire(base, query: Query) -> SelectionResult:
-    """Run the scheme `base(query)` on the DFP-pruned pool; the chosen indices
-    map back to the whole pool."""
-    survivors = dfp_prune(query)
-    if survivors.size == query.pool_size:
+    """Run the scheme `base(query)` on the pool pruned by the query's DFP
+    mask; the chosen indices map back to the whole pool."""
+    if query.dfp_mask.all():
         return base(query)
+    survivors = np.flatnonzero(query.dfp_mask)
     local = base(query.rows(survivors))
     return SelectionResult(survivors[local.selected], local.predicted_class, local.vote_weights)
 

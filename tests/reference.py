@@ -18,7 +18,8 @@ statistics keep their scipy.stats formulas here: `rankdata` average ranks,
 `2 * norm.sf` rank-test p-values and the `binom.sf` search for the sign
 test's critical value. The query-level helpers keep their earlier array
 forms here too: the (M, Q, ·) batch slices of `make_queries_ref`, the
-`np.mean` sub-ensemble score, the `np.unique` frienemy rule, MCB's `np.delete`
+per-query region statistics of `region_stats_ref`, the `np.mean`
+sub-ensemble score, the `np.unique` frienemy rule, MCB's `np.delete`
 runner-up, and `dataclasses.replace` rows and FIRE results.
 """
 
@@ -176,7 +177,29 @@ def dfp_unique_ref(query):
 def rows_ref(query, keep):
     """`query` as seen by the classifiers `keep`, by `dataclasses.replace`."""
     return replace(query, predictions=query.predictions[keep], supports=query.supports[keep],
-                   hits=query.hits[keep], agrees=query.agrees[keep])
+                   hits=query.hits[keep], agrees=query.agrees[keep],
+                   n_correct=query.n_correct[keep], streak=query.streak[keep],
+                   class_accuracy=query.class_accuracy[keep], dfp_mask=query.dfp_mask[keep])
+
+
+def region_stats_ref(hits, labels, predictions):
+    """One query's statistics by the per-query forms the schemes once used:
+    `hits.sum`, the padded-argmax streak, LCA's `np.divide(..., where=)` and
+    the `dfp_ref` pair loop as a mask. Counts are cast to the smallest
+    unsigned dtype that holds K, after checking that the cast keeps them."""
+    M, K = hits.shape
+    count = np.min_scalar_type(K)
+    n_correct = hits.sum(axis=1)
+    padded = np.concatenate([hits, np.zeros((M, 1), dtype=bool)], axis=1)
+    streak = (~padded).argmax(axis=1)
+    assert (n_correct.astype(count) == n_correct).all() and (streak.astype(count) == streak).all()
+    same = labels[None, :] == predictions[:, None]
+    n_same = same.sum(axis=1)
+    accuracy = np.divide((hits & same).sum(axis=1), n_same, out=np.zeros(M), where=n_same > 0)
+    mask = np.zeros(M, dtype=bool)
+    mask[dfp_ref(hits, range(K), labels)] = True
+    return dict(n_correct=n_correct.astype(count), streak=streak.astype(count),
+                class_accuracy=accuracy, dfp_mask=mask)
 
 
 def fire_ref(base, query):
@@ -212,7 +235,8 @@ def aggregate_score_ref(supports, selected, weights=None):
 
 
 def make_queries_ref(ctx, X, k):
-    """Per-query fields as strided slices of the (M, Q, ·) batch arrays."""
+    """Per-query fields as strided slices of the (M, Q, ·) batch arrays, and
+    each query's statistics by `region_stats_ref`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dists = cdist(X, ctx.dsel.features)
     order = np.argsort(dists, axis=1, kind="stable")[:, :k]
@@ -224,7 +248,7 @@ def make_queries_ref(ctx, X, k):
     return [
         dict(indices=order[q], distances=dists[q], predictions=predictions[:, q],
              supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
-             labels=labels[q])
+             labels=labels[q], **region_stats_ref(hits[:, q], labels[q], predictions[:, q]))
         for q in range(X.shape[0])
     ]
 

@@ -2,9 +2,10 @@
 
 `make_queries` lays its batch out query-major, and each decision reads
 contiguous rows of it. Every query must still equal the strided slices of
-the old (M, Q, ·) arrays, and every rewritten helper (the sub-ensemble
-score, the frienemy rule, MCB's runner-up, FIRE's reduced rows) must give
-the bytes of the formula in `tests/reference.py` it replaced.
+the old (M, Q, ·) arrays, its region statistics the per-query formulas the
+schemes once computed, and every rewritten helper (the sub-ensemble score,
+the frienemy rule, MCB's runner-up, FIRE's reduced rows) must give the bytes
+of the formula in `tests/reference.py` it replaced.
 """
 
 from dataclasses import fields
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 import reference as ref
+from desbal import selection
 from desbal.benchmarks import load_benchmark
 from desbal.data import Dataset, standardize, stratified_5x2
 from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     SELECTOR_NAMES,
+    STAT_FIELDS,
     Query,
     SelectionContext,
     SelectorConfig,
@@ -34,6 +37,7 @@ from desbal.selection import (
 from desbal.tree import DecisionTree, LEAF
 
 FIELDS = [f.name for f in fields(Query)]
+REGION_FIELDS = [name for name in FIELDS if name not in STAT_FIELDS]
 CFG = SelectorConfig(seed=1)
 FIRE_BASES = (select_lca, select_mcb, select_kne, select_knu, select_desknn)
 
@@ -69,13 +73,14 @@ def _constant_pool_ctx(preds, dsel_labels, n_classes):
 
 
 def _edge_queries():
-    """Single-class regions, a pool of one, and pools whose best MCB
-    competences tie."""
+    """Single-class regions, a pool of one, regions of k beyond the DSEL
+    (which hold the whole DSEL), and, last, pools whose best MCB competences
+    tie."""
     single = _constant_pool_ctx([0, 1, 0, 2], [1, 1, 1, 1, 1, 0], 3)
     one = _constant_pool_ctx([1], [0, 1, 1, 0, 1], 2)
     tied = _constant_pool_ctx([0, 0, 1, 1], [0, 1, 0, 1, 1], 2)
-    return ([single.make_query([1.0], k) for k in (1, 3, 5)]
-            + [one.make_query([x], k) for x in (0.0, 2.0) for k in (1, 3)]
+    return ([single.make_query([1.0], k) for k in (1, 3, 5, 9)]
+            + [one.make_query([x], k) for x in (0.0, 2.0) for k in (1, 3, 8)]
             + [tied.make_query([x], 4) for x in (0.5, 2.5)])
 
 
@@ -86,8 +91,8 @@ def _all_queries(oracle_instances, real_cells):
     return queries
 
 
-def _assert_same_fields(got, want: dict):
-    for name in FIELDS:
+def _assert_same_fields(got, want: dict, names=FIELDS):
+    for name in names:
         a, b = getattr(got, name), want[name]
         assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
 
@@ -121,6 +126,43 @@ class TestBatchLayout:
             for query in ctx.make_queries(X, 7):
                 for name in ("supports", "predictions", "hits", "agrees"):
                     assert getattr(query, name).flags.c_contiguous, name
+
+    def test_statistics_match_the_per_query_formulas(self, real_cells):
+        """Every statistic of every batch row is the formula each scheme once
+        computed from the query's own hits, in the smallest dtype; the DFP
+        mask is also the `np.unique` rule's survivors."""
+        queries = _edge_queries() + [q for ctx, X in real_cells for q in ctx.make_queries(X, 7)]
+        for query in queries:
+            want = ref.region_stats_ref(query.hits, query.labels, query.predictions)
+            _assert_same_fields(query, want, STAT_FIELDS)
+            assert np.flatnonzero(query.dfp_mask).tobytes() == ref.dfp_unique_ref(query).tobytes()
+
+    def test_hand_built_query_equals_its_batch_row(self, real_cells):
+        """A query built from its region fields alone gets the statistics of
+        its row of the batch (from a batch of one)."""
+        queries = _edge_queries() + [q for ctx, X in real_cells for q in ctx.make_queries(X, 7)]
+        for query in queries:
+            alone = Query(*(getattr(query, name) for name in REGION_FIELDS))
+            _assert_same_fields(alone, {name: getattr(query, name) for name in FIELDS})
+
+    def test_statistics_are_computed_once_per_batch(self, real_cells, monkeypatch):
+        """`_region_stats` runs once per `make_queries` call, and no decision
+        or score of any scheme runs it again."""
+        calls = []
+        batch_stats = selection._region_stats
+        monkeypatch.setattr(selection, "_region_stats",
+                            lambda *args: calls.append(args[0].shape) or batch_stats(*args))
+        for ctx, X in real_cells:
+            calls.clear()
+            queries = ctx.make_queries(X, 7)
+            assert calls == [(7, len(X), ctx.pool_size)]
+            for name in SELECTOR_NAMES:
+                for query in queries:
+                    run_selector(name, ctx, query, CFG).aggregate_score(query)
+            assert len(calls) == 1
+        calls.clear()
+        Query(*(getattr(queries[0], name) for name in REGION_FIELDS))
+        assert calls == [(7, 1, ctx.pool_size)]  # a hand-built query: a batch of one
 
     def test_make_query_is_a_row_of_the_batch(self, real_cells):
         for ctx, X in real_cells:
@@ -231,8 +273,9 @@ class TestBitwiseOracles:
             assert select_mcb(query, 0.0, 0.0).selected.tolist() == list(range(query.pool_size))
 
     def test_pool_of_one(self):
-        for query in _edge_queries()[3:7]:
-            assert query.pool_size == 1
+        ones = [query for query in _edge_queries() if query.pool_size == 1]
+        assert len(ones) == 6
+        for query in ones:
             assert select_mcb(query).selected.tolist() == [0]
             assert dfp_prune(query).tolist() == [0]
             for name in ("STATIC", "MCB", "KNU", "F-KNU", "DES-KNN"):

@@ -295,6 +295,7 @@ class TestKnu:
             assert got.predicted_class == want_pred
             if want_w is not None:
                 assert got.vote_weights.tolist() == want_w
+                assert got.vote_weights.dtype == np.int_  # a bool sum's dtype
 
 
 class TestDoubleFault:
