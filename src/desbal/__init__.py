@@ -30,7 +30,6 @@ from .selection import (
     SelectionContext,
     SelectionResult,
     SelectorConfig,
-    dfp_prune,
     run_selector,
     select_desknn,
     select_desp,

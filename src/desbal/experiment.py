@@ -91,12 +91,13 @@ class RunConfig:
 def parse_config_text(text: str) -> RunConfig:
     """Parse the plain key/value run-configuration format; each key reads as
     the type of its `RunConfig` field (tuple: a comma-separated list) and may
-    appear once."""
+    appear once. A line whose first non-blank character is `#` is a comment;
+    any other `#` is part of its value."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
     values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")

@@ -12,7 +12,7 @@ lowest DSEL index.
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -54,7 +54,7 @@ class Query:
     `hits[i, j]` tells whether classifier i labels neighbour j correctly and
     `agrees[i, j]` whether it gives neighbour j the label it gives the query;
     `labels` are the neighbours' true classes. The last four fields are the
-    region's `_region_stats`, from a batch of one when built without them.
+    region's `_region_stats`, from the `make_queries` batch it came from.
     """
 
     indices: np.ndarray  # (K,) DSEL rows
@@ -64,17 +64,10 @@ class Query:
     hits: np.ndarray  # (M, K) bool
     agrees: np.ndarray  # (M, K) bool
     labels: np.ndarray  # (K,) class ids
-    n_correct: np.ndarray | None = None  # (M,) correct neighbours
-    streak: np.ndarray | None = None  # (M,) initial run of correct neighbours
-    class_accuracy: np.ndarray | None = None  # (M,) float, LCA's local class accuracy
-    dfp_mask: np.ndarray | None = None  # (M,) bool, the DFP survivors
-
-    def __post_init__(self):
-        if self.n_correct is None:
-            stats = _region_stats(self.hits.T[:, None], self.labels[None],
-                                  self.predictions[None], self.n_classes)
-            for name, stat in zip(STAT_FIELDS, stats):
-                object.__setattr__(self, name, stat[0])
+    n_correct: np.ndarray  # (M,) correct neighbours
+    streak: np.ndarray  # (M,) initial run of correct neighbours
+    class_accuracy: np.ndarray  # (M,) float, LCA's local class accuracy
+    dfp_mask: np.ndarray  # (M,) bool, the DFP survivors
 
     @property
     def pool_size(self) -> int:
@@ -89,9 +82,6 @@ class Query:
         return Query(self.indices, self.distances, self.predictions[keep], self.supports[keep],
                      self.hits[keep], self.agrees[keep], self.labels, self.n_correct[keep],
                      self.streak[keep], self.class_accuracy[keep], self.dfp_mask[keep])
-
-
-STAT_FIELDS = ("n_correct", "streak", "class_accuracy", "dfp_mask")
 
 
 def _region_stats(hits, labels, predictions, n_classes) -> tuple:
@@ -525,15 +515,9 @@ def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-def dfp_prune(query: Query) -> np.ndarray:
-    """Dynamic frienemy pruning: the classifiers that recognize the border,
-    by `_region_stats`'s survivor rule on a batch of the query alone."""
-    return np.flatnonzero(replace(query, **dict.fromkeys(STAT_FIELDS)).dfp_mask)
-
-
 def select_fire(base, query: Query) -> SelectionResult:
-    """Run the scheme `base(query)` on the pool pruned by the query's DFP
-    mask; the chosen indices map back to the whole pool."""
+    """Run the scheme `base(query)` on the classifiers that survive dynamic
+    frienemy pruning, `query.dfp_mask`; the chosen indices map to the pool."""
     if query.dfp_mask.all():
         return base(query)
     survivors = np.flatnonzero(query.dfp_mask)

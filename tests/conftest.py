@@ -1,12 +1,21 @@
-"""Shared fixtures: random small selection instances for oracle checks."""
+"""Shared fixtures: random small selection instances for oracle checks, and
+the one way tests build a query around a hand-crafted region."""
 
 import numpy as np
 import pytest
 
 from desbal.data import Dataset
 from desbal.pool import Pool
-from desbal.selection import SelectionContext
+from desbal.selection import Query, SelectionContext, _region_stats
 from desbal.tree import TreeConfig, fit_tree
+
+
+def region_query(indices, distances, predictions, supports, hits, agrees, labels):
+    """A query over a hand-crafted region, its statistics from the library's
+    `_region_stats` on a batch of one, as `make_queries` gives them."""
+    stats = _region_stats(hits.T[:, None], labels[None], predictions[None], supports.shape[1])
+    return Query(indices, distances, predictions, supports, hits, agrees, labels,
+                 *(stat[0] for stat in stats))
 
 
 def random_instance(rng):

@@ -24,7 +24,6 @@ from desbal.selection import (
     RRC_DRAWS,
     SelectionContext,
     SelectorConfig,
-    dfp_prune,
     select_desknn,
     select_desp,
     select_desrrc,
@@ -107,7 +106,7 @@ def test_criterion_02_selector_oracles(oracle_instances):
         if (got.selected.tolist(), got.predicted_class) != want:
             failures.append((n, "DES-KNN"))
 
-        if dfp_prune(query).tolist() != ref.dfp_ref(hits, roc, ctx.dsel.labels):
+        if np.flatnonzero(query.dfp_mask).tolist() != ref.dfp_ref(hits, roc, ctx.dsel.labels):
             failures.append((n, "DFP"))
     _verdict(2, "selector oracle equivalence", not failures)
 

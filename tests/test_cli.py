@@ -13,7 +13,8 @@ import pytest
 from desbal.benchmarks import synthetic_like
 from desbal.cli import main
 from desbal.experiment import (
-    HEADER_LINE, MANIFEST_FILE, RESULTS_FILE, load_config, validate_config,
+    HEADER_LINE, MANIFEST_FILE, RESULTS_FILE, RunConfig, load_config, parse_config_text,
+    validate_config,
 )
 
 CONFIG = """datasets = {path}
@@ -443,6 +444,24 @@ def test_the_manifest_is_the_runs_config(workspace, capsys):
     assert main(["run", "--config", str(manifest)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "config ok" and out[1].startswith("wrote 0 record(s) ")
+
+
+def test_a_hash_inside_a_value_is_kept(workspace, capsys):
+    tmp_path, config = workspace
+    data = tmp_path / "set#1.csv"
+    data.write_bytes((tmp_path / "toy.csv").read_bytes())
+    out = tmp_path / "exp#2"
+    hashed = RunConfig(datasets=(str(data),), output=str(out), selectors=("STATIC",),
+                       metrics=("gmean",), pool_size=3, k=3)
+    assert parse_config_text(hashed.canonical_text()) == hashed
+    text = "# a comment line\n   # an indented one\n" + hashed.canonical_text()
+    assert parse_config_text(text) == hashed
+    config.write_text(text)
+    assert main(["run", "--config", str(config)]) == 0
+    assert (out / RESULTS_FILE).exists() and not (tmp_path / "exp").exists()
+    capsys.readouterr()
+    assert main(["run", "--config", str(out / MANIFEST_FILE)]) == 0
+    assert capsys.readouterr().out.startswith("wrote 0 record(s) ")
 
 
 def test_no_command_reads_or_writes_in_the_locale_encoding(workspace):

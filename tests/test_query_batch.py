@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 
 import reference as ref
+from conftest import region_query
 from desbal import selection
 from desbal.benchmarks import load_benchmark
 from desbal.data import Dataset, standardize, stratified_5x2
 from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     SELECTOR_NAMES,
-    STAT_FIELDS,
     Query,
     SelectionContext,
     SelectorConfig,
-    dfp_prune,
     run_selector,
     select_desknn,
     select_fire,
@@ -37,7 +36,6 @@ from desbal.selection import (
 from desbal.tree import DecisionTree, LEAF
 
 FIELDS = [f.name for f in fields(Query)]
-REGION_FIELDS = [name for name in FIELDS if name not in STAT_FIELDS]
 CFG = SelectorConfig(seed=1)
 FIRE_BASES = (select_lca, select_mcb, select_kne, select_knu, select_desknn)
 
@@ -134,16 +132,8 @@ class TestBatchLayout:
         queries = _edge_queries() + [q for ctx, X in real_cells for q in ctx.make_queries(X, 7)]
         for query in queries:
             want = ref.region_stats_ref(query.hits, query.labels, query.predictions)
-            _assert_same_fields(query, want, STAT_FIELDS)
+            _assert_same_fields(query, want, want.keys())
             assert np.flatnonzero(query.dfp_mask).tobytes() == ref.dfp_unique_ref(query).tobytes()
-
-    def test_hand_built_query_equals_its_batch_row(self, real_cells):
-        """A query built from its region fields alone gets the statistics of
-        its row of the batch (from a batch of one)."""
-        queries = _edge_queries() + [q for ctx, X in real_cells for q in ctx.make_queries(X, 7)]
-        for query in queries:
-            alone = Query(*(getattr(query, name) for name in REGION_FIELDS))
-            _assert_same_fields(alone, {name: getattr(query, name) for name in FIELDS})
 
     def test_statistics_are_computed_once_per_batch(self, real_cells, monkeypatch):
         """`_region_stats` runs once per `make_queries` call, and no decision
@@ -160,9 +150,6 @@ class TestBatchLayout:
                 for query in queries:
                     run_selector(name, ctx, query, CFG).aggregate_score(query)
             assert len(calls) == 1
-        calls.clear()
-        Query(*(getattr(queries[0], name) for name in REGION_FIELDS))
-        assert calls == [(7, 1, ctx.pool_size)]  # a hand-built query: a batch of one
 
     def test_make_query_is_a_row_of_the_batch(self, real_cells):
         for ctx, X in real_cells:
@@ -219,7 +206,7 @@ class TestBitwiseOracles:
     def test_fire_matches_the_replace_form(self, oracle_instances, real_cells):
         reduced = 0
         for query in _all_queries(oracle_instances, real_cells):
-            survivors = dfp_prune(query)
+            survivors = np.flatnonzero(query.dfp_mask)
             for base in FIRE_BASES:
                 _assert_same_result(select_fire(base, query), ref.fire_ref(base, query))
                 if survivors.size == query.pool_size:
@@ -234,24 +221,25 @@ class TestBitwiseOracles:
     def test_dfp_matches_the_unique_rule(self, oracle_instances, real_cells):
         single = 0
         for query in _all_queries(oracle_instances, real_cells):
-            got = dfp_prune(query)
+            got = np.flatnonzero(query.dfp_mask)
             assert got.dtype == np.intp
             assert got.tobytes() == ref.dfp_unique_ref(query).tobytes()
             single += np.unique(query.labels).size == 1
         assert single >= 5
 
     def test_dfp_keeps_the_pool_on_an_empty_region(self):
-        query = Query(np.zeros(0, dtype=np.intp), np.ones(4), np.array([0, 1, 1]),
-                      np.eye(2)[[0, 1, 1]], np.zeros((3, 0), bool), np.zeros((3, 0), bool),
-                      np.zeros(0, dtype=int))
-        assert dfp_prune(query).tobytes() == ref.dfp_unique_ref(query).tobytes()
-        assert dfp_prune(query).tolist() == [0, 1, 2]
+        query = region_query(np.zeros(0, dtype=np.intp), np.ones(4), np.array([0, 1, 1]),
+                             np.eye(2)[[0, 1, 1]], np.zeros((3, 0), bool),
+                             np.zeros((3, 0), bool), np.zeros(0, dtype=int))
+        survivors = np.flatnonzero(query.dfp_mask)
+        assert survivors.tobytes() == ref.dfp_unique_ref(query).tobytes()
+        assert survivors.tolist() == [0, 1, 2]
 
     def test_rows_match_replace(self, oracle_instances, real_cells):
         rng = np.random.default_rng(9)
         for query in _all_queries(oracle_instances, real_cells)[::3]:
             M = query.pool_size
-            for keep in (np.arange(M), dfp_prune(query),
+            for keep in (np.arange(M), np.flatnonzero(query.dfp_mask),
                          np.sort(rng.choice(M, size=int(rng.integers(1, M + 1)), replace=False))):
                 want = ref.rows_ref(query, keep)
                 _assert_same_fields(query.rows(keep), {n: getattr(want, n) for n in FIELDS})
@@ -277,7 +265,7 @@ class TestBitwiseOracles:
         assert len(ones) == 6
         for query in ones:
             assert select_mcb(query).selected.tolist() == [0]
-            assert dfp_prune(query).tolist() == [0]
+            assert np.flatnonzero(query.dfp_mask).tolist() == [0]
             for name in ("STATIC", "MCB", "KNU", "F-KNU", "DES-KNN"):
                 result = run_selector(name, None, query)
                 assert (result.aggregate_score(query).tobytes()

@@ -11,6 +11,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import reference as ref
+from conftest import region_query
 from desbal import selection as selection_module
 from desbal.benchmarks import load_benchmark
 from desbal.data import Dataset, _neighbors, standardize, stratified_5x2
@@ -18,13 +19,11 @@ from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     RRC_DRAWS,
     MetaClassifier,
-    Query,
     SelectionContext,
     SelectorConfig,
     _agreement,
     _meta_features_all,
     _nearest,
-    dfp_prune,
     run_selector,
     select_desknn,
     select_desp,
@@ -48,7 +47,7 @@ def _query(hits, profiles, labels, n_classes, preds_q):
     the query itself."""
     hits = np.asarray(hits, dtype=bool)
     preds_q = np.asarray(preds_q, dtype=int)
-    return Query(
+    return region_query(
         indices=np.arange(hits.shape[1]),
         distances=np.zeros(hits.shape[1]),
         predictions=preds_q,
@@ -889,19 +888,19 @@ class TestDfp:
     def test_single_class_region_keeps_pool(self):
         hits = np.array([[1] * 5, [0] * 5])
         query = _query(hits, np.zeros((2, 5)), np.zeros(5), 2, [0, 0])
-        assert dfp_prune(query).tolist() == [0, 1]
+        assert np.flatnonzero(query.dfp_mask).tolist() == [0, 1]
 
     def test_majority_only_classifier_pruned(self):
         dsel_labels = np.array([0, 0, 0, 1, 1])
         # classifier 0 only ever right on class 0; classifier 1 crosses
         hits = np.array([[1, 1, 1, 0, 0], [1, 0, 0, 1, 0]])
         query = _query(hits, np.zeros((2, 5)), dsel_labels, 2, [0, 0])
-        assert dfp_prune(query).tolist() == [1]
+        assert np.flatnonzero(query.dfp_mask).tolist() == [1]
 
     def test_oracle(self, oracle_instances):
         for inst in oracle_instances[:50]:
             ctx, query = inst["ctx"], inst["query"]
-            got = dfp_prune(query)
+            got = np.flatnonzero(query.dfp_mask)
             want = ref.dfp_ref(
                 ctx.hits, query.indices.tolist(), ctx.dsel.labels
             )
@@ -912,7 +911,7 @@ class TestFire:
     def test_noop_prune_equals_base(self, oracle_instances):
         for inst in oracle_instances[:30]:
             query = inst["query"]
-            survivors = dfp_prune(query)
+            survivors = np.flatnonzero(query.dfp_mask)
             if survivors.size != query.pool_size:
                 continue
             fire = select_fire(select_knu, query)
@@ -935,7 +934,7 @@ class TestFire:
         dsel_labels = np.array([0, 0, 0, 1, 1])
         hits = np.array([[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [1, 1, 1, 0, 0]])
         query = _query(hits, np.zeros((3, 5)), dsel_labels, 2, [1, 0, 0])
-        survivors = dfp_prune(query)
+        survivors = np.flatnonzero(query.dfp_mask)
         assert survivors.tolist() == [0, 1]  # pool indices equal the pruned query's
         _assert_static(select_fire(select_mcb, query), query.rows(survivors))
 
