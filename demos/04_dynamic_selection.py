@@ -40,11 +40,11 @@ truth = test_s.labels[query_idx]
 
 # the query keeps its distance to every DSEL row; its region of competence
 # is the k nearest of them, with the pool's behaviour on each
-query = ctx.make_query(x_q, k=7)
+query = ctx.make_queries(x_q, 7)[0]
 print(f"query: a class-{truth} test point")
 print(f"region of competence: DSEL rows {query.indices.tolist()}")
 print(f"  distances {np.round(query.distances[query.indices], 3).tolist()}")
-print(f"  neighbour labels {query.labels.tolist()}")
+print(f"  neighbour labels {dsel.labels[query.indices].tolist()}")
 
 u_q = query.predictions
 print(f"\noutput profile of the query (first 12 of {len(u_q)} classifiers): "

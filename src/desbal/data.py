@@ -5,6 +5,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .rng import make_rng
+
 logger = logging.getLogger(__name__)
 
 
@@ -263,7 +265,8 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
     float, else nominal in first-appearance order). Every nominal column, the
     class included, maps a cell to its first matching category; a nominal
     feature becomes indicator columns in place. A numeric class column's
-    classes are its distinct finite numbers by value. The first bad cell in
+    classes are its distinct finite numbers by value, each spelt as it first
+    appears in row order (`1` and `1.0` are one class). The first bad cell in
     row order is reported."""
     width = len(rows[0]) if specs is None else len(specs)
     for i, row in enumerate(rows):
@@ -277,10 +280,7 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
     columns = list(zip(*kept))
     if specs is None:
         specs = [None if all(map(_is_float, c)) else tuple(dict.fromkeys(c)) for c in columns]
-    declared = specs[label_idx] or sorted(  # equal numbers keep their row order
-        dict.fromkeys(c for c in columns[label_idx] if _is_float(c) and np.isfinite(float(c))),
-        key=float)
-    class_names = tuple(dict.fromkeys(declared))  # a class declared twice is one
+    class_names = specs[label_idx] and tuple(dict.fromkeys(specs[label_idx]))
     kinds = [class_names if j == label_idx else spec for j, spec in enumerate(specs)]
     decoded = [_decode(cells, kind) for cells, kind in zip(columns, kinds)]
     # the first bad cell in row order, a row's class cell before its features
@@ -300,7 +300,11 @@ def _assemble(name, rows, label_idx, label_name, specs=None) -> Dataset:
         values if kind is None else np.eye(len(kind))[values]
         for j, ((values, _), kind) in enumerate(zip(decoded, kinds)) if j != label_idx
     ])
-    return Dataset(name, features, decoded[label_idx][0], class_names).validate()
+    labels = decoded[label_idx][0]
+    if class_names is None:  # by value, each named by its first cell in row order
+        _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
+        class_names = tuple(columns[label_idx][i] for i in first)
+    return Dataset(name, features, labels, class_names).validate()
 
 
 def _decode(cells, categories):
@@ -367,7 +371,6 @@ class SplitPlan:
     """Five stratified shuffles, each split into two disjoint covering folds."""
 
     replications: tuple  # of (foldA indices, foldB indices)
-    singleton_classes: tuple = ()
 
     def folds(self):
         """Yield (replication, test_fold_name, train_idx, test_idx) per fold."""
@@ -382,19 +385,13 @@ def stratified_5x2(dataset: Dataset, seed: int) -> SplitPlan:
 
     Every class is split as evenly as possible between the folds; for odd
     class counts the extra sample goes to fold A on even replications and to
-    fold B on odd ones. Classes with a single sample always land in fold A
-    and are reported in `singleton_classes`.
+    fold B on odd ones. Classes with a single sample always land in fold A,
+    with a warning that names them.
     """
-    from .rng import make_rng
-
-    counts = dataset.class_counts()
-    singletons = tuple(int(c) for c in np.flatnonzero(counts == 1))
+    singletons = tuple(np.flatnonzero(dataset.class_counts() == 1).tolist())
     if singletons:
-        logger.warning(
-            "%s: classes %s have a single sample; assigned wholly to fold A",
-            dataset.name,
-            singletons,
-        )
+        logger.warning("%s: classes %s have a single sample; assigned wholly to fold A",
+                       dataset.name, singletons)
     replications = []
     for r in range(REPLICATIONS):
         rng = make_rng(seed, "5x2", r)
@@ -414,4 +411,4 @@ def stratified_5x2(dataset: Dataset, seed: int) -> SplitPlan:
         a = np.sort(np.concatenate(fold_a))
         b = np.sort(np.concatenate(fold_b)) if fold_b else np.array([], dtype=int)
         replications.append((a, b))
-    return SplitPlan(replications=tuple(replications), singleton_classes=singletons)
+    return SplitPlan(replications=tuple(replications))

@@ -9,7 +9,7 @@ import os
 import time
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -163,7 +163,25 @@ def validate_config(cfg: RunConfig) -> list:
         problems.append("pool_size must be >= 1")
     if cfg.k < 1:
         problems.append("k must be >= 1")
+    if problems or _reads_back(cfg):
+        return problems
+    plain = RunConfig(datasets=("d",), output="o")  # each value is tried alone in it, to name it
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        listed = isinstance(value, tuple)
+        for item in value if listed else [value]:
+            if not _reads_back(replace(plain, **{f.name: (item,) if listed else item})):
+                problems.append(f"{f.name} value {item!r} would not read back from the manifest "
+                                "(no comma in a list entry, no line break or outer spaces)")
     return problems
+
+
+def _reads_back(cfg: RunConfig) -> bool:
+    """Whether the config text of `cfg`, its manifest, parses back to `cfg`."""
+    try:
+        return parse_config_text(cfg.canonical_text()) == cfg
+    except ConfigError:
+        return False
 
 
 def _manifest_text(path: Path) -> str:
@@ -503,16 +521,16 @@ def _fold_means(records, metric: str, axes):
     return (sums / np.bincount(cells, minlength=np.prod(shape))).reshape(shape)
 
 
-def _ranked(tables, alpha=0.05):
+def _ranked(tables):
     """Average ranks of the columns of a (datasets, methods) table, or of each
     table of a stack, the best-ranked column, and True where a column is
-    statistically equivalent to the best (Finner step-down at `alpha`)."""
+    statistically equivalent to the best (Finner step-down at 0.05)."""
     ranks = average_ranks(tables)
     best = np.argmin(ranks, axis=-1)
     equivalent = np.ones(ranks.shape, dtype=bool)
     if ranks.shape[-1] > 1:
         _, pvals, others = rank_test_pvalues(ranks, tables.shape[-2])
-        np.put_along_axis(equivalent, others, ~finner_stepdown(pvals, alpha), axis=-1)
+        np.put_along_axis(equivalent, others, ~finner_stepdown(pvals, 0.05), axis=-1)
     return ranks, best, equivalent
 
 

@@ -27,13 +27,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Run-level settings of the selection schemes.
-
-    `k` is the region size callers build queries and the META-DES training set
-    with; the schemes themselves read the region from the query. `meta_kp` is
-    the kp callers train META-DES with (its model keeps the sizes it was
-    trained with), and `seed` seeds DES-RRC.
-    """
+    """Run-level settings of the selection schemes, whose defaults live here
+    and in `RunConfig` only: `k`, the region size of the queries and of
+    META-DES training (the schemes read the region from the query);
+    `meta_kp`, the kp META-DES trains with; and `seed`, DES-RRC's."""
 
     k: int = 7
     meta_kp: int = 5
@@ -52,9 +49,8 @@ class Query:
     every classifier's output for it, and the pool's behaviour on the region.
 
     `hits[i, j]` tells whether classifier i labels neighbour j correctly and
-    `agrees[i, j]` whether it gives neighbour j the label it gives the query;
-    `labels` are the neighbours' true classes. The last four fields are the
-    region's `_region_stats`, from the `make_queries` batch it came from.
+    `agrees[i, j]` whether it gives neighbour j the label it gives the query.
+    The last four fields are the region's `_region_stats`, from its batch.
     """
 
     indices: np.ndarray  # (K,) DSEL rows
@@ -63,7 +59,6 @@ class Query:
     supports: np.ndarray  # (M, L)
     hits: np.ndarray  # (M, K) bool
     agrees: np.ndarray  # (M, K) bool
-    labels: np.ndarray  # (K,) class ids
     n_correct: np.ndarray  # (M,) correct neighbours
     streak: np.ndarray  # (M,) initial run of correct neighbours
     class_accuracy: np.ndarray  # (M,) float, LCA's local class accuracy
@@ -80,7 +75,7 @@ class Query:
     def rows(self, keep) -> "Query":
         """The same query as seen by the classifiers `keep` alone."""
         return Query(self.indices, self.distances, self.predictions[keep], self.supports[keep],
-                     self.hits[keep], self.agrees[keep], self.labels, self.n_correct[keep],
+                     self.hits[keep], self.agrees[keep], self.n_correct[keep],
                      self.streak[keep], self.class_accuracy[keep], self.dfp_mask[keep])
 
 
@@ -132,15 +127,12 @@ class SelectionContext:
     def pool_size(self) -> int:
         return self.predictions.shape[0]
 
-    def make_query(self, x_q, k: int = 7) -> Query:
-        return self.make_queries(np.asarray(x_q, dtype=float)[None, :], k)[0]
-
-    def make_queries(self, X, k: int = 7) -> list:
-        """Queries for a whole test matrix with one pass of the pool over it
-        and one gather of the pool's behaviour on every region, laid out
-        query-major: each query's fields are contiguous rows of C-ordered
-        (Q, M, L) supports, (Q, M) predictions and (Q, M, K) hits/agrees,
-        with the statistics of every region from one `_region_stats` call."""
+    def make_queries(self, X, k: int) -> list:
+        """Queries for a test matrix, or one 1-D point, with one pass of the
+        pool over it and one gather of the pool's behaviour on every region,
+        laid out query-major: each query's fields are contiguous rows of
+        C-ordered (Q, M, L) supports, (Q, M) predictions and (Q, M, K)
+        hits/agrees, with every region's statistics from one `_region_stats` call."""
         if k < 1:
             raise ValueError(f"region size k must be at least 1, got k={k}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -151,12 +143,11 @@ class SelectionContext:
         by_neighbour = np.ascontiguousarray(self.hits.T)[order.T]  # (K, Q, M)
         hits = by_neighbour.transpose(1, 2, 0).copy()  # (Q, M, K)
         agrees = (self.predictions[:, order] == predictions.T[:, :, None]).swapaxes(0, 1).copy()
-        labels = self.dsel.labels[order]
-        stats = _region_stats(by_neighbour, labels, predictions, self.n_classes)
+        stats = _region_stats(by_neighbour, self.dsel.labels[order], predictions, self.n_classes)
         return [Query(*fields) for fields in zip(order, dists, predictions, supports, hits,
-                                                 agrees, labels, *stats)]
+                                                 agrees, *stats)]
 
-    def rrc_csrc(self, seed: int = 0) -> np.ndarray:
+    def rrc_csrc(self, seed: int) -> np.ndarray:
         """Centered correct-classification probability of the randomized
         reference model for every (classifier, DSEL sample) pair, from
         `RRC_DRAWS` draws per distinct support.
@@ -347,8 +338,7 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed, threads):
     return win[inverse.reshape(M, n), labels] - 1.0 / n_classes
 
 
-def select_desrrc(ctx: SelectionContext, query: Query,
-                  cfg: SelectorConfig = SelectorConfig()) -> SelectionResult:
+def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig) -> SelectionResult:
     """Gaussian-weighted sum of centred RRC probabilities over the DSEL.
 
     The sum runs over the `RRC_REGION_FACTOR * K` nearest DSEL samples; farther
@@ -460,8 +450,7 @@ class MetaClassifier:
         return probs[1] / probs.sum(axis=0)
 
 
-def train_meta_classifier(ctx: SelectionContext, train, k: int = 7,
-                          kp: int = 5) -> MetaClassifier:
+def train_meta_classifier(ctx: SelectionContext, train, k: int, kp: int) -> MetaClassifier:
     """Fit the competence meta-model on every (training sample, classifier) pair.
 
     `train` must be the DSEL's leading rows, the `build_dsel` layout: its
@@ -559,6 +548,6 @@ normalize_selector = _catalogue_lookup(SELECTOR_NAMES, "selector")
 
 
 def run_selector(name: str, ctx: SelectionContext, query: Query,
-                 cfg: SelectorConfig = SelectorConfig()) -> SelectionResult:
+                 cfg: SelectorConfig) -> SelectionResult:
     """Dispatch a canonical selector name on a prepared query."""
     return SELECTORS[normalize_selector(name)](ctx, query, cfg)

@@ -69,17 +69,12 @@ class DecisionTree:
             node = np.where(goes_left, self._left[node], self._right[node])
         return node
 
-    def predict_support(self, x) -> np.ndarray:
-        """Leaf class counts normalized to sum 1, per row of x."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        if X.shape[1] != self.arity:
-            raise ValueError(
-                f"arity mismatch: tree expects {self.arity} features, got {X.shape[1]}"
-            )
-        support = self._support[self.apply(X)]
-        return support[0] if single else support
+    def predict_support(self, X) -> np.ndarray:
+        """Leaf class counts normalized to sum 1, (n, L) for the n rows of X."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.arity:
+            raise ValueError(f"arity mismatch: tree expects (n, {self.arity}) rows, got {X.shape}")
+        return self._support[self.apply(X)]
 
     def to_dict(self) -> dict:
         return {name: np.asarray(getattr(self, name)).tolist() for name in SAVED_FIELDS}

@@ -14,7 +14,7 @@ def region_query(indices, distances, predictions, supports, hits, agrees, labels
     """A query over a hand-crafted region, its statistics from the library's
     `_region_stats` on a batch of one, as `make_queries` gives them."""
     stats = _region_stats(hits.T[:, None], labels[None], predictions[None], supports.shape[1])
-    return Query(indices, distances, predictions, supports, hits, agrees, labels,
+    return Query(indices, distances, predictions, supports, hits, agrees,
                  *(stat[0] for stat in stats))
 
 
@@ -50,7 +50,7 @@ def random_instance(rng):
     )
     ctx = SelectionContext(pool, dsel)
     x_q = rng.normal(size=d)
-    query = ctx.make_query(x_q, k)
+    query = ctx.make_queries(x_q, k)[0]
     desknn_n = int(rng.integers(1, pool_size + 1))
     return {
         "ctx": ctx,

@@ -163,10 +163,11 @@ def dfp_ref(hits, roc, dsel_labels):
     return kept if kept else list(range(m))
 
 
-def dfp_unique_ref(query):
-    """DFP survivors by `np.unique(return_inverse=True)` class codes."""
+def dfp_unique_ref(query, labels):
+    """DFP survivors by `np.unique(return_inverse=True)` class codes of the
+    region's true `labels`."""
     everyone = np.arange(query.pool_size)
-    classes, member = np.unique(query.labels, return_inverse=True)
+    classes, member = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         return everyone
     hit_classes = query.hits @ (member[:, None] == np.arange(classes.size))
@@ -202,9 +203,9 @@ def region_stats_ref(hits, labels, predictions):
                 class_accuracy=accuracy, dfp_mask=mask)
 
 
-def fire_ref(base, query):
+def fire_ref(base, query, labels):
     """FIRE through the `np.unique` rule, `replace` rows and a `replace`d result."""
-    survivors = dfp_unique_ref(query)
+    survivors = dfp_unique_ref(query, labels)
     if survivors.size == query.pool_size:
         return base(query)
     local = base(rows_ref(query, survivors))
@@ -248,7 +249,7 @@ def make_queries_ref(ctx, X, k):
     return [
         dict(indices=order[q], distances=dists[q], predictions=predictions[:, q],
              supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
-             labels=labels[q], **region_stats_ref(hits[:, q], labels[q], predictions[:, q]))
+             **region_stats_ref(hits[:, q], labels[q], predictions[:, q]))
         for q in range(X.shape[0])
     ]
 
@@ -649,12 +650,13 @@ def decode_ref(rows, label_idx, label_name, specs=None):
     Rows holding `?` are dropped first. A missing spec is read from the kept
     rows: numeric (None) when every cell parses as a float, else the
     categories in first-appearance order. Class names are the class spec
-    with repeats removed (a numeric class: its distinct finite numeric cells
-    by value, so a non-number is an unknown class value and a nan or inf a
-    non-finite one).
-    Every cell takes its first matching category; a nominal feature becomes
-    one indicator per declared category, and a numeric feature cell must be a
-    finite float. Returns (features, labels,
+    with repeats removed (a numeric class: one per distinct finite number,
+    ordered by value and spelt as its first cell in row order, so `1` and
+    `1.0` are one class, a non-number is an unknown class value and a nan or
+    inf a non-finite one). A numeric class cell takes the class equal to it
+    as a number, every other cell its first matching category; a nominal
+    feature becomes one indicator per declared category, and a numeric
+    feature cell must be a finite float. Returns (features, labels,
     class_names), or the error message of the first bad cell in row order.
     """
     kept = [row for row in rows if "?" not in row]
@@ -666,20 +668,31 @@ def decode_ref(rows, label_idx, label_name, specs=None):
             cells = [row[j] for row in kept]
             numeric = all(_parses(c) for c in cells)
             specs.append(None if numeric else tuple(dict.fromkeys(cells)))
-    if specs[label_idx] is None:
-        cells = dict.fromkeys(row[label_idx] for row in kept
-                              if _parses(row[label_idx]) and math.isfinite(float(row[label_idx])))
-        class_names = tuple(sorted(cells, key=float))
+    numeric_class = specs[label_idx] is None
+    if numeric_class:
+        spelt = []  # (value, first spelling) per distinct finite number, in row order
+        for row in kept:
+            cell = row[label_idx]
+            if _parses(cell) and math.isfinite(float(cell)) \
+                    and all(float(cell) != value for value, _ in spelt):
+                spelt.append((float(cell), cell))
+        spelt.sort(key=lambda pair: pair[0])
+        class_names = tuple(name for _, name in spelt)
     else:
         class_names = tuple(dict.fromkeys(specs[label_idx]))
     features, labels = [], []
     for row in kept:
         cell = row[label_idx]
-        if cell not in class_names:
-            if specs[label_idx] is None and _parses(cell):
+        if numeric_class:
+            matches = [i for i, (value, _) in enumerate(spelt)
+                       if _parses(cell) and float(cell) == value]
+        else:
+            matches = [i for i, name in enumerate(class_names) if name == cell]
+        if not matches:
+            if numeric_class and _parses(cell):
                 return f"non-finite class value {cell!r} in column {label_name}"
             return f"unknown class value {cell!r} in column {label_name}"
-        labels.append(class_names.index(cell))
+        labels.append(matches[0])
         out = []
         for j, spec in enumerate(specs):
             if j == label_idx:

@@ -417,7 +417,7 @@ def test_criterion_10_rrc_sanity():
         ctx = SelectionContext(pool, dsel)
         csrc = ctx.rrc_csrc(seed=9000 + trial)
         deltas.append(float(csrc[1] @ w))
-        query = ctx.make_query(x_q, k=7)
+        query = ctx.make_queries(x_q, 7)[0]
         result = select_desrrc(ctx, query, SelectorConfig(seed=9000 + trial))
         if 0 not in result.selected.tolist():
             perfect_always_selected = False

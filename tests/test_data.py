@@ -249,15 +249,24 @@ class TestDecodeRules:
         with pytest.raises(DataFormatError, match="unknown class value 'a' in column cls"):
             parse_keel(head + "1.0, 1\nz, a\n3.0, 2\n")  # a class cell before its features
 
+    def test_equal_numeric_classes_are_one_class(self):
+        ds = parse_csv("0.5,1\n0.7,1.0\n0.1,2\n0.2,2\n0.3,1\n")
+        assert ds.class_names == ("1", "2")
+        assert ds.labels.tolist() == [0, 0, 1, 1, 0]
+        head = "@relation t\n@attribute x real\n@attribute cls real\n@data\n"
+        ds = parse_keel(head + "1.0, 2\n2.0, -0.0\n3.0, 0\n4.0, 2.0\n5.0, 0e0\n")
+        assert ds.class_names == ("-0.0", "2")  # by value, each spelt as it first appears
+        assert ds.labels.tolist() == [1, 0, 0, 1, 0]
+
     def test_numeric_class_ties_keep_row_order_under_any_hash_seed(self):
-        # `0` and `-0.0` are equal as numbers, so their class ids come from
-        # their first appearance, never from a set order that PYTHONHASHSEED sets
+        # `0` and `-0.0` are equal as numbers, so they are one class spelt as
+        # it first appears, never as a set order that PYTHONHASHSEED sets
         code = (
             "import reference as ref\n"
             "from desbal.data import parse_keel\n"
             "head = '@relation t\\n@attribute x real\\n@attribute cls real\\n@data\\n'\n"
-            "ds = parse_keel(head + '1.0, 0\\n2.0, -0.0\\n3.0, 0\\n')\n"
-            "rows = [['1.0', '0'], ['2.0', '-0.0'], ['3.0', '0']]\n"
+            "ds = parse_keel(head + '1.0, 0\\n2.0, -0.0\\n3.0, 0\\n4.0, 1\\n')\n"
+            "rows = [['1.0', '0'], ['2.0', '-0.0'], ['3.0', '0'], ['4.0', '1']]\n"
             "_, labels, names = ref.decode_ref(rows, 1, 'cls', [None, None])\n"
             "print(ds.class_names, ds.labels.tolist(), names, labels)\n"
         )
@@ -272,7 +281,7 @@ class TestDecodeRules:
         ]
         outputs = [run.communicate(timeout=60)[0] for run in runs]
         assert [run.returncode for run in runs] == [0] * 4
-        assert set(outputs) == {"('0', '-0.0') [0, 1, 0] ('0', '-0.0') [0, 1, 0]\n"}
+        assert set(outputs) == {"('0', '1') [0, 0, 0, 1] ('0', '1') [0, 0, 0, 1]\n"}
 
     def test_first_bad_cell_in_row_order(self):
         head = (
@@ -493,10 +502,10 @@ class TestStratified5x2:
             assert np.array_equal(a1, a2)
             assert np.array_equal(b1, b2)
 
-    def test_singleton_class_goes_to_fold_a(self):
+    def test_singleton_class_goes_to_fold_a(self, caplog):
         ds = _toy_dataset((5, 1))
         plan = stratified_5x2(ds, seed=2)
-        assert plan.singleton_classes == (1,)
+        assert "classes (1,) have a single sample" in caplog.text
         singleton = int(np.flatnonzero(ds.labels == 1)[0])
         for fold_a, _ in plan.replications:
             assert singleton in fold_a

@@ -145,6 +145,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^line 6: key 'seed' already set on line 2$"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("datasets", "a,b.csv"),  # a list entry holding a comma
+        ("datasets", "a\nb.csv"),  # ... a line break
+        ("selectors", "KNU "),  # ... outer spaces
+        ("output", "r\nb"),
+        ("output", "r "),
+        ("data_dir", "data\n"),
+        ("data_dir", " data"),
+    ], ids=["list-comma", "list-line-break", "list-outer-spaces", "output-line-break",
+            "output-outer-spaces", "data_dir-line-break", "data_dir-outer-spaces"])
+    def test_value_that_would_not_read_back_rejected(self, csv_dataset, tmp_path, key, value):
+        # the manifest is the config's canonical text, so a value it cannot hold
+        # would name another config on resume; nothing is written
+        if key == "datasets":  # a copy of the dataset under that name
+            value = str(csv_dataset.with_name(value))
+            Path(value).write_bytes(csv_dataset.read_bytes())
+        elif key == "output":
+            value = str(tmp_path / value)
+        listed = key in ("datasets", "selectors")
+        cfg = _config(csv_dataset, tmp_path / "r", **{key: (value,) if listed else value})
+        before = sorted(tmp_path.iterdir())
+        problem = (f"{key} value {value!r} would not read back from the manifest "
+                   "(no comma in a list entry, no line break or outer spaces)")
+        assert validate_config(cfg) == [problem]
+        assert preflight(cfg) == [problem]
+        with pytest.raises(ConfigError) as raised:
+            run_experiment(cfg)
+        assert str(raised.value) == problem
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_empty_output_rejected(self, csv_dataset, tmp_path):
         text = CONFIG_TEXT.format(path=csv_dataset, out="")
         problems = validate_config(parse_config_text(text))

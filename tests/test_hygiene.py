@@ -1,5 +1,6 @@
 """Source hygiene of `src/desbal`, read with `ast`: no module imports a name
-it never uses, and no function takes a parameter it never reads."""
+it never uses, no function takes a parameter it never reads, and no function
+imports anything but the one deferred scipy.spatial import."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,21 @@ def test_no_unused_parameter(path):
         unused += [f"{node.name}({name}) line {node.lineno}" for name in params
                    if name not in ("self", "cls") and name not in read]
     assert not unused
+
+
+def _function_imports(node, owner=None):
+    """(enclosing function, source) of every import inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if owner and isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield owner, ast.unparse(child)
+        is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _function_imports(child, child.name if is_function else owner)
+
+
+def test_only_scipy_spatial_is_imported_inside_a_function():
+    """Every import sits at its module's top but `data._distances`' lazy one of
+    scipy.spatial, which keeps scipy.spatial unloaded until a distance is taken."""
+    found = [(path.name, *imported) for path in MODULES
+             for imported in _function_imports(_tree(path))]
+    assert found == [
+        ("data.py", "_distances", "from scipy.spatial.distance import cdist as _cdist")]

@@ -51,7 +51,7 @@ def real_cells():
         train, (test,), _ = standardize(dataset.subset(train_idx), [dataset.subset(test_idx)])
         ctx = SelectionContext(generate_pool(train, variant, 100, seed=3),
                                build_dsel(train, variant, 3))
-        ctx.meta = train_meta_classifier(ctx, train)
+        ctx.meta = train_meta_classifier(ctx, train, CFG.k, CFG.meta_kp)
         cells.append((ctx, test.features))
     return cells
 
@@ -70,23 +70,33 @@ def _constant_pool_ctx(preds, dsel_labels, n_classes):
     return SelectionContext(Pool(tuple(trees), "Ba", 0, n_classes), dsel)
 
 
-def _edge_queries():
-    """Single-class regions, a pool of one, regions of k beyond the DSEL
-    (which hold the whole DSEL), and, last, pools whose best MCB competences
-    tie."""
+def _edge_cells():
+    """(context, query) of single-class regions, a pool of one, regions of k
+    beyond the DSEL (which hold the whole DSEL), and, last, pools whose best
+    MCB competences tie."""
     single = _constant_pool_ctx([0, 1, 0, 2], [1, 1, 1, 1, 1, 0], 3)
     one = _constant_pool_ctx([1], [0, 1, 1, 0, 1], 2)
     tied = _constant_pool_ctx([0, 0, 1, 1], [0, 1, 0, 1, 1], 2)
-    return ([single.make_query([1.0], k) for k in (1, 3, 5, 9)]
-            + [one.make_query([x], k) for x in (0.0, 2.0) for k in (1, 3, 8)]
-            + [tied.make_query([x], 4) for x in (0.5, 2.5)])
+    return ([(single, single.make_queries([1.0], k)[0]) for k in (1, 3, 5, 9)]
+            + [(one, one.make_queries([x], k)[0]) for x in (0.0, 2.0) for k in (1, 3, 8)]
+            + [(tied, tied.make_queries([x], 4)[0]) for x in (0.5, 2.5)])
 
 
-def _all_queries(oracle_instances, real_cells):
-    queries = [inst["query"] for inst in oracle_instances] + _edge_queries()
+def _edge_queries():
+    return [query for _, query in _edge_cells()]
+
+
+def _all_cells(oracle_instances, real_cells):
+    """(context, query) of every oracle instance, edge case and real test point."""
+    cells = [(inst["ctx"], inst["query"]) for inst in oracle_instances] + _edge_cells()
     for ctx, X in real_cells:
-        queries += ctx.make_queries(X, 7)
-    return queries
+        cells += [(ctx, query) for query in ctx.make_queries(X, 7)]
+    return cells
+
+
+def _region_labels(ctx, query):
+    """The true classes of the query's region, closest first."""
+    return ctx.dsel.labels[query.indices]
 
 
 def _assert_same_fields(got, want: dict, names=FIELDS):
@@ -129,11 +139,13 @@ class TestBatchLayout:
         """Every statistic of every batch row is the formula each scheme once
         computed from the query's own hits, in the smallest dtype; the DFP
         mask is also the `np.unique` rule's survivors."""
-        queries = _edge_queries() + [q for ctx, X in real_cells for q in ctx.make_queries(X, 7)]
-        for query in queries:
-            want = ref.region_stats_ref(query.hits, query.labels, query.predictions)
+        cells = _edge_cells() + [(ctx, q) for ctx, X in real_cells for q in ctx.make_queries(X, 7)]
+        for ctx, query in cells:
+            labels = _region_labels(ctx, query)
+            want = ref.region_stats_ref(query.hits, labels, query.predictions)
             _assert_same_fields(query, want, want.keys())
-            assert np.flatnonzero(query.dfp_mask).tobytes() == ref.dfp_unique_ref(query).tobytes()
+            assert (np.flatnonzero(query.dfp_mask).tobytes()
+                    == ref.dfp_unique_ref(query, labels).tobytes())
 
     def test_statistics_are_computed_once_per_batch(self, real_cells, monkeypatch):
         """`_region_stats` runs once per `make_queries` call, and no decision
@@ -151,12 +163,17 @@ class TestBatchLayout:
                     run_selector(name, ctx, query, CFG).aggregate_score(query)
             assert len(calls) == 1
 
-    def test_make_query_is_a_row_of_the_batch(self, real_cells):
+    def test_one_point_is_a_row_of_the_batch(self, real_cells):
+        """One 1-D point, and a one-row matrix, give the batch's row in all
+        ten fields."""
+        assert len(FIELDS) == 10
         for ctx, X in real_cells:
             batch = ctx.make_queries(X, 7)
             for q in (0, 1, len(X) // 2, len(X) - 1):
-                one = ctx.make_query(X[q], 7)
-                _assert_same_fields(one, {name: getattr(batch[q], name) for name in FIELDS})
+                want = {name: getattr(batch[q], name) for name in FIELDS}
+                for point in (X[q], X[q:q + 1]):
+                    (one,) = ctx.make_queries(point, 7)
+                    _assert_same_fields(one, want)
 
     @pytest.mark.parametrize("layout", ["strided", "fortran"])
     def test_any_memory_layout_decides_alike(self, real_cells, layout):
@@ -205,10 +222,11 @@ class TestBitwiseOracles:
 
     def test_fire_matches_the_replace_form(self, oracle_instances, real_cells):
         reduced = 0
-        for query in _all_queries(oracle_instances, real_cells):
+        for ctx, query in _all_cells(oracle_instances, real_cells):
             survivors = np.flatnonzero(query.dfp_mask)
+            labels = _region_labels(ctx, query)
             for base in FIRE_BASES:
-                _assert_same_result(select_fire(base, query), ref.fire_ref(base, query))
+                _assert_same_result(select_fire(base, query), ref.fire_ref(base, query, labels))
                 if survivors.size == query.pool_size:
                     continue
                 reduced += 1
@@ -220,24 +238,26 @@ class TestBitwiseOracles:
 
     def test_dfp_matches_the_unique_rule(self, oracle_instances, real_cells):
         single = 0
-        for query in _all_queries(oracle_instances, real_cells):
+        for ctx, query in _all_cells(oracle_instances, real_cells):
             got = np.flatnonzero(query.dfp_mask)
+            labels = _region_labels(ctx, query)
             assert got.dtype == np.intp
-            assert got.tobytes() == ref.dfp_unique_ref(query).tobytes()
-            single += np.unique(query.labels).size == 1
+            assert got.tobytes() == ref.dfp_unique_ref(query, labels).tobytes()
+            single += np.unique(labels).size == 1
         assert single >= 5
 
     def test_dfp_keeps_the_pool_on_an_empty_region(self):
+        labels = np.zeros(0, dtype=int)
         query = region_query(np.zeros(0, dtype=np.intp), np.ones(4), np.array([0, 1, 1]),
                              np.eye(2)[[0, 1, 1]], np.zeros((3, 0), bool),
-                             np.zeros((3, 0), bool), np.zeros(0, dtype=int))
+                             np.zeros((3, 0), bool), labels)
         survivors = np.flatnonzero(query.dfp_mask)
-        assert survivors.tobytes() == ref.dfp_unique_ref(query).tobytes()
+        assert survivors.tobytes() == ref.dfp_unique_ref(query, labels).tobytes()
         assert survivors.tolist() == [0, 1, 2]
 
     def test_rows_match_replace(self, oracle_instances, real_cells):
         rng = np.random.default_rng(9)
-        for query in _all_queries(oracle_instances, real_cells)[::3]:
+        for _, query in _all_cells(oracle_instances, real_cells)[::3]:
             M = query.pool_size
             for keep in (np.arange(M), np.flatnonzero(query.dfp_mask),
                          np.sort(rng.choice(M, size=int(rng.integers(1, M + 1)), replace=False))):
@@ -246,7 +266,7 @@ class TestBitwiseOracles:
 
     @pytest.mark.parametrize("t_s, t_c", [(0.7, 0.1), (0.0, 0.0), (0.4, 0.05), (0.95, 0.3)])
     def test_mcb_matches_the_delete_runner_up(self, oracle_instances, real_cells, t_s, t_c):
-        for query in _all_queries(oracle_instances, real_cells):
+        for _, query in _all_cells(oracle_instances, real_cells):
             best = ref.mcb_choice_ref(query, t_s, t_c)
             want = np.arange(query.pool_size) if best is None else np.array([best])
             assert select_mcb(query, t_s, t_c).selected.tolist() == want.tolist()
@@ -267,7 +287,7 @@ class TestBitwiseOracles:
             assert select_mcb(query).selected.tolist() == [0]
             assert np.flatnonzero(query.dfp_mask).tolist() == [0]
             for name in ("STATIC", "MCB", "KNU", "F-KNU", "DES-KNN"):
-                result = run_selector(name, None, query)
+                result = run_selector(name, None, query, CFG)
                 assert (result.aggregate_score(query).tobytes()
                         == ref.aggregate_score_ref(query.supports, result.selected,
                                                    result.vote_weights).tobytes())
@@ -280,7 +300,7 @@ class TestRegionSizeRefused:
         with pytest.raises(ValueError, match=f"k={k}"):
             ctx.make_queries(X, k)
         with pytest.raises(ValueError, match=f"k={k}"):
-            ctx.make_query(X[0], k)
+            ctx.make_queries(X[0], k)
 
     @pytest.mark.parametrize("k, kp", [(0, 5), (-2, 5), (7, 0), (7, -1)])
     def test_meta_training_refuses_sizes_below_one(self, k, kp):

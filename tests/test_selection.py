@@ -67,12 +67,12 @@ def _assert_static(result, query):
 
 
 def _stub_query(dsel_rows, x_q, k):
-    """The query `make_query` builds for x_q against a DSEL of `dsel_rows`,
+    """The query `make_queries` builds for x_q against a DSEL of `dsel_rows`,
     under a one-classifier stub pool."""
     dsel_rows = np.asarray(dsel_rows, dtype=float)
     dsel = Dataset("stub", dsel_rows, np.zeros(len(dsel_rows), dtype=int), ("a", "b"))
     pool = Pool((_stub_tree(lambda row: np.array([1.0, 0.0]), 2, 2),), "Ba", 0, 2)
-    return SelectionContext(pool, dsel).make_query(np.asarray(x_q, dtype=float), k)
+    return SelectionContext(pool, dsel).make_queries(np.asarray(x_q, dtype=float), k)[0]
 
 
 class TestRegionOfCompetence:
@@ -437,7 +437,7 @@ def _rrc_pool_ctx(n_classes=3, n_dsel=15, seed=0):
 class TestDesRrc:
     def test_perfect_classifier_selected_uniform_not(self):
         ctx, features = _rrc_pool_ctx()
-        query = ctx.make_query(features[0], k=7)
+        query = ctx.make_queries(features[0], 7)[0]
         result = select_desrrc(ctx, query, SelectorConfig(seed=3))
         assert 0 in result.selected.tolist()
         assert 1 not in result.selected.tolist()
@@ -445,8 +445,8 @@ class TestDesRrc:
     def test_deterministic_given_seed(self):
         ctx_a, features = _rrc_pool_ctx(seed=5)
         ctx_b, _ = _rrc_pool_ctx(seed=5)
-        q_a = ctx_a.make_query(features[3], k=5)
-        q_b = ctx_b.make_query(features[3], k=5)
+        q_a = ctx_a.make_queries(features[3], 5)[0]
+        q_b = ctx_b.make_queries(features[3], 5)[0]
         one = select_desrrc(ctx_a, q_a, SelectorConfig(seed=11))
         two = select_desrrc(ctx_b, q_b, SelectorConfig(seed=11))
         assert one.selected.tolist() == two.selected.tolist()
@@ -597,7 +597,7 @@ class TestRrcCache:
         builds = self._counting(monkeypatch)
         table = ctx.rrc_csrc(seed=1)
         assert ctx.rrc_csrc(seed=1) is table
-        select_desrrc(ctx, ctx.make_query(features[0], k=5), SelectorConfig(seed=1))
+        select_desrrc(ctx, ctx.make_queries(features[0], 5)[0], SelectorConfig(seed=1))
         assert builds == [(RRC_DRAWS, 1)]
 
     def test_new_key_replaces_the_only_table(self, monkeypatch):
@@ -609,7 +609,7 @@ class TestRrcCache:
         assert ctx.rrc_csrc(seed=2) is two
         again = ctx.rrc_csrc(seed=1)  # seed 1's table was dropped
         assert again is not one and again.tobytes() == one.tobytes()
-        select_desrrc(ctx, ctx.make_query(features[0], k=5), SelectorConfig(seed=3))
+        select_desrrc(ctx, ctx.make_queries(features[0], 5)[0], SelectorConfig(seed=3))
         assert builds == [(RRC_DRAWS, 1), (RRC_DRAWS, 2), (RRC_DRAWS, 1), (RRC_DRAWS, 3)]
 
 
@@ -629,7 +629,7 @@ class TestMetaDes:
 
     def test_meta_feature_layout(self):
         ctx, train = self._real_ctx()
-        query = ctx.make_query(train.features[0], k=7)
+        query = ctx.make_queries(train.features[0], 7)[0]
         vec = _meta_features_all(
             ctx, query.indices[None], query.predictions[None], query.supports[None], kp=5
         )[0][0]
@@ -706,7 +706,7 @@ class TestMetaDes:
     def test_threshold_selection_set(self):
         ctx, train = self._real_ctx(seed=4)
         ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
-        query = ctx.make_query(train.features[5], k=7)
+        query = ctx.make_queries(train.features[5], 7)[0]
         posteriors = ctx.meta.posterior_competent(_meta_features_all(
             ctx, query.indices[None], query.predictions[None], query.supports[None], 5
         )[0])
@@ -779,17 +779,17 @@ class TestMetaDes:
         ctx, train = self._real_ctx(seed=4)
         ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
         x = train.features[5] + 0.1
-        seven = select_metades(ctx, ctx.make_query(x, k=7))
-        nine = select_metades(ctx, ctx.make_query(x, k=9))
+        seven = select_metades(ctx, ctx.make_queries(x, 7)[0])
+        nine = select_metades(ctx, ctx.make_queries(x, 9)[0])
         assert nine.selected.tolist() == seven.selected.tolist()
         assert nine.predicted_class == seven.predicted_class
         with pytest.raises(ValueError, match=r"k=7; the query has 5 neighbours"):
-            select_metades(ctx, ctx.make_query(x, k=5))
+            select_metades(ctx, ctx.make_queries(x, 5)[0])
 
     def test_model_kp_wins_over_the_run_settings(self):
         ctx, train = self._real_ctx(seed=4)
         ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
-        query = ctx.make_query(train.features[5], k=7)
+        query = ctx.make_queries(train.features[5], 7)[0]
         want = select_metades(ctx, query)
         for cfg in (SelectorConfig(meta_kp=3), SelectorConfig(meta_kp=9)):
             got = run_selector("META-DES", ctx, query, cfg)
@@ -810,7 +810,7 @@ class TestMetaDes:
 
     def test_requires_trained_meta(self):
         ctx, train = self._real_ctx()
-        query = ctx.make_query(train.features[0], k=3)
+        query = ctx.make_queries(train.features[0], 3)[0]
         with pytest.raises(RuntimeError, match="meta-classifier"):
             select_metades(ctx, query)
 
@@ -965,7 +965,8 @@ class TestStatic:
         pool = self._pool_of_constants(preds, n_classes)
         dsel = Dataset("stub", np.zeros((3, 2)), np.zeros(3, int), ("a", "b"))
         ctx = SelectionContext(pool, dsel)
-        return run_selector("STATIC", ctx, ctx.make_query(np.zeros(2), k=3)).predicted_class
+        return run_selector("STATIC", ctx, ctx.make_queries(np.zeros(2), 3)[0],
+                            SelectorConfig()).predicted_class
 
     def test_unanimous(self):
         assert self._static_vote([2, 2, 2], 3) == 2
@@ -1014,7 +1015,7 @@ class TestProperties:
             (_stub_tree(awful, 2, 2), _stub_tree(perfect, 2, 2)), "Ba", 0, 2
         )
         ctx = SelectionContext(pool, dsel)
-        query = ctx.make_query(rng.normal(size=2), k=7)
+        query = ctx.make_queries(rng.normal(size=2), 7)[0]
         assert 1 in select_kne(query).selected.tolist()
 
     def test_common_rescaling_leaves_selections_unchanged(self, oracle_instances):

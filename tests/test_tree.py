@@ -31,7 +31,7 @@ class TestFit:
     def test_single_class_single_leaf(self):
         tree = fit_tree(np.arange(6.0).reshape(3, 2), [1, 1, 1], n_classes=2)
         assert tree.n_nodes == 1
-        assert tree.predict_support(np.array([0.0, 0.0])).argmax(-1) == 1
+        assert tree.predict_support(np.zeros((1, 2))).argmax(-1).tolist() == [1]
 
     def test_xor_fully_separated(self):
         # independent check: a depth-2 tree can shatter XOR, so an unpruned
@@ -282,7 +282,7 @@ class TestPipelineGrowth:
 
 def _assert_walk_matches_oracle(tree, X):
     """`apply` and `predict_support` against a row-by-row walk over the saved
-    node arrays, byte for byte; a one-row batch and a lone row as well."""
+    node arrays, byte for byte; a one-row batch as well."""
     saved = tree.to_dict()
     leaves = ref.apply_ref(saved["feature"], saved["threshold"], saved["left"],
                            saved["right"], X)
@@ -292,7 +292,6 @@ def _assert_walk_matches_oracle(tree, X):
     assert got.dtype == leaves.dtype and np.array_equal(got, leaves)
     assert tree.predict_support(X).tobytes() == want.tobytes()
     assert tree.predict_support(X[:1]).tobytes() == want[:1].tobytes()
-    assert tree.predict_support(X[0]).tobytes() == want[0].tobytes()
 
 
 def _odd_rows(rng, d):
@@ -332,18 +331,18 @@ class TestWalkOracle:
 
 class TestPredict:
     def test_argmax_of_leaf_counts(self):
-        assert _leaf_tree([3.0, 1.0, 0.0]).predict_support(np.zeros(2)).argmax(-1) == 0
+        assert _leaf_tree([3.0, 1.0, 0.0]).predict_support(np.zeros((1, 2))).argmax(-1).tolist() == [0]
 
     def test_tie_breaks_to_lowest_class(self):
-        assert _leaf_tree([2.0, 2.0, 0.0]).predict_support(np.zeros(2)).argmax(-1) == 0
+        assert _leaf_tree([2.0, 2.0, 0.0]).predict_support(np.zeros((1, 2))).argmax(-1).tolist() == [0]
 
     def test_support_normalization(self):
-        support = _leaf_tree([3.0, 1.0]).predict_support(np.zeros(2))
-        assert np.allclose(support, [0.75, 0.25])
+        support = _leaf_tree([3.0, 1.0]).predict_support(np.zeros((1, 2)))
+        assert np.allclose(support, [[0.75, 0.25]])
 
     def test_pure_leaf_one_hot(self):
-        support = _leaf_tree([0.0, 4.0, 0.0]).predict_support(np.zeros(2))
-        assert np.array_equal(support, [0.0, 1.0, 0.0])
+        support = _leaf_tree([0.0, 4.0, 0.0]).predict_support(np.zeros((1, 2)))
+        assert np.array_equal(support, [[0.0, 1.0, 0.0]])
 
     def test_support_simplex_property(self):
         rng = np.random.default_rng(3)
@@ -357,7 +356,9 @@ class TestPredict:
     def test_arity_mismatch(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeConfig(min_impurity_decrease=0.0))
         with pytest.raises(ValueError, match="arity"):
-            tree.predict_support(np.zeros(3))
+            tree.predict_support(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="arity"):  # a lone row is no (n, d) batch
+            tree.predict_support(np.zeros(2))
 
 
 class TestSerialization:
