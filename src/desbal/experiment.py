@@ -299,7 +299,7 @@ def _planned_datasets(cfg: RunConfig, done: set):
 
 
 def evaluate_cell(cfg: RunConfig, train: Dataset, test: Dataset, variant: str,
-                  rep: int, fold: str, selectors, threads: int | None = None) -> list:
+                  rep: int, fold: str, selectors, threads: int) -> list:
     """Score `selectors` on one (dataset, replication, fold, variant) cell.
 
     Grows the pool and the DSEL from the standardized training half, trains

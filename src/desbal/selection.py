@@ -4,7 +4,8 @@ A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
 Each test point becomes a `Query`: its distances to the DSEL, the pool's
 outputs for it, and its region of competence with the pool's behaviour on
 it and its statistics, gathered once per batch of queries. A scheme that
-judges competence on the region alone reads the query and nothing else.
+judges competence on the region alone reads the query and nothing else;
+the five FIRE wraps also take candidates `keep`, and read only their rows.
 Determinism rules used throughout: competence ties break to the lowest
 classifier index, vote ties to the lowest class id, distance ties to the
 lowest DSEL index.
@@ -71,12 +72,6 @@ class Query:
     @property
     def n_classes(self) -> int:
         return self.supports.shape[1]
-
-    def rows(self, keep) -> "Query":
-        """The same query as seen by the classifiers `keep` alone."""
-        return Query(self.indices, self.distances, self.predictions[keep], self.supports[keep],
-                     self.hits[keep], self.agrees[keep], self.n_correct[keep],
-                     self.streak[keep], self.class_accuracy[keep], self.dfp_mask[keep])
 
 
 def _region_stats(hits, labels, predictions, n_classes) -> tuple:
@@ -188,12 +183,21 @@ class SelectionResult:
         return (supports * w[:, None]).sum(axis=0) / w.sum()
 
 
-def _vote(query: Query, selected, weights=None) -> SelectionResult:
+def _rows(a, keep):
+    """The candidates' rows of a per-classifier array: `a[keep]`, or `a` itself
+    when `keep` is None, the whole pool."""
+    return a if keep is None else a[keep]
+
+
+def _vote(query: Query, selected, weights=None, keep=None) -> SelectionResult:
     """Plurality vote of the selected classifiers, weighted by `weights` when
-    given, ties to the lowest class id. An empty selection votes the whole
-    pool, unweighted: every scheme's fallback."""
+    given, ties to the lowest class id. `selected` indexes the candidates
+    `keep`, ascending pool indices (the whole pool when None). An empty
+    selection votes every candidate, unweighted: every scheme's fallback."""
     if selected.size == 0:
-        selected, weights = np.arange(query.pool_size), None
+        selected, weights = np.arange(query.pool_size) if keep is None else keep, None
+    elif keep is not None:
+        selected = keep[selected]
     tally = np.bincount(query.predictions[selected], weights=weights, minlength=query.n_classes)
     return SelectionResult(selected, int(tally.argmax()), weights)
 
@@ -213,27 +217,28 @@ def select_rank(query: Query) -> SelectionResult:
     return _vote(query, np.array([query.streak.argmax()]))
 
 
-def select_lca(query: Query) -> SelectionResult:
+def select_lca(query: Query, keep=None) -> SelectionResult:
     """Local class accuracy over the neighbours sharing the predicted label."""
-    return _vote(query, np.array([query.class_accuracy.argmax()]))
+    return _vote(query, np.array([_rows(query.class_accuracy, keep).argmax()]), keep=keep)
 
 
-def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionResult:
+def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1, keep=None) -> SelectionResult:
     """Multiple classifier behaviour.
 
     Neighbours whose output profiles resemble the query's (similarity above
     t_s) form a refined region; accuracy over it, divided by the original
     region size K, is the competence. A single classifier wins only when it
-    beats the runner-up by more than t_c, otherwise the whole pool votes. The
+    beats the runner-up by more than t_c, otherwise every candidate votes. The
     margin is compared in integers, with t_c read to 9 decimals, so it is
     exact: a margin of 1/10 with K = 10 does not beat t_c = 0.1.
     """
-    sims = query.agrees.sum(axis=0) / query.pool_size  # the bits of a bool mean
-    hits = query.hits[:, sims > t_s].sum(axis=1)  # competence times K
+    agrees = _rows(query.agrees, keep)
+    sims = agrees.sum(axis=0) / len(agrees)  # the bits of a bool mean over the candidates
+    hits = _rows(query.hits, keep)[:, sims > t_s].sum(axis=1)  # competence times K
     best = hits.argmax()
     clear = hits.size == 1 or (int(hits[best] - np.partition(hits, -2)[-2]) * 10**9
                                > round(t_c * 10**9) * query.hits.shape[1])
-    return _vote(query, np.array([best] if clear else [], dtype=int))
+    return _vote(query, np.array([best] if clear else [], dtype=int), keep=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -241,53 +246,54 @@ def select_mcb(query: Query, t_s: float = 0.7, t_c: float = 0.1) -> SelectionRes
 # ---------------------------------------------------------------------------
 
 
-def select_kne(query: Query) -> SelectionResult:
+def select_kne(query: Query, keep=None) -> SelectionResult:
     """KNORA-Eliminate: local oracles over the largest feasible region.
 
     Equivalent to shrinking the region one neighbour at a time: the longest
     streak of correct closest neighbours any classifier achieves is the final
     region size, and every classifier reaching it is selected. With no streak
-    at all every classifier ties at zero, so the whole pool votes.
+    at all every candidate ties at zero, so every candidate votes.
     """
-    return _vote(query, np.flatnonzero(query.streak == query.streak.max()))
+    streak = _rows(query.streak, keep)
+    return _vote(query, (streak == streak.max()).nonzero()[0], keep=keep)
 
 
-def select_knu(query: Query) -> SelectionResult:
+def select_knu(query: Query, keep=None) -> SelectionResult:
     """KNORA-Union: one vote per correctly recognized neighbour."""
-    votes = query.n_correct
-    selected = np.flatnonzero(votes > 0)
-    return _vote(query, selected, votes[selected].astype(int))  # int weights, a bool sum's
+    votes = _rows(query.n_correct, keep)
+    selected = (votes > 0).nonzero()[0]
+    return _vote(query, selected, votes[selected].astype(int), keep)  # int weights, a bool sum's
 
 
 def select_desknn(query: Query, n: int | None = None,
-                  j: int | None = None) -> SelectionResult:
+                  j: int | None = None, keep=None) -> SelectionResult:
     """Accuracy pre-selection of N classifiers, then the J most diverse.
 
-    Unset sizes resolve against the effective pool: N = ceil(0.5 * M),
+    Unset sizes resolve against the M candidates: N = ceil(0.5 * M),
     J = ceil(0.3 * M), both clamped to valid ranges. Diversity is ranked on
-    each candidate's integer both-wrong (double-fault) count over the other
-    candidates, so exact ties stay exact (the shared 1/K factor cannot change
+    each pre-selected classifier's integer both-wrong (double-fault) count over
+    the other N - 1, so exact ties stay exact (the shared 1/K factor cannot change
     the order): its faults dotted with the per-neighbour fault counts, less
     its own faults (the pair it makes with itself).
     """
-    M = query.pool_size
+    n_correct = _rows(query.n_correct, keep)
+    M = len(n_correct)
     n = max(1, min(int(np.ceil(0.5 * M)) if n is None else n, M))
     j = max(1, min(int(np.ceil(0.3 * M)) if j is None else j, n))
     # hit counts order identically to accuracies and tie exactly; `~` reverses
     # the order of the unsigned counts, where negation would wrap
-    by_accuracy = np.argsort(~query.n_correct, kind="stable")
-    candidates = by_accuracy[:n]
-    wrong = (~query.hits[candidates]).astype(int)
+    accurate = np.argsort(~n_correct, kind="stable")[:n]
+    wrong = (~query.hits[accurate if keep is None else keep[accurate]]).astype(int)
     div_sum = wrong @ wrong.sum(axis=0) - wrong.sum(axis=1)
-    by_diversity = np.lexsort((candidates, div_sum))  # ascending = most diverse
-    selected = np.sort(candidates[by_diversity[:j]])
-    return _vote(query, selected)
+    by_diversity = np.lexsort((accurate, div_sum))  # ascending = most diverse
+    selected = np.sort(accurate[by_diversity[:j]])
+    return _vote(query, selected, keep=keep)
 
 
 def select_desp(query: Query) -> SelectionResult:
     """Keep classifiers whose local accuracy beats a random guesser (1/L)."""
     competence = query.n_correct / query.hits.shape[1] - 1.0 / query.n_classes
-    return _vote(query, np.flatnonzero(competence > 0))
+    return _vote(query, (competence > 0).nonzero()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +360,7 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig) -> S
         nearest = np.arange(dists.shape[0])
     weights = np.exp(-dists[nearest] ** 2)
     competence = ctx.rrc_csrc(cfg.seed)[:, nearest] @ weights
-    return _vote(query, np.flatnonzero(competence > 0))
+    return _vote(query, (competence > 0).nonzero()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +502,7 @@ def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
                          f"{len(query.indices)} neighbours")
     features = _meta_features_all(ctx, query.indices[None, :meta.k], query.predictions[None],
                                   query.supports[None], meta.kp)[0]
-    return _vote(query, np.flatnonzero(meta.posterior_competent(features) > META_THRESHOLD))
+    return _vote(query, (meta.posterior_competent(features) > META_THRESHOLD).nonzero()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +511,10 @@ def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
 
 
 def select_fire(base, query: Query) -> SelectionResult:
-    """Run the scheme `base(query)` on the classifiers that survive dynamic
-    frienemy pruning, `query.dfp_mask`; the chosen indices map to the pool."""
-    if query.dfp_mask.all():
-        return base(query)
-    survivors = np.flatnonzero(query.dfp_mask)
-    local = base(query.rows(survivors))
-    return SelectionResult(survivors[local.selected], local.predicted_class, local.vote_weights)
+    """Run the scheme `base` on the classifiers that survive dynamic frienemy
+    pruning, `query.dfp_mask`, as its candidates `keep`."""
+    mask = query.dfp_mask
+    return base(query) if mask.all() else base(query, keep=mask.nonzero()[0])
 
 
 # ---------------------------------------------------------------------------

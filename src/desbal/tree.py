@@ -60,8 +60,10 @@ class DecisionTree:
         return self.feature.shape[0]
 
     def apply(self, X) -> np.ndarray:
-        """Leaf index reached by each row of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Leaf index reached by each of the n rows of X, (n, d) for a tree of arity d."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.arity:
+            raise ValueError(f"arity mismatch: tree expects (n, {self.arity}) rows, got {X.shape}")
         rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=int)
         for _ in range(self._levels):
@@ -71,9 +73,6 @@ class DecisionTree:
 
     def predict_support(self, X) -> np.ndarray:
         """Leaf class counts normalized to sum 1, (n, L) for the n rows of X."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.arity:
-            raise ValueError(f"arity mismatch: tree expects (n, {self.arity}) rows, got {X.shape}")
         return self._support[self.apply(X)]
 
     def to_dict(self) -> dict:

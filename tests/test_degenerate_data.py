@@ -58,9 +58,9 @@ def test_degenerate_data(seed):
     rep = seed % 5  # both folds of one replication, 12 cells
     for _, fold, train, test, cells in folds[2 * rep:2 * rep + 2]:
         for variant, selectors in cells:
-            scored = evaluate_cell(cfg, train, test, variant, rep, fold, selectors)
+            scored = evaluate_cell(cfg, train, test, variant, rep, fold, selectors, 1)
             values = np.array([[v[m] for m in cfg.metrics] for _, v, _ in scored])
             assert ((values >= 0) & (values <= 1)).all(), f"seed {seed} {variant}: {values}"
-    again = evaluate_cell(cfg, train, test, variant, rep, fold, selectors)  # the last cell
+    again = evaluate_cell(cfg, train, test, variant, rep, fold, selectors, 1)  # the last cell
     assert np.array([[v[m] for m in cfg.metrics] for _, v, _ in again]).tobytes() \
         == values.tobytes(), f"seed {seed}: fold {fold} {variant} differs when run again"

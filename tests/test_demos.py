@@ -1,5 +1,5 @@
-"""Every narrative script in demos/, and README's library quickstart, runs
-to completion."""
+"""Every narrative script in demos/, and README's library quickstart and
+scheme calls, runs to completion."""
 
 import os
 import subprocess
@@ -37,9 +37,25 @@ def test_demo_exits_cleanly(script, tmp_path):
     assert not any(tmp.iterdir())
 
 
+def _readme_block(starts_with):
+    """README's python block whose first line begins with `starts_with`."""
+    blocks = [block.split("```", 1)[0]
+              for block in (ROOT / "README.md").read_text().split("```python\n")[1:]]
+    (block,) = [block for block in blocks if block.startswith(starts_with)]
+    return block
+
+
 def test_readme_quickstart_runs(tmp_path):
     # the first python block under "Library quickstart", as a reader copies it
     section = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     _, out = _run(["-c", code], tmp_path)
     assert out.startswith("KNU [") and "\nMETA-DES [" in out
+
+
+def test_readme_scheme_calls_run(tmp_path):
+    # the block of scheme calls, on the quickstart's query, in one process
+    quickstart = _readme_block("import numpy as np\nfrom desbal import (")
+    calls = _readme_block("from desbal.selection import select_desknn,")
+    _, out = _run(["-c", quickstart + calls], tmp_path)
+    assert out.startswith("KNU [") and "\nF-KNU [" in out

@@ -367,7 +367,7 @@ def test_stages_of_glass_fold_b(glass, variant):
 def _records(dataset, fold, train, test, cells) -> list:
     lines = []
     for variant, selectors in cells:
-        for selector, values, _ in evaluate_cell(CFG, train, test, variant, 0, fold, selectors):
+        for selector, values, _ in evaluate_cell(CFG, train, test, variant, 0, fold, selectors, 1):
             for metric in CFG.metrics:
                 key = (dataset.name, variant, selector, "1", fold, metric)
                 lines.append("\t".join(key) + f"\t{values[metric]:.12g}")

@@ -4,8 +4,8 @@
 contiguous rows of it. Every query must still equal the strided slices of
 the old (M, Q, ·) arrays, its region statistics the per-query formulas the
 schemes once computed, and every rewritten helper (the sub-ensemble score,
-the frienemy rule, MCB's runner-up, FIRE's reduced rows) must give the bytes
-of the formula in `tests/reference.py` it replaced.
+the frienemy rule, MCB's runner-up, a scheme run on candidates) must give
+the bytes of the formula in `tests/reference.py` it replaced.
 """
 
 from dataclasses import fields
@@ -23,6 +23,7 @@ from desbal.selection import (
     SELECTOR_NAMES,
     Query,
     SelectionContext,
+    SelectionResult,
     SelectorConfig,
     run_selector,
     select_desknn,
@@ -112,6 +113,7 @@ def _assert_same_result(got, want):
     if want.vote_weights is None:
         assert got.vote_weights is None
     else:
+        assert got.vote_weights.dtype == want.vote_weights.dtype
         assert got.vote_weights.tobytes() == want.vote_weights.tobytes()
 
 
@@ -226,15 +228,60 @@ class TestBitwiseOracles:
             survivors = np.flatnonzero(query.dfp_mask)
             labels = _region_labels(ctx, query)
             for base in FIRE_BASES:
-                _assert_same_result(select_fire(base, query), ref.fire_ref(base, query, labels))
+                got = select_fire(base, query)
+                _assert_same_result(got, ref.fire_ref(base, query, labels))
                 if survivors.size == query.pool_size:
                     continue
                 reduced += 1
-                rows = query.rows(survivors)
-                local = base(rows)
-                assert (local.aggregate_score(rows).tobytes() == ref.aggregate_score_ref(
-                    rows.supports, local.selected, local.vote_weights).tobytes())
+                assert (got.aggregate_score(query).tobytes() == ref.aggregate_score_ref(
+                    query.supports, got.selected, got.vote_weights).tobytes())
         assert reduced > 500
+
+    def test_candidates_match_the_reduced_query(self, oracle_instances, real_cells):
+        """Each FIRE base on candidates `keep` decides as it does on the query
+        cut to their rows by `replace`, its choice mapped through `keep`: for
+        one candidate, all but one, random sets, and sets that force KNU's
+        (no candidate has a correct neighbour) or MCB's (every candidate has
+        the same hits, so the best ties the runner-up) empty selection."""
+        rng = np.random.default_rng(11)
+        fallbacks = {select_knu: 0, select_mcb: 0}
+        for _, query in _all_cells(oracle_instances, real_cells):
+            M = query.pool_size
+            sets = [np.arange(M), np.sort(rng.choice(M, size=1)),
+                    np.sort(rng.choice(M, size=int(rng.integers(1, M + 1)), replace=False))]
+            if M > 1:
+                sets.append(np.delete(np.arange(M), rng.integers(M)))
+            if 0 < (query.n_correct == 0).sum() < M:
+                sets.append(np.flatnonzero(query.n_correct == 0))
+            _, group, size = np.unique(query.hits, axis=0, return_inverse=True,
+                                       return_counts=True)
+            if size.max() > 1:
+                sets.append(np.flatnonzero(group.ravel() == size.argmax()))
+            for keep in sets:
+                rows = ref.rows_ref(query, keep)
+                for base in FIRE_BASES:
+                    got, local = base(query, keep=keep), base(rows)
+                    _assert_same_result(got, SelectionResult(
+                        keep[local.selected], local.predicted_class, local.vote_weights))
+                    assert got.aggregate_score(query).tobytes() == \
+                        local.aggregate_score(rows).tobytes()
+                    if base in fallbacks and keep.size > 1 and got.selected is keep:
+                        fallbacks[base] += 1
+        assert min(fallbacks.values()) > 50, fallbacks
+
+    def test_decisions_build_no_query(self, real_cells, monkeypatch):
+        """The fifteen schemes decide on the batch's queries without building
+        another, FIRE's pruned decisions included."""
+        built, init = [], Query.__init__
+        queries = [(ctx, query) for ctx, X in real_cells for query in ctx.make_queries(X, 7)]
+        monkeypatch.setattr(Query, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        assert sum(not query.dfp_mask.all() for _, query in queries) > 50
+        for ctx, query in queries:
+            for name in SELECTOR_NAMES:
+                run_selector(name, ctx, query, CFG)
+        assert not built
+        real_cells[0][0].make_queries(real_cells[0][1][:2], 7)
+        assert len(built) == 2  # the counter sees every Query built
 
     def test_dfp_matches_the_unique_rule(self, oracle_instances, real_cells):
         single = 0
@@ -254,15 +301,6 @@ class TestBitwiseOracles:
         survivors = np.flatnonzero(query.dfp_mask)
         assert survivors.tobytes() == ref.dfp_unique_ref(query, labels).tobytes()
         assert survivors.tolist() == [0, 1, 2]
-
-    def test_rows_match_replace(self, oracle_instances, real_cells):
-        rng = np.random.default_rng(9)
-        for _, query in _all_cells(oracle_instances, real_cells)[::3]:
-            M = query.pool_size
-            for keep in (np.arange(M), np.flatnonzero(query.dfp_mask),
-                         np.sort(rng.choice(M, size=int(rng.integers(1, M + 1)), replace=False))):
-                want = ref.rows_ref(query, keep)
-                _assert_same_fields(query.rows(keep), {n: getattr(want, n) for n in FIELDS})
 
     @pytest.mark.parametrize("t_s, t_c", [(0.7, 0.1), (0.0, 0.0), (0.4, 0.05), (0.95, 0.3)])
     def test_mcb_matches_the_delete_runner_up(self, oracle_instances, real_cells, t_s, t_c):

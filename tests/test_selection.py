@@ -936,7 +936,7 @@ class TestFire:
         query = _query(hits, np.zeros((3, 5)), dsel_labels, 2, [1, 0, 0])
         survivors = np.flatnonzero(query.dfp_mask)
         assert survivors.tolist() == [0, 1]  # pool indices equal the pruned query's
-        _assert_static(select_fire(select_mcb, query), query.rows(survivors))
+        _assert_static(select_fire(select_mcb, query), ref.rows_ref(query, survivors))
 
     def test_fire_knu_two_step_oracle(self, oracle_instances):
         for inst in oracle_instances[:50]:

@@ -359,6 +359,8 @@ class TestPredict:
             tree.predict_support(np.zeros((1, 3)))
         with pytest.raises(ValueError, match="arity"):  # a lone row is no (n, d) batch
             tree.predict_support(np.zeros(2))
+        with pytest.raises(ValueError, match="arity"):  # nor for the walk itself
+            tree.apply(np.zeros(2))
 
 
 class TestSerialization:
