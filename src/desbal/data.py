@@ -104,11 +104,12 @@ class ImbalanceProfile:
 def _nearest(dists, k: int) -> np.ndarray:
     """Columns of the k smallest distances of each row, closest first; ties go
     to the lower column, and a k beyond the columns takes them all (warned).
-    Selection and resampling share this one neighbour rule."""
+    Selection and resampling share this one neighbour rule. The k columns are
+    a copy, so they do not keep the whole argsort alive."""
     n = dists.shape[-1]
     if n < k:
         logger.warning("DSEL holds %d < k=%d samples; using the whole set", n, k)
-    return np.argsort(dists, axis=-1, kind="stable")[..., :k]
+    return np.argsort(dists, axis=-1, kind="stable")[..., :k].copy()
 
 
 _cdist = None  # scipy.spatial.distance.cdist, bound by the first `_distances`

@@ -38,8 +38,8 @@ from .tree import TreeConfig
 logger = logging.getLogger(__name__)
 
 # wall_time_s is one selector's selection plus scoring over the fold's test
-# queries, repeated on each of its metric rows; it excludes pool growth, the
-# DSEL, META-DES training and query construction.
+# queries, repeated on each of its metric rows (META-DES's includes its batch
+# pass); it excludes pool growth, the DSEL, META-DES training and query construction.
 RECORD_COLUMNS = (
     "dataset", "variant", "selector", "replication", "fold",
     "metric", "value", "wall_time_s",

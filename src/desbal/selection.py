@@ -12,6 +12,7 @@ lowest DSEL index.
 """
 
 import logging
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +44,10 @@ class SelectorConfig:
 # ---------------------------------------------------------------------------
 
 
+# the arrays a batch's queries are rows of: (Q, K) DSEL rows, (Q, M) class ids, (Q, M, L)
+QueryBatch = namedtuple("QueryBatch", "indices predictions supports")
+
+
 @dataclass(frozen=True)
 class Query:
     """One test point: its region of competence (the K nearest DSEL rows by
@@ -51,7 +56,8 @@ class Query:
 
     `hits[i, j]` tells whether classifier i labels neighbour j correctly and
     `agrees[i, j]` whether it gives neighbour j the label it gives the query.
-    The last four fields are the region's `_region_stats`, from its batch.
+    The four fields from `n_correct` on are the region's `_region_stats`;
+    `batch` is the batch the query came from, and `row` its row there.
     """
 
     indices: np.ndarray  # (K,) DSEL rows
@@ -64,6 +70,8 @@ class Query:
     streak: np.ndarray  # (M,) initial run of correct neighbours
     class_accuracy: np.ndarray  # (M,) float, LCA's local class accuracy
     dfp_mask: np.ndarray  # (M,) bool, the DFP survivors
+    batch: QueryBatch
+    row: int
 
     @property
     def pool_size(self) -> int:
@@ -117,6 +125,7 @@ class SelectionContext:
         self.hits = self.predictions == dsel.labels[None, :]
         self.meta = None
         self._rrc = (None, None)  # seed of the last RRC table, the table
+        self._meta_mask = (None, None, None)  # the last batch, its model, its mask
 
     @property
     def pool_size(self) -> int:
@@ -139,8 +148,9 @@ class SelectionContext:
         hits = by_neighbour.transpose(1, 2, 0).copy()  # (Q, M, K)
         agrees = (self.predictions[:, order] == predictions.T[:, :, None]).swapaxes(0, 1).copy()
         stats = _region_stats(by_neighbour, self.dsel.labels[order], predictions, self.n_classes)
-        return [Query(*fields) for fields in zip(order, dists, predictions, supports, hits,
-                                                 agrees, *stats)]
+        batch = QueryBatch(order, predictions, supports)
+        return [Query(*fields, batch, row) for row, fields in enumerate(
+            zip(order, dists, predictions, supports, hits, agrees, *stats))]
 
     def rrc_csrc(self, seed: int) -> np.ndarray:
         """Centered correct-classification probability of the randomized
@@ -154,6 +164,22 @@ class SelectionContext:
             self._rrc = seed, _rrc_csrc_matrix(self.supports, self.dsel.labels, self.n_classes,
                                                RRC_DRAWS, seed, self.threads or usable_cpus())
         return self._rrc[1]
+
+    def meta_competent(self, batch: QueryBatch) -> np.ndarray:
+        """META-DES's (Q, M) selection mask of a batch under `self.meta`, built
+        in `_row_blocks`. Like `rrc_csrc`, it keeps only the last mask: a new
+        batch or a new model (by identity) replaces it."""
+        last, meta, mask = self._meta_mask
+        if last is not batch or meta is not self.meta:
+            (indices, predictions, supports), meta = batch, self.meta
+            mask = np.empty(predictions.shape, dtype=bool)
+            for rows in _row_blocks(*mask.shape, self.dsel.n_samples):
+                features = _meta_features_all(self, indices[rows, :meta.k], predictions[rows],
+                                              supports[rows], meta.kp)
+                mask[rows] = (meta.posterior_competent(features.reshape(-1, features.shape[2]))
+                              > META_THRESHOLD).reshape(-1, mask.shape[1])
+            self._meta_mask = batch, meta, mask
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +394,28 @@ def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig) -> S
 # ---------------------------------------------------------------------------
 
 
+_BLOCK_BYTES = 1 << 21  # the largest (rows, M, n) profile compare held at once
+
+
+def _row_blocks(Q: int, M: int, n: int) -> list:
+    """Q rows in slices of one row or more, as many as keep (rows, M, n) in `_BLOCK_BYTES`."""
+    step = max(1, _BLOCK_BYTES // max(M * n, 1))
+    return [slice(r, r + step) for r in range(0, Q, step)]
+
+
 def _agreement(profiles, predictions) -> np.ndarray:
     """Output-profile agreement: how many classifiers label each sample as
     they label the query. `profiles` (M, n) against `predictions` (..., M)
     gives (..., n) counts, the compare's bytes summed in the smallest
-    unsigned dtype that holds M; count / M is the bool mean, bit for bit."""
-    same = profiles == predictions.astype(profiles.dtype, copy=False)[..., None]
-    return same.view(np.uint8).sum(axis=-2, dtype=np.min_scalar_type(profiles.shape[0]))
+    unsigned dtype that holds M; count / M is the bool mean, bit for bit.
+    The compare runs in `_row_blocks`."""
+    M, n = profiles.shape
+    rows = predictions.astype(profiles.dtype, copy=False).reshape(-1, M)
+    counts = np.empty((len(rows), n), dtype=np.min_scalar_type(M))
+    for block in _row_blocks(len(rows), M, n):
+        same = profiles == rows[block, :, None]
+        same.view(np.uint8).sum(axis=1, dtype=counts.dtype, out=counts[block])
+    return counts.reshape(*predictions.shape[:-1], n)
 
 
 def _meta_features_all(ctx, indices, predictions, supports, kp: int,
@@ -448,10 +489,11 @@ class MetaClassifier:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         if self.constant is not None:
             return np.full(features.shape[0], self.constant)
-        var = self.variances[:, None]  # (2, 1, F)
-        log_like = self._log_priors - 0.5 * np.sum(
-            self._log_norm + (features - self.means[:, None]) ** 2 / var, axis=2
-        )  # (2, Q)
+        terms = features - self.means[:, None]  # (2, Q, F), in place from here
+        terms **= 2
+        terms /= self.variances[:, None]
+        terms += self._log_norm
+        log_like = self._log_priors - 0.5 * terms.sum(axis=2)  # (2, Q)
         probs = np.exp(log_like - log_like.max(axis=0))
         return probs[1] / probs.sum(axis=0)
 
@@ -490,7 +532,8 @@ META_THRESHOLD = 0.5  # a classifier is selected when P(correct) exceeds this
 def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
     """Select classifiers the meta-model deems competent for this query, from
     the meta-features of its first `ctx.meta.k` neighbours and `ctx.meta.kp`
-    output-profile neighbours, the sizes the model was trained with."""
+    output-profile neighbours, the sizes the model was trained with. The
+    first decision of a batch decides the whole batch (`meta_competent`)."""
     meta = ctx.meta
     if meta is None:
         raise RuntimeError(
@@ -500,9 +543,7 @@ def select_metades(ctx: SelectionContext, query: Query) -> SelectionResult:
     if len(query.indices) < meta.k:
         raise ValueError(f"META-DES was trained with k={meta.k}; the query has "
                          f"{len(query.indices)} neighbours")
-    features = _meta_features_all(ctx, query.indices[None, :meta.k], query.predictions[None],
-                                  query.supports[None], meta.kp)[0]
-    return _vote(query, (meta.posterior_competent(features) > META_THRESHOLD).nonzero()[0])
+    return _vote(query, ctx.meta_competent(query.batch)[query.row].nonzero()[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ import pytest
 
 from desbal.data import Dataset
 from desbal.pool import Pool
-from desbal.selection import Query, SelectionContext, _region_stats
+from desbal.selection import Query, QueryBatch, SelectionContext, _region_stats
 from desbal.tree import TreeConfig, fit_tree
 
 
 def region_query(indices, distances, predictions, supports, hits, agrees, labels):
-    """A query over a hand-crafted region, its statistics from the library's
-    `_region_stats` on a batch of one, as `make_queries` gives them."""
+    """A query over a hand-crafted region: row 0 of a batch of one, its
+    statistics from the library's `_region_stats`, as `make_queries` gives them."""
     stats = _region_stats(hits.T[:, None], labels[None], predictions[None], supports.shape[1])
+    batch = QueryBatch(indices[None], predictions[None], supports[None])
     return Query(indices, distances, predictions, supports, hits, agrees,
-                 *(stat[0] for stat in stats))
+                 *(stat[0] for stat in stats), batch, 0)
 
 
 def random_instance(rng):

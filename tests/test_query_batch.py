@@ -36,7 +36,7 @@ from desbal.selection import (
 )
 from desbal.tree import DecisionTree, LEAF
 
-FIELDS = [f.name for f in fields(Query)]
+FIELDS = [f.name for f in fields(Query) if f.name not in ("batch", "row")]  # the arrays
 CFG = SelectorConfig(seed=1)
 FIRE_BASES = (select_lca, select_mcb, select_kne, select_knu, select_desknn)
 
@@ -167,7 +167,7 @@ class TestBatchLayout:
 
     def test_one_point_is_a_row_of_the_batch(self, real_cells):
         """One 1-D point, and a one-row matrix, give the batch's row in all
-        ten fields."""
+        ten array fields, as row 0 of a batch of one."""
         assert len(FIELDS) == 10
         for ctx, X in real_cells:
             batch = ctx.make_queries(X, 7)
@@ -176,6 +176,7 @@ class TestBatchLayout:
                 for point in (X[q], X[q:q + 1]):
                     (one,) = ctx.make_queries(point, 7)
                     _assert_same_fields(one, want)
+                    assert one.row == 0 and len(one.batch.indices) == 1
 
     @pytest.mark.parametrize("layout", ["strided", "fortran"])
     def test_any_memory_layout_decides_alike(self, real_cells, layout):
@@ -188,7 +189,8 @@ class TestBatchLayout:
 
         for ctx, X in real_cells:
             for query in ctx.make_queries(X, 7)[:25]:
-                other = Query(*(copy(getattr(query, name)) for name in FIELDS))
+                other = Query(*(copy(getattr(query, name)) for name in FIELDS),
+                              query.batch, query.row)
                 if layout == "strided":
                     assert not other.hits.flags.c_contiguous
                 for name in SELECTOR_NAMES:

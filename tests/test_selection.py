@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -882,6 +883,187 @@ class TestCompactProfiles:
                 order = sorted(range(n), key=lambda j: (j == exclude, -sims[j], j))
                 assert ranked[-1] == order[:kp]
                 assert (exclude in ranked[-1]) == (exclude is not None and kp == n)
+
+
+def _metades_ref(ctx, train, X, k, kp):
+    """META-DES's selection for each row of X, one point at a time: reference
+    meta-features of the training rows (each kept out of its own neighbours)
+    and of the point, the reference naive Bayes posteriors above 0.5, and the
+    whole pool when none is."""
+    n_train, M = train.n_samples, ctx.pool_size
+    kp = min(kp, ctx.dsel.n_samples)
+    rows = []
+    for t, x in enumerate(train.features):
+        roc = [j for j in ref.region_ref(ctx.dsel.features, x, k + 1) if j != t][:k]
+        rows.append(ref.meta_features_ref(
+            ctx.hits, ctx.supports, ctx.predictions, ctx.dsel.labels, roc,
+            ctx.predictions[:, t], ctx.supports[:, t], kp, exclude=t,
+        ))
+    supports = ctx.pool.support_all(X, axis=1)
+    points = [ref.meta_features_ref(
+        ctx.hits, ctx.supports, ctx.predictions, ctx.dsel.labels,
+        ref.region_ref(ctx.dsel.features, x, k), sup.argmax(axis=1), sup, kp,
+    ) for x, sup in zip(X, supports)]
+    posteriors = ref.meta_classifier_ref(np.vstack(rows), ctx.hits[:, :n_train].T.ravel(),
+                                         np.vstack(points))[3].reshape(len(X), M)
+    chosen = [np.flatnonzero(p > 0.5) for p in posteriors]
+    return [c if c.size else np.arange(M) for c in chosen]
+
+
+def _assert_decides(ctx, queries, want):
+    for query, selected in zip(queries, want):
+        got = select_metades(ctx, query)
+        assert got.selected.tobytes() == selected.tobytes()
+        assert got.predicted_class == ref.vote_ref(query.predictions[selected], ctx.n_classes)
+
+
+def _batch_passes(monkeypatch):
+    """The number of rows of each `_meta_features_all` call from here on."""
+    passes = []
+    features_all = selection_module._meta_features_all
+
+    def counted(ctx, indices, *args, **kwargs):
+        passes.append(len(indices))
+        return features_all(ctx, indices, *args, **kwargs)
+
+    monkeypatch.setattr(selection_module, "_meta_features_all", counted)
+    return passes
+
+
+def _block_of(monkeypatch, rows, M, n):
+    """Blocks of `rows` rows for a pool of M and a DSEL of n (None: one block)."""
+    budget = 1 << 62 if rows is None else rows * M * n
+    monkeypatch.setattr(selection_module, "_BLOCK_BYTES", budget)
+
+
+@pytest.fixture(scope="module")
+def meta_cells():
+    """The first fold of glass (Ba-RM) and ecoli (Ba) at pool 20: each context
+    with its META-DES model, the training and test halves, and the
+    per-point oracle's selection for every test row."""
+    cells = []
+    for name, variant in (("glass", "Ba-RM"), ("ecoli", "Ba")):
+        dataset = load_benchmark(name)
+        _, _, train_idx, test_idx = next(iter(stratified_5x2(dataset, 3).folds()))
+        train, (test,), _ = standardize(dataset.subset(train_idx), [dataset.subset(test_idx)])
+        ctx = SelectionContext(generate_pool(train, variant, 20, seed=3),
+                               build_dsel(train, variant, 3))
+        ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        cells.append((ctx, train, test.features, _metades_ref(ctx, train, test.features, 7, 5)))
+    return cells
+
+
+class TestMetaDesBatch:
+    """META-DES decides a batch at its first query, in blocks of rows, and
+    every decision is the per-point oracle's."""
+
+    def test_every_query_matches_the_per_point_oracle(self, meta_cells, monkeypatch):
+        passes = _batch_passes(monkeypatch)
+        for ctx, _, X, want in meta_cells:
+            passes.clear()
+            queries = ctx.make_queries(X, 7)
+            _assert_decides(ctx, queries, want)
+            assert passes == [len(X)]  # one block, at the first decision
+            assert 0 < sum(len(w) < ctx.pool_size for w in want) < len(X)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_block_sizes_give_the_same_bytes(self, meta_cells, monkeypatch, rows):
+        """Blocks of 1, 3 and all rows give the oracle's decisions, the
+        single-row `_agreement` counts and the one-block model."""
+        models = [(ctx.meta.priors, ctx.meta.means, ctx.meta.variances)
+                  for ctx, *_ in meta_cells]
+        for (ctx, train, X, want), model in zip(meta_cells, models):
+            M, n = ctx.predictions.shape
+            counts = [_agreement(ctx.predictions, p) for p in ctx.predictions.T]
+            _block_of(monkeypatch, rows, M, n)
+            passes = _batch_passes(monkeypatch)
+            assert _agreement(ctx.predictions, ctx.predictions.T).tobytes() == \
+                np.stack(counts).tobytes()
+            meta = train_meta_classifier(ctx, train, k=7, kp=5)
+            for got, fitted in zip((meta.priors, meta.means, meta.variances), model):
+                assert got.tobytes() == fitted.tobytes()
+            passes.clear()
+            _assert_decides(ctx, ctx.make_queries(X, 7), want)
+            step = len(X) if rows is None else rows
+            assert passes == [min(step, len(X) - r) for r in range(0, len(X), step)]
+
+    @pytest.mark.parametrize("pool_size, n_classes", [(300, 3), (255, 4), (6, 300)])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_compact_profiles_in_blocks(self, monkeypatch, pool_size, n_classes, rows):
+        ctx = TestCompactProfiles._table_ctx(pool_size, n_classes)
+        M, n = ctx.predictions.shape
+        want = np.stack([_agreement(ctx.predictions, p) for p in ctx.predictions.T])
+        queries = ctx.make_queries(ctx.dsel.features, 3)
+        ctx.meta = train_meta_classifier(ctx, ctx.dsel, k=3, kp=4)
+        mask = ctx.meta_competent(queries[0].batch).copy()
+        _block_of(monkeypatch, rows, M, n)
+        got = _agreement(ctx.predictions, ctx.predictions.T)
+        assert got.dtype == np.min_scalar_type(pool_size) and got.tobytes() == want.tobytes()
+        ctx.meta = train_meta_classifier(ctx, ctx.dsel, k=3, kp=4)
+        assert ctx.meta_competent(queries[0].batch).tobytes() == mask.tobytes()
+
+    def test_a_new_model_replaces_the_mask(self, monkeypatch):
+        ctx, train = TestMetaDes._real_ctx(seed=4)
+        X = np.random.default_rng(6).normal(1.0, 1.5, size=(12, 3))
+        ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        queries = ctx.make_queries(X, 7)
+        _assert_decides(ctx, queries, _metades_ref(ctx, train, X, 7, 5))
+        smaller, equal = (train_meta_classifier(ctx, train, k=5, kp=3) for _ in range(2))
+        want = _metades_ref(ctx, train, X, 5, 3)
+        passes = _batch_passes(monkeypatch)
+        for model in (smaller, equal):  # the second is equal, but a new model
+            ctx.meta = model
+            _assert_decides(ctx, queries, want)
+        assert passes == [len(X), len(X)]
+
+    def test_batches_a_b_a_each_match_their_oracle(self, monkeypatch):
+        ctx, train = TestMetaDes._real_ctx(seed=4)
+        ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        rng = np.random.default_rng(7)
+        X_a, X_b = rng.normal(1.0, 1.5, size=(9, 3)), rng.normal(1.0, 1.5, size=(5, 3))
+        a, b = ctx.make_queries(X_a, 7), ctx.make_queries(X_b, 7)
+        want_a, want_b = _metades_ref(ctx, train, X_a, 7, 5), _metades_ref(ctx, train, X_b, 7, 5)
+        passes = _batch_passes(monkeypatch)
+        for queries, want in ((a, want_a), (b, want_b), (a, want_a)):
+            _assert_decides(ctx, queries, want)
+        assert passes == [9, 5, 9]  # only the last batch's mask is kept
+
+    def test_too_few_neighbours_raise_before_batch_work(self, monkeypatch):
+        ctx, train = TestMetaDes._real_ctx(seed=4)
+        ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+        passes = _batch_passes(monkeypatch)
+        queries = ctx.make_queries(train.features[:6] + 0.1, 5)
+        for query in queries:
+            with pytest.raises(ValueError, match=r"k=7; the query has 5 neighbours"):
+                select_metades(ctx, query)
+        assert passes == []
+
+    def test_training_and_a_decision_peak_within_blocks(self):
+        """A DSEL of 2,000 rows and a pool of 96 threshold stubs: META-DES
+        training and a batch's first decision hold the profile compare in
+        blocks, not as one (Q, M, n) array of 384 MB, so they peak below half
+        of that (at about 117 MB, mostly the (Q, M, F) meta-features and the
+        (Q, n) distances)."""
+        rng = np.random.default_rng(8)
+        n, M, d = 2000, 96, 3
+        features = rng.normal(size=(n, d))
+        labels = np.searchsorted([-0.5, 0.5], features[:, 0] + rng.normal(0, 0.5, n))
+        train = Dataset("wide", features, labels, ("a", "b", "c"))
+        eye = np.eye(3)
+        trees = tuple(SimpleNamespace(arity=2, n_classes=3, predict_support=(
+            lambda X, f=i % d, cuts=np.sort(rng.normal(0, 0.7, 2)):
+                eye[np.searchsorted(cuts, np.atleast_2d(X)[:, f])])) for i in range(M))
+        ctx = SelectionContext(Pool(trees, "Ba", 0, 3), train)
+        queries = ctx.make_queries(rng.normal(size=(n, d)), 7)
+        tracemalloc.start()
+        try:
+            ctx.meta = train_meta_classifier(ctx, train, k=7, kp=5)
+            select_metades(ctx, queries[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx.meta.constant is None
+        assert peak < n * M * n / 2
 
 
 class TestDfp:
