@@ -38,12 +38,13 @@ query_idx = int(np.flatnonzero(test_s.labels == minority_class)[0])
 x_q = test_s.features[query_idx]
 truth = test_s.labels[query_idx]
 
-# the query keeps its distance to every DSEL row; its region of competence
-# is the k nearest of them, with the pool's behaviour on each
+# the query's region of competence is its k nearest DSEL rows, with the
+# pool's behaviour on each
 query = ctx.make_queries(x_q, 7)[0]
 print(f"query: a class-{truth} test point")
 print(f"region of competence: DSEL rows {query.indices.tolist()}")
-print(f"  distances {np.round(query.distances[query.indices], 3).tolist()}")
+distances = np.linalg.norm(dsel.features[query.indices] - x_q, axis=1)
+print(f"  distances {np.round(distances, 3).tolist()}")
 print(f"  neighbour labels {dsel.labels[query.indices].tolist()}")
 
 u_q = query.predictions

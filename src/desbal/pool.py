@@ -43,8 +43,7 @@ class Pool:
 
     def support_all(self, X, axis: int = 0) -> np.ndarray:
         """Support tensor of shape (n_classifiers, n_samples, n_classes), or
-        (n_samples, n_classifiers, n_classes) with `axis=1`."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        (n_samples, n_classifiers, n_classes) with `axis=1`, for (n, d) rows X."""
         return np.stack([tree.predict_support(X) for tree in self.classifiers], axis=axis)
 
 

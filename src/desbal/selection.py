@@ -1,11 +1,12 @@
 """Competence regions and the dynamic classifier/ensemble selection schemes.
 
 A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
-Each test point becomes a `Query`: its distances to the DSEL, the pool's
-outputs for it, and its region of competence with the pool's behaviour on
-it and its statistics, gathered once per batch of queries. A scheme that
-judges competence on the region alone reads the query and nothing else;
-the five FIRE wraps also take candidates `keep`, and read only their rows.
+Each test point becomes a `Query`: the pool's outputs for it, and its
+region of competence with the pool's behaviour on it and its statistics,
+gathered once per batch of queries. A scheme that judges competence on the
+region alone reads the query and nothing else; the five FIRE wraps also take
+candidates `keep`, and read only their rows. DES-RRC and META-DES, which look
+beyond the region, read the query's batch.
 Determinism rules used throughout: competence ties break to the lowest
 classifier index, vote ties to the lowest class id, distance ties to the
 lowest DSEL index.
@@ -44,15 +45,16 @@ class SelectorConfig:
 # ---------------------------------------------------------------------------
 
 
-# the arrays a batch's queries are rows of: (Q, K) DSEL rows, (Q, M) class ids, (Q, M, L)
-QueryBatch = namedtuple("QueryBatch", "indices predictions supports")
+# the arrays a batch's queries are rows of: (Q, K) DSEL rows, (Q, M) class ids, (Q, M, L),
+# and DES-RRC's window, (Q, m) DSEL rows with their (Q, m) distances
+QueryBatch = namedtuple("QueryBatch", "indices predictions supports rrc_rows rrc_distances")
 
 
 @dataclass(frozen=True)
 class Query:
     """One test point: its region of competence (the K nearest DSEL rows by
-    Euclidean distance, closest first), its distance to every DSEL row,
-    every classifier's output for it, and the pool's behaviour on the region.
+    Euclidean distance, closest first), every classifier's output for it,
+    and the pool's behaviour on the region.
 
     `hits[i, j]` tells whether classifier i labels neighbour j correctly and
     `agrees[i, j]` whether it gives neighbour j the label it gives the query.
@@ -61,7 +63,6 @@ class Query:
     """
 
     indices: np.ndarray  # (K,) DSEL rows
-    distances: np.ndarray  # (n,) Euclidean distance to each DSEL row
     predictions: np.ndarray  # (M,) class ids
     supports: np.ndarray  # (M, L)
     hits: np.ndarray  # (M, K) bool
@@ -136,21 +137,30 @@ class SelectionContext:
         pool over it and one gather of the pool's behaviour on every region,
         laid out query-major: each query's fields are contiguous rows of
         C-ordered (Q, M, L) supports, (Q, M) predictions and (Q, M, K)
-        hits/agrees, with every region's statistics from one `_region_stats` call."""
+        hits/agrees, with every region's statistics from one `_region_stats` call.
+        The one neighbour sort also gives DES-RRC's window: the m =
+        `RRC_REGION_FACTOR * min(k, n)` nearest DSEL rows, whose first K are
+        the region, or every DSEL row in DSEL order when m reaches n."""
         if k < 1:
             raise ValueError(f"region size k must be at least 1, got k={k}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        dists = _distances(X, self.dsel.features)
-        order = _nearest(dists, k)  # (Q, K)
+        dists = _distances(X, self.dsel.features)  # (Q, n)
+        Q, n = dists.shape
+        m = RRC_REGION_FACTOR * min(k, n)
+        if m < n:
+            window = _nearest(dists, m)  # (Q, m)
+            order, near = window[:, :k], np.take_along_axis(dists, window, axis=1)
+        else:  # DSEL order, which fixes the summation order of DES-RRC's product
+            order, window, near = _nearest(dists, k), np.broadcast_to(np.arange(n), (Q, n)), dists
         supports = self.pool.support_all(X, axis=1)  # (Q, M, L)
         predictions = supports.argmax(axis=2)
         by_neighbour = np.ascontiguousarray(self.hits.T)[order.T]  # (K, Q, M)
         hits = by_neighbour.transpose(1, 2, 0).copy()  # (Q, M, K)
         agrees = (self.predictions[:, order] == predictions.T[:, :, None]).swapaxes(0, 1).copy()
         stats = _region_stats(by_neighbour, self.dsel.labels[order], predictions, self.n_classes)
-        batch = QueryBatch(order, predictions, supports)
+        batch = QueryBatch(order, predictions, supports, window, near)
         return [Query(*fields, batch, row) for row, fields in enumerate(
-            zip(order, dists, predictions, supports, hits, agrees, *stats))]
+            zip(order, predictions, supports, hits, agrees, *stats))]
 
     def rrc_csrc(self, seed: int) -> np.ndarray:
         """Centered correct-classification probability of the randomized
@@ -171,7 +181,7 @@ class SelectionContext:
         batch or a new model (by identity) replaces it."""
         last, meta, mask = self._meta_mask
         if last is not batch or meta is not self.meta:
-            (indices, predictions, supports), meta = batch, self.meta
+            (indices, predictions, supports, _, _), meta = batch, self.meta
             mask = np.empty(predictions.shape, dtype=bool)
             for rows in _row_blocks(*mask.shape, self.dsel.n_samples):
                 features = _meta_features_all(self, indices[rows, :meta.k], predictions[rows],
@@ -373,19 +383,15 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed, threads):
 def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig) -> SelectionResult:
     """Gaussian-weighted sum of centred RRC probabilities over the DSEL.
 
-    The sum runs over the `RRC_REGION_FACTOR * K` nearest DSEL samples; farther
-    weights exp(-d^2) are negligible on standardized features. Classifiers
-    with positive competence are selected, otherwise the whole pool votes.
-    The Monte-Carlo draws are seeded by `cfg.seed`.
+    The sum runs over the query's window in its batch (`make_queries`): the
+    `RRC_REGION_FACTOR * K` nearest DSEL samples, or the whole DSEL when it
+    is no larger. Farther weights exp(-d^2) are negligible on standardized
+    features. Classifiers with positive competence are selected, otherwise
+    the whole pool votes. The Monte-Carlo draws are seeded by `cfg.seed`.
     """
-    dists = query.distances
-    limit = RRC_REGION_FACTOR * max(len(query.indices), 1)
-    if limit < dists.shape[0]:
-        nearest = _nearest(dists, limit)
-    else:  # DSEL order, which fixes the summation order of the product below
-        nearest = np.arange(dists.shape[0])
-    weights = np.exp(-dists[nearest] ** 2)
-    competence = ctx.rrc_csrc(cfg.seed)[:, nearest] @ weights
+    batch = query.batch
+    weights = np.exp(-batch.rrc_distances[query.row] ** 2)
+    competence = ctx.rrc_csrc(cfg.seed)[:, batch.rrc_rows[query.row]] @ weights
     return _vote(query, (competence > 0).nonzero()[0])
 
 
@@ -485,8 +491,7 @@ class MetaClassifier:
         return cls(priors, means, variances)
 
     def posterior_competent(self, features) -> np.ndarray:
-        """P(correct | meta-features) per row."""
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        """P(correct | meta-features) per row of (Q, F) float features."""
         if self.constant is not None:
             return np.full(features.shape[0], self.constant)
         terms = features - self.means[:, None]  # (2, Q, F), in place from here

@@ -10,12 +10,14 @@ from desbal.selection import Query, QueryBatch, SelectionContext, _region_stats
 from desbal.tree import TreeConfig, fit_tree
 
 
-def region_query(indices, distances, predictions, supports, hits, agrees, labels):
+def region_query(indices, predictions, supports, hits, agrees, labels):
     """A query over a hand-crafted region: row 0 of a batch of one, its
-    statistics from the library's `_region_stats`, as `make_queries` gives them."""
+    statistics from the library's `_region_stats`, as `make_queries` gives
+    them. Its DES-RRC window is the region itself, at distance 0."""
     stats = _region_stats(hits.T[:, None], labels[None], predictions[None], supports.shape[1])
-    batch = QueryBatch(indices[None], predictions[None], supports[None])
-    return Query(indices, distances, predictions, supports, hits, agrees,
+    batch = QueryBatch(indices[None], predictions[None], supports[None],
+                       indices[None], np.zeros((1, len(indices))))
+    return Query(indices, predictions, supports, hits, agrees,
                  *(stat[0] for stat in stats), batch, 0)
 
 

@@ -17,8 +17,9 @@ decoding are kept here as set tests and per-cell loops. The report's
 statistics keep their scipy.stats formulas here: `rankdata` average ranks,
 `2 * norm.sf` rank-test p-values and the `binom.sf` search for the sign
 test's critical value. The query-level helpers keep their earlier array
-forms here too: the (M, Q, ·) batch slices of `make_queries_ref`, the
-per-query region statistics of `region_stats_ref`, the `np.mean`
+forms here too: the (M, Q, ·) batch slices of `make_queries_ref`, DES-RRC's
+window re-sorted per decision from a whole distance row (`rrc_window_ref`),
+the per-query region statistics of `region_stats_ref`, the `np.mean`
 sub-ensemble score, the `np.unique` frienemy rule, MCB's `np.delete`
 runner-up, and `dataclasses.replace` rows and FIRE results.
 """
@@ -247,11 +248,29 @@ def make_queries_ref(ctx, X, k):
     agrees = ctx.predictions[:, order] == predictions[:, :, None]
     labels = ctx.dsel.labels[order]
     return [
-        dict(indices=order[q], distances=dists[q], predictions=predictions[:, q],
+        dict(indices=order[q], predictions=predictions[:, q],
              supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
              **region_stats_ref(hits[:, q], labels[q], predictions[:, q]))
         for q in range(X.shape[0])
     ]
+
+
+def rrc_window_ref(dsel_features, x, k):
+    """DES-RRC's window for one point: the stable argsort of its cdist row cut
+    to the m = 30·min(k, n) nearest DSEL rows, or every row in DSEL order
+    when m reaches n; the rows and their distances."""
+    dists = cdist(np.asarray(x, dtype=float)[None], dsel_features)[0]
+    n = dists.size
+    m = 30 * min(k, n)
+    rows = np.argsort(dists, kind="stable")[:m] if m < n else np.arange(n)
+    return rows, dists[rows]
+
+
+def desrrc_competence_ref(ctx, x, k, seed):
+    """DES-RRC's competences for one point, its window found per decision
+    from the point's whole distance row, as the scheme once did."""
+    rows, dists = rrc_window_ref(ctx.dsel.features, x, k)
+    return ctx.rrc_csrc(seed)[:, rows] @ np.exp(-dists ** 2)
 
 
 def fire_knu_ref(hits, roc, preds_q, dsel_labels, n_classes):

@@ -540,17 +540,6 @@ class TestSubset:
     def _four_rows(self):
         return Dataset("four", np.arange(4.0)[:, None], np.array([0, 1, 0, 1]), ("a", "b"))
 
-    def test_boolean_mask_selects_its_true_rows(self):
-        ds = self._four_rows()
-        sub = ds.subset([True, False, True, False])
-        assert sub.features[:, 0].tolist() == [0.0, 2.0]
-        assert sub.labels.tolist() == [0, 0]
-        assert ds.subset(np.zeros(4, dtype=bool)).n_samples == 0
-
-    def test_boolean_mask_of_the_wrong_length_raises(self):
-        with pytest.raises(ValueError, match=r"boolean row mask needs shape \(4,\)"):
-            self._four_rows().subset([True, False, True])
-
     def test_row_numbers_and_empty_list(self):
         ds = self._four_rows()
         assert ds.subset([3, 1, 1]).features[:, 0].tolist() == [3.0, 1.0, 1.0]

@@ -1,12 +1,16 @@
 """Every narrative script in demos/, and README's library quickstart and
-scheme calls, runs to completion."""
+scheme calls, runs to completion, and README's `Query` fields are the code's."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from desbal.selection import Query, QueryBatch
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -59,3 +63,19 @@ def test_readme_scheme_calls_run(tmp_path):
     calls = _readme_block("from desbal.selection import select_desknn,")
     _, out = _run(["-c", quickstart + calls], tmp_path)
     assert out.startswith("KNU [") and "\nF-KNU [" in out
+
+
+def test_readme_lists_every_query_field():
+    """The bullets under "A `Query` holds:" name the fields of `Query` in
+    order, the count README gives is theirs, and the `batch` bullet names
+    the fields of `QueryBatch` in order."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("A `Query` holds:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = [bullet.split(":", 1) for bullet in ("\n" + section).split("\n- ")[1:]]
+    named = [name for head, _ in bullets for name in re.findall(r"`(\w+)`", head)]
+    assert named == [f.name for f in fields(Query)]
+    (batch,) = [body for head, body in bullets if head == "`batch`"]
+    assert re.findall(r"`(\w+)`", batch) == ["QueryBatch", *QueryBatch._fields]
+    count = re.search(r"All (\w+) fields are", text)[1]
+    words = ("nine", "ten", "eleven", "twelve", "thirteen", "fourteen")
+    assert words.index(count) + 9 == len(fields(Query))

@@ -97,6 +97,13 @@ class TestGeneratePool:
         assert by_sample.shape == (15, 6, 3) and by_sample.flags.c_contiguous
         assert by_sample.tobytes() == np.ascontiguousarray(by_tree.swapaxes(0, 1)).tobytes()
 
+    def test_supports_refuse_a_lone_row(self):
+        # (n, d) rows only, as `tree.predict_support` takes them
+        pool = generate_pool(_train(), "Ba", pool_size=3, seed=4)
+        for X in (np.zeros(3), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                pool.support_all(X)
+
 
 class TestBootstrap:
     @pytest.mark.parametrize("name", ["glass", "ecoli"])

@@ -167,8 +167,8 @@ class TestBatchLayout:
 
     def test_one_point_is_a_row_of_the_batch(self, real_cells):
         """One 1-D point, and a one-row matrix, give the batch's row in all
-        ten array fields, as row 0 of a batch of one."""
-        assert len(FIELDS) == 10
+        nine array fields and in DES-RRC's window, as row 0 of a batch of one."""
+        assert len(FIELDS) == 9
         for ctx, X in real_cells:
             batch = ctx.make_queries(X, 7)
             for q in (0, 1, len(X) // 2, len(X) - 1):
@@ -177,6 +177,9 @@ class TestBatchLayout:
                     (one,) = ctx.make_queries(point, 7)
                     _assert_same_fields(one, want)
                     assert one.row == 0 and len(one.batch.indices) == 1
+                    for name in ("rrc_rows", "rrc_distances"):
+                        got, row = getattr(one.batch, name), getattr(batch[q].batch, name)[q]
+                        assert got.shape == (1, len(row)) and got.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("layout", ["strided", "fortran"])
     def test_any_memory_layout_decides_alike(self, real_cells, layout):
@@ -297,7 +300,7 @@ class TestBitwiseOracles:
 
     def test_dfp_keeps_the_pool_on_an_empty_region(self):
         labels = np.zeros(0, dtype=int)
-        query = region_query(np.zeros(0, dtype=np.intp), np.ones(4), np.array([0, 1, 1]),
+        query = region_query(np.zeros(0, dtype=np.intp), np.array([0, 1, 1]),
                              np.eye(2)[[0, 1, 1]], np.zeros((3, 0), bool),
                              np.zeros((3, 0), bool), labels)
         survivors = np.flatnonzero(query.dfp_mask)
@@ -331,6 +334,88 @@ class TestBitwiseOracles:
                 assert (result.aggregate_score(query).tobytes()
                         == ref.aggregate_score_ref(query.supports, result.selected,
                                                    result.vote_weights).tobytes())
+
+
+def _grid_ctx(n, seed):
+    """A two-tree constant pool over n DSEL rows drawn from a 3 x 3 integer
+    grid, and six query points on a wider grid, so most distances tie."""
+    rng = np.random.default_rng(seed)
+    trees = tuple(DecisionTree([LEAF], [0.0], [-1], [-1], [5.0 * np.eye(2)[c]], 2, arity=2)
+                  for c in (0, 1))
+    dsel = Dataset("grid", rng.integers(0, 3, size=(n, 2)).astype(float),
+                   rng.integers(0, 2, size=n), ("a", "b"))
+    return SelectionContext(Pool(trees, "Ba", 0, 2), dsel), rng.integers(-1, 4, (6, 2)) * 1.0
+
+
+class TestRrcWindow:
+    """DES-RRC's window, which `make_queries` takes from its one neighbour sort."""
+
+    @pytest.mark.parametrize("k, n", [(1, 30), (1, 31), (2, 60), (2, 61), (7, 210),
+                                      (7, 211), (3, 200), (7, 5)])
+    def test_window_matches_the_per_query_oracle(self, k, n):
+        """Rows and distance bytes of each query's window equal the stable
+        argsort of its own distance row, cut to m = 30·min(k, n) when m < n
+        (its first k columns then the region), or every row in DSEL order.
+        With m < n no query field is DSEL-wide."""
+        ctx, X = _grid_ctx(n, seed=n + k)
+        queries = ctx.make_queries(X, k)
+        m = 30 * min(k, n)
+        batch = queries[0].batch
+        assert batch.rrc_rows.shape == batch.rrc_distances.shape == (len(X), min(m, n))
+        ties = 0
+        for query, x in zip(queries, X):
+            rows, dists = ref.rrc_window_ref(ctx.dsel.features, x, k)
+            assert query.batch.rrc_rows[query.row].tolist() == rows.tolist()
+            assert query.batch.rrc_distances[query.row].tobytes() == dists.tobytes()
+            ties += len(np.unique(dists)) < len(dists)
+            if m < n:
+                assert query.indices.tolist() == rows[:k].tolist()
+                assert all(n not in getattr(query, name).shape for name in FIELDS)
+        assert ties == len(X) or n <= 9  # more than 9 rows on 9 grid points always tie
+
+    def test_k_beyond_the_dsel_warns_once_per_batch(self, caplog):
+        ctx, X = _grid_ctx(5, seed=1)
+        with caplog.at_level("WARNING", logger="desbal"):
+            for k in (5, 7):
+                ctx.make_queries(X, k)
+                ctx.make_queries(X[0], k)
+        assert ([r.getMessage() for r in caplog.records]
+                == ["DSEL holds 5 < k=7 samples; using the whole set"] * 2)
+
+    def test_a_lone_point_gets_its_batch_row(self):
+        for k, n in ((2, 61), (2, 60), (7, 5)):
+            ctx, X = _grid_ctx(n, seed=2)
+            batch = ctx.make_queries(X, k)[0].batch
+            for q, x in enumerate(X):
+                one = ctx.make_queries(x, k)[0].batch
+                assert one.rrc_rows.tobytes() == batch.rrc_rows[q].tobytes()
+                assert one.rrc_distances.tobytes() == batch.rrc_distances[q].tobytes()
+                assert one.rrc_rows.shape == (1, batch.rrc_rows.shape[1])
+
+    def test_ba_rm_decisions_sort_nothing(self, monkeypatch):
+        """DES-RRC decides every query of a glass and an ecoli Ba-RM batch,
+        whose DSELs exceed 30·k rows, without a call to `_nearest`, and selects
+        what the per-decision re-sort of each point's whole distance row selects."""
+        calls, nearest = [], selection._nearest
+        monkeypatch.setattr(selection, "_nearest", lambda *a: calls.append(1) or nearest(*a))
+        for name in ("glass", "ecoli"):
+            dataset = load_benchmark(name)
+            _, _, train_idx, test_idx = next(iter(stratified_5x2(dataset, 3).folds()))
+            train, (test,), _ = standardize(dataset.subset(train_idx), [dataset.subset(test_idx)])
+            ctx = SelectionContext(generate_pool(train, "Ba-RM", 20, seed=3),
+                                   build_dsel(train, "Ba-RM", 3))
+            queries = ctx.make_queries(test.features, CFG.k)
+            assert len(calls) == 1  # the counter sees make_queries' one sort
+            assert ctx.dsel.n_samples > 30 * CFG.k
+            assert queries[0].batch.rrc_rows.shape == (len(queries), 30 * CFG.k)
+            calls.clear()
+            results = [run_selector("DES-RRC", ctx, query, CFG) for query in queries]
+            assert not calls
+            for result, x in zip(results, test.features):
+                competence = ref.desrrc_competence_ref(ctx, x, CFG.k, CFG.seed)
+                want = np.flatnonzero(competence > 0) if (competence > 0).any() \
+                    else np.arange(ctx.pool_size)
+                assert result.selected.tobytes() == want.tobytes()
 
 
 class TestRegionSizeRefused:

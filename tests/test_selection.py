@@ -50,7 +50,6 @@ def _query(hits, profiles, labels, n_classes, preds_q):
     preds_q = np.asarray(preds_q, dtype=int)
     return region_query(
         indices=np.arange(hits.shape[1]),
-        distances=np.zeros(hits.shape[1]),
         predictions=preds_q,
         supports=np.eye(n_classes)[preds_q],
         hits=hits,
@@ -80,12 +79,13 @@ class TestRegionOfCompetence:
     def test_exact_row_is_first(self):
         query = _stub_query([[0.0], [3.0], [7.0]], [3.0], k=2)
         assert query.indices[0] == 1
-        assert query.distances[query.indices][0] == 0.0
+        # a DSEL of at most 30·k rows: DES-RRC's window is every row in DSEL order
+        assert query.batch.rrc_distances[0][query.indices][0] == 0.0
 
     def test_k_equals_dsel(self):
         query = _stub_query([[0.0], [1.0], [2.0]], [0.9], k=3)
         assert sorted(query.indices.tolist()) == [0, 1, 2]
-        assert (np.diff(query.distances[query.indices]) >= 0).all()
+        assert (np.diff(query.batch.rrc_distances[0][query.indices]) >= 0).all()
 
     def test_one_dimensional_example(self):
         query = _stub_query([[0.0], [1.0], [2.0], [10.0]], [1.4], k=2)
@@ -109,13 +109,14 @@ class TestRegionOfCompetence:
         assert query.indices.tolist() == [0, 1]
 
     def test_distances_match_a_single_point_cdist(self, oracle_instances):
-        # the rows make_queries keeps are the distances DES-RRC sums over
+        # the window distances make_queries keeps are the ones DES-RRC sums over
         ctx, train = TestMetaDes._real_ctx()
-        for query, x in zip(ctx.make_queries(train.features, 7), train.features):
-            assert np.array_equal(query.distances, cdist(x[None], ctx.dsel.features)[0])
-        for inst in oracle_instances:
-            want = cdist(inst["x"][None], inst["ctx"].dsel.features)[0]
-            assert np.array_equal(inst["query"].distances, want)
+        cells = [(ctx, query, x) for query, x in zip(ctx.make_queries(train.features, 7),
+                                                     train.features)]
+        cells += [(inst["ctx"], inst["query"], inst["x"]) for inst in oracle_instances]
+        for ctx, query, x in cells:
+            want = cdist(x[None], ctx.dsel.features)[0][query.batch.rrc_rows[query.row]]
+            assert np.array_equal(query.batch.rrc_distances[query.row], want)
 
 
 class TestProfileSimilarity:
@@ -1208,6 +1209,6 @@ class TestProperties:
             indices = _nearest(dists, len(query.indices))
             assert indices.tolist() == query.indices.tolist()
             # the region's hits, agreements and labels follow from its indices
-            scaled_query = replace(query, indices=indices, distances=dists)
+            scaled_query = replace(query, indices=indices)
             for fn in (select_rank, select_lca, select_kne, select_knu, select_desp):
                 assert fn(query).selected.tolist() == fn(scaled_query).selected.tolist()
