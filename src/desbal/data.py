@@ -66,8 +66,11 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """Row subset sharing the class id space (classes may go missing);
-        `indices` are row numbers."""
-        idx = np.asarray(indices, dtype=int)
+        `indices` are row numbers: a bool or float array is refused, not cast."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"subset takes integer row numbers, got dtype {idx.dtype}")
+        idx = idx.astype(int, copy=False)
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 

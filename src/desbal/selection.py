@@ -1,12 +1,11 @@
 """Competence regions and the dynamic classifier/ensemble selection schemes.
 
 A `SelectionContext` holds the pool's behaviour over the DSEL, computed once.
-Each test point becomes a `Query`: the pool's outputs for it, and its
-region of competence with the pool's behaviour on it and its statistics,
-gathered once per batch of queries. A scheme that judges competence on the
-region alone reads the query and nothing else; the five FIRE wraps also take
-candidates `keep`, and read only their rows. DES-RRC and META-DES, which look
-beyond the region, read the query's batch.
+Each test point becomes a `Query`, a row of its `QueryBatch`: the pool's
+outputs for it, its region of competence with the pool's behaviour on it and
+its statistics, and DES-RRC's window, gathered once per batch of queries.
+Every scheme reads the query; the five FIRE wraps also take candidates `keep`,
+and read only their rows. META-DES alone reads the query's whole batch.
 Determinism rules used throughout: competence ties break to the lowest
 classifier index, vote ties to the lowest class id, distance ties to the
 lowest DSEL index.
@@ -15,7 +14,7 @@ lowest DSEL index.
 import logging
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import partial
 
 import numpy as np
@@ -45,42 +44,28 @@ class SelectorConfig:
 # ---------------------------------------------------------------------------
 
 
-# the arrays a batch's queries are rows of: (Q, K) DSEL rows, (Q, M) class ids, (Q, M, L),
-# and DES-RRC's window, (Q, m) DSEL rows with their (Q, m) distances
-QueryBatch = namedtuple("QueryBatch", "indices predictions supports rrc_rows rrc_distances")
+# the (Q, ...) arrays `make_queries` derives for Q points, which its queries are
+# rows of: (Q, K) DSEL rows, (Q, M) class ids, (Q, M, L) supports, (Q, M, K) bool
+# hits/agrees, the four (Q, M) `_region_stats`, and DES-RRC's window, (Q, m) DSEL
+# rows with their (Q, m) distances
+QueryBatch = namedtuple("QueryBatch", "indices predictions supports hits agrees n_correct "
+                        "streak class_accuracy dfp_mask rrc_rows rrc_distances")
+
+Query = make_dataclass("Query", [*QueryBatch._fields, "batch", "row"], frozen=True, namespace={
+    "__module__": __name__,
+    "__doc__": """One test point: row `row` of each array of its `batch`, under the
+    array's name, each field a view of that row. Its region of competence is
+    the K nearest DSEL rows by Euclidean distance, closest first. `hits[i, j]`
+    tells whether classifier i labels neighbour j correctly and `agrees[i, j]`
+    whether it gives neighbour j the label it gives the query.""",
+    "pool_size": property(lambda self: self.predictions.shape[0]),
+    "n_classes": property(lambda self: self.supports.shape[1]),
+})
 
 
-@dataclass(frozen=True)
-class Query:
-    """One test point: its region of competence (the K nearest DSEL rows by
-    Euclidean distance, closest first), every classifier's output for it,
-    and the pool's behaviour on the region.
-
-    `hits[i, j]` tells whether classifier i labels neighbour j correctly and
-    `agrees[i, j]` whether it gives neighbour j the label it gives the query.
-    The four fields from `n_correct` on are the region's `_region_stats`;
-    `batch` is the batch the query came from, and `row` its row there.
-    """
-
-    indices: np.ndarray  # (K,) DSEL rows
-    predictions: np.ndarray  # (M,) class ids
-    supports: np.ndarray  # (M, L)
-    hits: np.ndarray  # (M, K) bool
-    agrees: np.ndarray  # (M, K) bool
-    n_correct: np.ndarray  # (M,) correct neighbours
-    streak: np.ndarray  # (M,) initial run of correct neighbours
-    class_accuracy: np.ndarray  # (M,) float, LCA's local class accuracy
-    dfp_mask: np.ndarray  # (M,) bool, the DFP survivors
-    batch: QueryBatch
-    row: int
-
-    @property
-    def pool_size(self) -> int:
-        return self.predictions.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.supports.shape[1]
+def _queries(batch: QueryBatch) -> list:
+    """The queries of a batch, one per row: the only place a `Query` is built."""
+    return [Query(*fields, batch, row) for row, fields in enumerate(zip(*batch))]
 
 
 def _region_stats(hits, labels, predictions, n_classes) -> tuple:
@@ -113,9 +98,13 @@ def _region_stats(hits, labels, predictions, n_classes) -> tuple:
 
 class SelectionContext:
     """Pool behaviour over a DSEL, precomputed once and queried per point.
-    `threads` draw the DES-RRC table: by default one per usable CPU."""
+    `threads` draw the DES-RRC table: by default one per usable CPU. The pool
+    and the DSEL must know the same classes."""
 
     def __init__(self, pool: Pool, dsel: Dataset, threads: int | None = None):
+        if pool.n_classes != dsel.n_classes:
+            raise ValueError(f"the pool knows {pool.n_classes} classes and the DSEL "
+                             f"{dsel.n_classes}; they must be the same")
         self.pool = pool
         self.dsel = dsel
         self.threads = threads
@@ -158,9 +147,8 @@ class SelectionContext:
         hits = by_neighbour.transpose(1, 2, 0).copy()  # (Q, M, K)
         agrees = (self.predictions[:, order] == predictions.T[:, :, None]).swapaxes(0, 1).copy()
         stats = _region_stats(by_neighbour, self.dsel.labels[order], predictions, self.n_classes)
-        batch = QueryBatch(order, predictions, supports, window, near)
-        return [Query(*fields, batch, row) for row, fields in enumerate(
-            zip(order, predictions, supports, hits, agrees, *stats))]
+        return _queries(QueryBatch(order, predictions, supports, hits, agrees, *stats,
+                                   window, near))
 
     def rrc_csrc(self, seed: int) -> np.ndarray:
         """Centered correct-classification probability of the randomized
@@ -181,11 +169,12 @@ class SelectionContext:
         batch or a new model (by identity) replaces it."""
         last, meta, mask = self._meta_mask
         if last is not batch or meta is not self.meta:
-            (indices, predictions, supports, _, _), meta = batch, self.meta
-            mask = np.empty(predictions.shape, dtype=bool)
+            meta = self.meta
+            mask = np.empty(batch.predictions.shape, dtype=bool)
             for rows in _row_blocks(*mask.shape, self.dsel.n_samples):
-                features = _meta_features_all(self, indices[rows, :meta.k], predictions[rows],
-                                              supports[rows], meta.kp)
+                features = _meta_features_all(self, batch.indices[rows, :meta.k],
+                                              batch.predictions[rows], batch.supports[rows],
+                                              meta.kp)
                 mask[rows] = (meta.posterior_competent(features.reshape(-1, features.shape[2]))
                               > META_THRESHOLD).reshape(-1, mask.shape[1])
             self._meta_mask = batch, meta, mask
@@ -383,15 +372,14 @@ def _rrc_csrc_matrix(supports, labels, n_classes, draws, seed, threads):
 def select_desrrc(ctx: SelectionContext, query: Query, cfg: SelectorConfig) -> SelectionResult:
     """Gaussian-weighted sum of centred RRC probabilities over the DSEL.
 
-    The sum runs over the query's window in its batch (`make_queries`): the
+    The sum runs over the query's window (`make_queries`): the
     `RRC_REGION_FACTOR * K` nearest DSEL samples, or the whole DSEL when it
     is no larger. Farther weights exp(-d^2) are negligible on standardized
     features. Classifiers with positive competence are selected, otherwise
     the whole pool votes. The Monte-Carlo draws are seeded by `cfg.seed`.
     """
-    batch = query.batch
-    weights = np.exp(-batch.rrc_distances[query.row] ** 2)
-    competence = ctx.rrc_csrc(cfg.seed)[:, batch.rrc_rows[query.row]] @ weights
+    weights = np.exp(-query.rrc_distances ** 2)
+    competence = ctx.rrc_csrc(cfg.seed)[:, query.rrc_rows] @ weights
     return _vote(query, (competence > 0).nonzero()[0])
 
 

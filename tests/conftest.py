@@ -6,7 +6,7 @@ import pytest
 
 from desbal.data import Dataset
 from desbal.pool import Pool
-from desbal.selection import Query, QueryBatch, SelectionContext, _region_stats
+from desbal.selection import QueryBatch, SelectionContext, _queries, _region_stats
 from desbal.tree import TreeConfig, fit_tree
 
 
@@ -15,10 +15,10 @@ def region_query(indices, predictions, supports, hits, agrees, labels):
     statistics from the library's `_region_stats`, as `make_queries` gives
     them. Its DES-RRC window is the region itself, at distance 0."""
     stats = _region_stats(hits.T[:, None], labels[None], predictions[None], supports.shape[1])
-    batch = QueryBatch(indices[None], predictions[None], supports[None],
-                       indices[None], np.zeros((1, len(indices))))
-    return Query(indices, predictions, supports, hits, agrees,
-                 *(stat[0] for stat in stats), batch, 0)
+    (query,) = _queries(QueryBatch(indices[None], predictions[None], supports[None],
+                                   hits[None], agrees[None], *stats,
+                                   indices[None], np.zeros((1, len(indices)))))
+    return query
 
 
 def random_instance(rng):

@@ -237,8 +237,9 @@ def aggregate_score_ref(supports, selected, weights=None):
 
 
 def make_queries_ref(ctx, X, k):
-    """Per-query fields as strided slices of the (M, Q, ·) batch arrays, and
-    each query's statistics by `region_stats_ref`."""
+    """Per-query fields as strided slices of the (M, Q, ·) batch arrays,
+    each query's statistics by `region_stats_ref`, and its DES-RRC window by
+    `rrc_window_ref`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dists = cdist(X, ctx.dsel.features)
     order = np.argsort(dists, axis=1, kind="stable")[:, :k]
@@ -250,8 +251,9 @@ def make_queries_ref(ctx, X, k):
     return [
         dict(indices=order[q], predictions=predictions[:, q],
              supports=supports[:, q, :], hits=hits[:, q], agrees=agrees[:, q],
-             **region_stats_ref(hits[:, q], labels[q], predictions[:, q]))
-        for q in range(X.shape[0])
+             **region_stats_ref(hits[:, q], labels[q], predictions[:, q]),
+             **dict(zip(("rrc_rows", "rrc_distances"), rrc_window_ref(ctx.dsel.features, x, k))))
+        for q, x in enumerate(X)
     ]
 
 

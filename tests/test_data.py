@@ -544,3 +544,12 @@ class TestSubset:
         ds = self._four_rows()
         assert ds.subset([3, 1, 1]).features[:, 0].tolist() == [3.0, 1.0, 1.0]
         assert ds.subset([]).n_samples == 0
+        assert ds.subset(np.array([2, 0], np.uint8)).features[:, 0].tolist() == [2.0, 0.0]
+
+    @pytest.mark.parametrize("rows, dtype", [([True, False, True, False], "bool"),
+                                             ([0.5, 2.9], "float64"),
+                                             (np.array([1.0, 2.0], np.float32), "float32")])
+    def test_bool_and_float_rows_are_refused(self, rows, dtype):
+        # cast, they would pick rows 1, 0, 1, 0 or rows 0, 2 without a word
+        with pytest.raises(ValueError, match=f"dtype {dtype}"):
+            self._four_rows().subset(rows)

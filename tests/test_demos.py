@@ -67,15 +67,20 @@ def test_readme_scheme_calls_run(tmp_path):
 
 def test_readme_lists_every_query_field():
     """The bullets under "A `Query` holds:" name the fields of `Query` in
-    order, the count README gives is theirs, and the `batch` bullet names
-    the fields of `QueryBatch` in order."""
+    order: the arrays of `QueryBatch`, each with its (Q, ...) shape, then the
+    `batch` bullet, which names `QueryBatch`, and `row`. The counts README
+    gives are theirs."""
     text = (ROOT / "README.md").read_text()
     section = text.split("A `Query` holds:\n\n", 1)[1].split("\n\n", 1)[0]
     bullets = [bullet.split(":", 1) for bullet in ("\n" + section).split("\n- ")[1:]]
     named = [name for head, _ in bullets for name in re.findall(r"`(\w+)`", head)]
-    assert named == [f.name for f in fields(Query)]
+    assert named == [f.name for f in fields(Query)] == [*QueryBatch._fields, "batch", "row"]
+    shaped = [name for head, _ in bullets for name in re.findall(r"`(\w+)` \(Q,", head)]
+    assert shaped == list(QueryBatch._fields)
     (batch,) = [body for head, body in bullets if head == "`batch`"]
-    assert re.findall(r"`(\w+)`", batch) == ["QueryBatch", *QueryBatch._fields]
-    count = re.search(r"All (\w+) fields are", text)[1]
+    assert re.findall(r"`(\w+)`", batch) == ["QueryBatch"]
     words = ("nine", "ten", "eleven", "twelve", "thirteen", "fourteen")
+    count = re.search(r"All (\w+) fields are", text)[1]
     assert words.index(count) + 9 == len(fields(Query))
+    arrays = re.search(r"`QueryBatch` of (\w+) \(Q, …\) arrays", text)[1]
+    assert words.index(arrays) + 9 == len(QueryBatch._fields)

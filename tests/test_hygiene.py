@@ -1,6 +1,7 @@
 """Source hygiene of `src/desbal`, read with `ast`: no module imports a name
-it never uses, no function takes a parameter it never reads, and no function
-imports anything but the one deferred scipy.spatial import."""
+it never uses, no function takes a parameter it never reads, no function
+imports anything but the one deferred scipy.spatial import, and only
+`selection._queries` builds a `Query`."""
 
 import ast
 from pathlib import Path
@@ -50,13 +51,18 @@ def test_no_unused_parameter(path):
     assert not unused
 
 
-def _function_imports(node, owner=None):
-    """(enclosing function, source) of every import inside a function body."""
+def _owned(node, owner=None):
+    """(enclosing function or None, node) of every node below `node`."""
     for child in ast.iter_child_nodes(node):
-        if owner and isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield owner, ast.unparse(child)
+        yield owner, child
         is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _function_imports(child, child.name if is_function else owner)
+        yield from _owned(child, child.name if is_function else owner)
+
+
+def _function_imports(tree):
+    """(enclosing function, source) of every import inside a function body."""
+    return [(owner, ast.unparse(node)) for owner, node in _owned(tree)
+            if owner and isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_only_scipy_spatial_is_imported_inside_a_function():
@@ -66,3 +72,12 @@ def test_only_scipy_spatial_is_imported_inside_a_function():
              for imported in _function_imports(_tree(path))]
     assert found == [
         ("data.py", "_distances", "from scipy.spatial.distance import cdist as _cdist")]
+
+
+def test_only_selection_queries_builds_a_query():
+    """One way to build a `Query`: every call of `Query`, by name or as an
+    attribute, sits in `selection._queries`."""
+    found = [(path.name, owner) for path in MODULES for owner, node in _owned(_tree(path))
+             if isinstance(node, ast.Call) and "Query" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None))]
+    assert found == [("selection.py", "_queries")]

@@ -8,7 +8,7 @@ the frienemy rule, MCB's runner-up, a scheme run on candidates) must give
 the bytes of the formula in `tests/reference.py` it replaced.
 """
 
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from desbal.pool import Pool, build_dsel, generate_pool
 from desbal.selection import (
     SELECTOR_NAMES,
     Query,
+    QueryBatch,
     SelectionContext,
     SelectionResult,
     SelectorConfig,
@@ -36,7 +37,7 @@ from desbal.selection import (
 )
 from desbal.tree import DecisionTree, LEAF
 
-FIELDS = [f.name for f in fields(Query) if f.name not in ("batch", "row")]  # the arrays
+FIELDS = list(QueryBatch._fields)  # the arrays of a batch, and of each of its queries
 CFG = SelectorConfig(seed=1)
 FIRE_BASES = (select_lca, select_mcb, select_kne, select_knu, select_desknn)
 
@@ -55,6 +56,22 @@ def real_cells():
         ctx.meta = train_meta_classifier(ctx, train, CFG.k, CFG.meta_kp)
         cells.append((ctx, test.features))
     return cells
+
+
+@pytest.fixture(scope="module")
+def variant_batches():
+    """The queries of the first fold's test half of glass and ecoli, each
+    under Ba and Ba-RM at pool 10: DSELs below and above 30·k rows."""
+    batches = []
+    for name in ("glass", "ecoli"):
+        dataset = load_benchmark(name)
+        _, _, train_idx, test_idx = next(iter(stratified_5x2(dataset, 3).folds()))
+        train, (test,), _ = standardize(dataset.subset(train_idx), [dataset.subset(test_idx)])
+        for variant in ("Ba", "Ba-RM"):
+            ctx = SelectionContext(generate_pool(train, variant, 10, seed=3),
+                                   build_dsel(train, variant, 3))
+            batches.append((ctx.dsel.n_samples, ctx.make_queries(test.features, CFG.k)))
+    return batches
 
 
 def _constant_pool_ctx(preds, dsel_labels, n_classes):
@@ -131,6 +148,30 @@ class TestBatchLayout:
             for query, fields_ in zip(got, want):
                 _assert_same_fields(query, fields_)
 
+    def test_query_is_a_frozen_dataclass_of_the_batch_fields(self, real_cells):
+        assert [f.name for f in fields(Query)] == [*QueryBatch._fields, "batch", "row"]
+        assert is_dataclass(Query) and Query.__dataclass_params__.frozen
+        ctx, X = real_cells[0]
+        query = ctx.make_queries(X[:2], 7)[1]
+        with pytest.raises(AttributeError):
+            query.row = 0
+        moved = replace(query, row=0)
+        assert moved.row == 0 and moved.batch is query.batch and moved.hits is query.hits
+
+    def test_every_field_is_a_view_of_its_batch_row(self, variant_batches, oracle_instances):
+        """Every array field of every query, over DSELs on both sides of 30·k
+        rows and the oracle instances, is its batch's row: the same bytes,
+        dtype and shape, in the batch's memory."""
+        sizes = [n for n, _ in variant_batches]
+        assert min(sizes) < 30 * CFG.k < max(sizes)
+        queries = [q for _, batch in variant_batches for q in batch]
+        for query in queries + [inst["query"] for inst in oracle_instances]:
+            for name in FIELDS:
+                got, row = getattr(query, name), getattr(query.batch, name)[query.row]
+                assert got.dtype == row.dtype and got.shape == row.shape, name
+                assert got.tobytes() == row.tobytes(), name
+                assert np.shares_memory(got, getattr(query.batch, name)), name
+
     def test_decision_fields_are_contiguous(self, real_cells):
         for ctx, X in real_cells:
             for query in ctx.make_queries(X, 7):
@@ -167,8 +208,9 @@ class TestBatchLayout:
 
     def test_one_point_is_a_row_of_the_batch(self, real_cells):
         """One 1-D point, and a one-row matrix, give the batch's row in all
-        nine array fields and in DES-RRC's window, as row 0 of a batch of one."""
-        assert len(FIELDS) == 9
+        eleven array fields, DES-RRC's window among them, as row 0 of a batch
+        of one."""
+        assert len(FIELDS) == 11
         for ctx, X in real_cells:
             batch = ctx.make_queries(X, 7)
             for q in (0, 1, len(X) // 2, len(X) - 1):
@@ -177,9 +219,6 @@ class TestBatchLayout:
                     (one,) = ctx.make_queries(point, 7)
                     _assert_same_fields(one, want)
                     assert one.row == 0 and len(one.batch.indices) == 1
-                    for name in ("rrc_rows", "rrc_distances"):
-                        got, row = getattr(one.batch, name), getattr(batch[q].batch, name)[q]
-                        assert got.shape == (1, len(row)) and got.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("layout", ["strided", "fortran"])
     def test_any_memory_layout_decides_alike(self, real_cells, layout):
@@ -365,8 +404,8 @@ class TestRrcWindow:
         ties = 0
         for query, x in zip(queries, X):
             rows, dists = ref.rrc_window_ref(ctx.dsel.features, x, k)
-            assert query.batch.rrc_rows[query.row].tolist() == rows.tolist()
-            assert query.batch.rrc_distances[query.row].tobytes() == dists.tobytes()
+            assert query.rrc_rows.tolist() == rows.tolist()
+            assert query.rrc_distances.tobytes() == dists.tobytes()
             ties += len(np.unique(dists)) < len(dists)
             if m < n:
                 assert query.indices.tolist() == rows[:k].tolist()

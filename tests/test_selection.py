@@ -80,12 +80,12 @@ class TestRegionOfCompetence:
         query = _stub_query([[0.0], [3.0], [7.0]], [3.0], k=2)
         assert query.indices[0] == 1
         # a DSEL of at most 30·k rows: DES-RRC's window is every row in DSEL order
-        assert query.batch.rrc_distances[0][query.indices][0] == 0.0
+        assert query.rrc_distances[query.indices][0] == 0.0
 
     def test_k_equals_dsel(self):
         query = _stub_query([[0.0], [1.0], [2.0]], [0.9], k=3)
         assert sorted(query.indices.tolist()) == [0, 1, 2]
-        assert (np.diff(query.batch.rrc_distances[0][query.indices]) >= 0).all()
+        assert (np.diff(query.rrc_distances[query.indices]) >= 0).all()
 
     def test_one_dimensional_example(self):
         query = _stub_query([[0.0], [1.0], [2.0], [10.0]], [1.4], k=2)
@@ -115,8 +115,8 @@ class TestRegionOfCompetence:
                                                      train.features)]
         cells += [(inst["ctx"], inst["query"], inst["x"]) for inst in oracle_instances]
         for ctx, query, x in cells:
-            want = cdist(x[None], ctx.dsel.features)[0][query.batch.rrc_rows[query.row]]
-            assert np.array_equal(query.batch.rrc_distances[query.row], want)
+            want = cdist(x[None], ctx.dsel.features)[0][query.rrc_rows]
+            assert np.array_equal(query.rrc_distances, want)
 
 
 class TestProfileSimilarity:
@@ -434,6 +434,18 @@ def _rrc_pool_ctx(n_classes=3, n_dsel=15, seed=0):
         n_classes=n_classes,
     )
     return SelectionContext(pool, dsel), features
+
+
+class TestContextClasses:
+    @pytest.mark.parametrize("dsel_classes", [8, 2])
+    def test_a_pool_and_dsel_of_different_classes_are_refused(self, dsel_classes):
+        """A 3-class pool over a DSEL of more classes would index past the
+        pool's supports in DES-RRC; over fewer, it would run on unnoticed."""
+        ctx, features = _rrc_pool_ctx(n_classes=3)
+        labels = np.arange(len(features)) % dsel_classes
+        dsel = Dataset("stub", features, labels, tuple(str(c) for c in range(dsel_classes)))
+        with pytest.raises(ValueError, match=f"pool knows 3 classes and the DSEL {dsel_classes}"):
+            SelectionContext(ctx.pool, dsel)
 
 
 class TestDesRrc:
@@ -1146,7 +1158,7 @@ class TestStatic:
 
     def _static_vote(self, preds, n_classes):
         pool = self._pool_of_constants(preds, n_classes)
-        dsel = Dataset("stub", np.zeros((3, 2)), np.zeros(3, int), ("a", "b"))
+        dsel = Dataset("stub", np.zeros((3, 2)), np.zeros(3, int), tuple("abc"[:n_classes]))
         ctx = SelectionContext(pool, dsel)
         return run_selector("STATIC", ctx, ctx.make_queries(np.zeros(2), 3)[0],
                             SelectorConfig()).predicted_class
